@@ -9,7 +9,6 @@ product over variables X of Pr(X = a[X] | parents(X) = a[parents]).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ from .errors import (
     QueryInEvidenceError,
     UnknownVariableError,
     ValidationError,
+    read_json,
 )
 
 # An assignment maps variable names to outcome labels.
@@ -266,12 +266,4 @@ def network_from_dict(doc: Mapping) -> Network:
 
 def load_network(path: str | Path) -> Network:
     """Read a network definition file; malformed content raises NetworkDefinitionError."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkDefinitionError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    try:
-        return network_from_dict(doc)
-    except NetworkDefinitionError as exc:
-        raise NetworkDefinitionError(f"{path}: {exc}") from None
+    return read_json(path, network_from_dict, NetworkDefinitionError)

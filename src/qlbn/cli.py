@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 from .bayesnet import infer, load_network
 from .belief import Frame, shannon_entropy, deng_entropy, validate_bba
@@ -32,6 +30,7 @@ from .errors import (
     QlbnError,
     UnsupportedStructureError,
     ValidationError,
+    read_json,
 )
 from .heuristic import belief_distance, degree_for_query, extract_outcome_vectors
 from .quantum import amplitudes_from_network, quantum_infer
@@ -39,31 +38,14 @@ from .scenarios import (
     load_builtin_scenarios,
     load_comparison_rows,
     load_scenarios,
-    render_model_comparison_csv,
-    render_observed_vs_predicted_csv,
     render_report_csv,
     render_report_table,
-    render_table3,
-    render_table3_csv,
+    render_reproduction,
     report_to_dict,
     run_comparison,
     run_reproduction,
+    write_reproduction,
 )
-
-
-@dataclass
-class CliConfig:
-    command: str
-    network: str | None = None
-    scenario: str | None = None
-    bba: str | None = None
-    query: str | None = None
-    evidence: dict[str, str] | None = None
-    mode: str = "classical"
-    degree: str = "auto"
-    format: str = "table"
-    verbose: bool = False
-    out: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,30 +98,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
+def _parse_evidence(items: list[str]) -> dict[str, str]:
     evidence: dict[str, str] = {}
-    for item in getattr(args, "evidence", []) or []:
+    for item in items:
         name, sep, outcome = item.partition("=")
         if not sep or not name or not outcome:
             raise ValidationError(f"evidence {item!r} is not of the form VAR=OUTCOME")
         if name in evidence:
             raise ValidationError(f"evidence names {name!r} twice")
         evidence[name] = outcome
-    config = CliConfig(
-        command=args.command,
-        network=getattr(args, "network", None),
-        scenario=getattr(args, "scenario", None),
-        bba=getattr(args, "bba", None),
-        query=getattr(args, "query", None),
-        evidence=evidence,
-        mode=getattr(args, "mode", "classical"),
-        degree=getattr(args, "degree", "auto"),
-        format=getattr(args, "format", "table"),
-        verbose=getattr(args, "verbose", False),
-        out=getattr(args, "out", None),
-    )
-    _parse_degree(config.degree)  # validate eagerly
-    return config
+    return evidence
 
 
 def _parse_degree(spec: str) -> float | None:
@@ -161,21 +129,9 @@ def _parse_degree(spec: str) -> float | None:
     )
 
 
-def _read_json(path: str) -> object:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-
-
-def _load_bba(path: str):
-    doc = _read_json(path)
+def _bba_from_json(doc: object):
     if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
-        raise ValidationError(f"{path}: expected an object with 'frame' and 'masses'")
+        raise ValidationError("expected an object with 'frame' and 'masses'")
     frame = Frame(tuple(str(e) for e in doc["frame"]))
     raw = {}
     for key, value in doc["masses"].items():
@@ -183,16 +139,13 @@ def _load_bba(path: str):
         try:
             mass = float(value)
         except (TypeError, ValueError):
-            raise ValidationError(f"{path}: mass {value!r} for {key!r} is not a number") from None
+            raise ValidationError(f"mass {value!r} for {key!r} is not a number") from None
         raw[labels] = raw.get(labels, 0.0) + mass
-    try:
-        return validate_bba(raw, frame)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return validate_bba(raw, frame)
 
 
-def cmd_entropy(config: CliConfig) -> int:
-    bba = _load_bba(config.bba)
+def cmd_entropy(args: argparse.Namespace) -> int:
+    bba = read_json(args.bba, _bba_from_json)
     parts = []
     if bba.is_bayesian():
         parts.append(f"shannon={shannon_entropy(bba.singleton_distribution()):.5f}")
@@ -217,45 +170,45 @@ def _print_distribution(labels, probabilities, fmt: str, query: str) -> None:
         ))
 
 
-def cmd_infer(config: CliConfig) -> int:
-    net = load_network(config.network)
-    if config.mode == "classical":
-        dist = infer(net, config.query, config.evidence)
-        _print_distribution(dist.labels, dist.probabilities, config.format, config.query)
+def cmd_infer(args: argparse.Namespace) -> int:
+    evidence = _parse_evidence(args.evidence)
+    fixed = _parse_degree(args.degree)
+    net = load_network(args.network)
+    if args.mode == "classical":
+        dist = infer(net, args.query, evidence)
+        _print_distribution(dist.labels, dist.probabilities, args.format, args.query)
         return 0
 
     anet = amplitudes_from_network(net)
-    fixed = _parse_degree(config.degree)
-    unobserved = [n for n in net.names()
-                  if n != config.query and n not in config.evidence]
+    unobserved = [n for n in net.names() if n != args.query and n not in evidence]
     if fixed is not None:
         degree_value = degree_raw = fixed
     elif not unobserved:
         # no completions to interfere, so the heuristic has nothing to weigh
         degree_value = degree_raw = 0.0
     else:
-        degree = degree_for_query(anet, config.query, config.evidence)
+        degree = degree_for_query(anet, args.query, evidence)
         degree_value, degree_raw = degree.value, degree.raw
-    if config.verbose:
+    if args.verbose:
         try:
-            for pair in extract_outcome_vectors(anet, config.query, config.evidence):
+            for pair in extract_outcome_vectors(anet, args.query, evidence):
                 distance = belief_distance(pair.alpha, pair.beta)
                 print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
                       f"beta={pair.beta:.5f} distance={distance:.5f}")
         except UnsupportedStructureError:
             print("vectors: unavailable for this structure")
-        print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({config.degree})")
-    result = quantum_infer(anet, config.query, config.evidence, degree_value)
-    if config.verbose:
+        print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})")
+    result = quantum_infer(anet, args.query, evidence, degree_value)
+    if args.verbose:
         for om in result.outcomes:
             clamp = " (clamped to 0)" if om.clamped else ""
             print(f"mass {om.outcome}: classical={om.classical_part:.5f} "
                   f"interference={om.interference_part:.5f} "
                   f"unnormalized={om.unnormalized:.5f}{clamp}")
         print(f"normalizer={result.normalizer:.5f}")
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
-    elif config.format == "csv":
+    elif args.format == "csv":
         print("outcome,classical_part,interference_part,unnormalized,clamped,probability")
         for om in result.outcomes:
             print(f"{om.outcome},{om.classical_part!r},{om.interference_part!r},"
@@ -265,7 +218,7 @@ def cmd_infer(config: CliConfig) -> int:
             [om.outcome for om in result.outcomes],
             [om.probability for om in result.outcomes],
             "table",
-            config.query,
+            args.query,
         )
     return 0
 
@@ -279,19 +232,14 @@ def _emit_report(report, fmt: str) -> None:
         print(json.dumps(report_to_dict(report), indent=2))
 
 
-def cmd_predict(config: CliConfig) -> int:
-    scenarios = load_scenarios(config.scenario)
-    if not scenarios:
-        raise ValidationError(f"{config.scenario}: no scenarios to evaluate")
-    _emit_report(run_comparison(scenarios), config.format)
+def cmd_predict(args: argparse.Namespace) -> int:
+    _emit_report(run_comparison(load_scenarios(args.scenario)), args.format)
     return 0
 
 
-def cmd_compare(config: CliConfig) -> int:
-    if config.scenario:
-        scenarios = load_scenarios(config.scenario)
-        if not scenarios:
-            raise ValidationError(f"{config.scenario}: no scenarios to evaluate")
+def cmd_compare(args: argparse.Namespace) -> int:
+    if args.scenario:
+        scenarios = load_scenarios(args.scenario)
     else:
         scenarios = load_builtin_scenarios()
     literature = {
@@ -299,74 +247,15 @@ def cmd_compare(config: CliConfig) -> int:
         for row in load_comparison_rows()
         if row.scenario_name
     }
-    _emit_report(run_comparison(scenarios, literature), config.format)
+    _emit_report(run_comparison(scenarios, literature), args.format)
     return 0
 
 
-def cmd_reproduce(config: CliConfig) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> int:
     result = run_reproduction()
-    golden_lines = [
-        f"{'PASS' if g.passed else 'FAIL'}  {g.label}: expected {g.expected} "
-        f"+- {g.tolerance}, got {g.actual:.6f}"
-        for g in result.goldens
-    ]
-    if config.format == "json":
-        print(json.dumps(
-            {
-                "comparison": report_to_dict(result.comparison),
-                "published_models": [
-                    {
-                        "condition": row.name,
-                        "observed": row.observed,
-                        "models": {m: {"prediction": p, "fit": e}
-                                   for m, (p, e) in row.models.items()},
-                        "prediction": row.prediction,
-                        "prediction_fit": row.prediction_fit,
-                        "basis": row.basis,
-                    }
-                    for row in result.table3
-                ],
-                "goldens": [
-                    {
-                        "label": g.label,
-                        "expected": g.expected,
-                        "actual": g.actual,
-                        "tolerance": g.tolerance,
-                        "passed": g.passed,
-                    }
-                    for g in result.goldens
-                ],
-            },
-            indent=2,
-        ))
-    elif config.format == "csv":
-        print(render_report_csv(result.comparison), end="")
-        print()
-        print(render_table3_csv(result), end="")
-    else:
-        print("benchmark predictions")
-        print(render_report_table(result.comparison))
-        print()
-        print("published-model comparison")
-        print(render_table3(result))
-        print()
-        print("golden checks")
-        for line in golden_lines:
-            print(line)
-    if config.out:
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "table2.csv").write_text(render_report_csv(result.comparison))
-        (out / "table3.csv").write_text(render_table3_csv(result))
-        (out / "observed_vs_predicted.csv").write_text(
-            render_observed_vs_predicted_csv(result.comparison)
-        )
-        (out / "model_comparison.csv").write_text(render_model_comparison_csv(result))
-        (out / "report.txt").write_text(
-            "benchmark predictions\n" + render_report_table(result.comparison)
-            + "\n\npublished-model comparison\n" + render_table3(result)
-            + "\n\ngolden checks\n" + "\n".join(golden_lines) + "\n"
-        )
+    print(render_reproduction(result, args.format), end="")
+    if args.out:
+        write_reproduction(result, args.out)
     if not result.all_passed():
         raise GoldenMismatchError(result.failures())
     return 0
@@ -385,8 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except GoldenMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

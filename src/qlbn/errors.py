@@ -8,6 +8,12 @@ The command line maps the families to distinct exit codes.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
+
 
 class QlbnError(Exception):
     """Base class for every error raised by this package."""
@@ -99,3 +105,34 @@ class GoldenMismatchError(QlbnError):
     def __init__(self, failures: list[str]):
         self.failures = list(failures)
         super().__init__("golden check failed: " + "; ".join(self.failures))
+
+
+# --- input files --------------------------------------------------------------
+
+
+def read_json(
+    path: str | Path,
+    parse: Callable[[object], _T],
+    error: type[ValidationError] = ValidationError,
+) -> _T:
+    """Read the JSON file at path and build a value from it with parse.
+
+    Every way the file can fail raises error with a message that names the
+    path: it cannot be read, it is not JSON, parse rejects it with a
+    ValidationError, or its content has the wrong shape for parse (a missing
+    key, a list where an object belongs, ...).
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    try:
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except ValidationError as exc:
+        raise error(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise error(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise error(f"{path}: unexpected structure: {exc}") from None

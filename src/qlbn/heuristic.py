@@ -58,6 +58,7 @@ def extract_outcome_vectors(
     """
     evidence = evidence or {}
     net = anet.net
+    net.variable(query)  # an unknown query is reported as such, not as a count
     free = [n for n in net.names() if n != query and n not in evidence]
     if len(free) != 1:
         raise UnsupportedStructureError(

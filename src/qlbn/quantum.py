@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .bayesnet import Assignment, completions, infer
+from .bayesnet import Assignment, Network, completions, infer
 from .belief import DiscreteDistribution
 from .errors import (
     IncompleteAssignmentError,

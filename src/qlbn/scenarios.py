@@ -19,14 +19,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .bayesnet import Network, Variable, infer
 from .belief import DiscreteDistribution
-from .errors import ValidationError, ZeroObservedError
+from .errors import ValidationError, ZeroObservedError, read_json
 from .heuristic import BeliefDegree, degree_for_query
 from .quantum import amplitudes_from_network, quantum_infer
 
@@ -288,6 +288,8 @@ def _to_float(value: object, context: str) -> float:
 def scenarios_from_json(doc: object) -> list[Scenario]:
     if not isinstance(doc, list):
         raise ValidationError("a scenario file must contain a JSON list")
+    if not doc:
+        raise ValidationError("no scenarios to evaluate")
     out: list[Scenario] = []
     for i, row in enumerate(doc):
         if not isinstance(row, dict):
@@ -317,15 +319,7 @@ def scenarios_from_json(doc: object) -> list[Scenario]:
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    try:
-        return scenarios_from_json(doc)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return read_json(path, scenarios_from_json)
 
 
 # --- reproduction -------------------------------------------------------------
@@ -388,27 +382,16 @@ def run_reproduction() -> ReproductionResult:
     for row in rows:
         record = by_name.get(row.scenario_name) if row.scenario_name else None
         if record is not None:
-            table3.append(
-                Table3Row(
-                    row.name,
-                    row.observed,
-                    dict(row.models),
-                    record.quantum_prediction,
-                    record.fit_error_quantum,
-                    "computed",
-                )
+            prediction, fit, basis = (
+                record.quantum_prediction, record.fit_error_quantum, "computed"
             )
         else:
-            table3.append(
-                Table3Row(
-                    row.name,
-                    row.observed,
-                    dict(row.models),
-                    row.reported_prediction,
-                    row.reported_fit_error,
-                    "published",
-                )
+            prediction, fit, basis = (
+                row.reported_prediction, row.reported_fit_error, "published"
             )
+        table3.append(
+            Table3Row(row.name, row.observed, dict(row.models), prediction, fit, basis)
+        )
 
     goldens: list[GoldenCheck] = []
     for name, expected in load_builtin_reported_classical().items():
@@ -447,90 +430,139 @@ def run_reproduction() -> ReproductionResult:
 
 # --- rendering ----------------------------------------------------------------
 
+# A float prints with 5 decimals in text and repr in CSV, a string as is, and
+# None marks a missing value: "-" in text, empty in CSV.
+Cell = float | str | None
+
+
+@dataclass(frozen=True)
+class Table:
+    """The one model every text table and CSV series renders from.
+
+    columns holds (csv key, text title) pairs; mean, when present, maps csv
+    keys to the mean-fit-error row's cells (other columns stay blank).
+    """
+
+    columns: tuple[tuple[str, str], ...]
+    rows: tuple[tuple[Cell, ...], ...]
+    mean: Mapping[str, Cell] | None = None
+
+    def select(self, keys: Mapping[str, str]) -> Table:
+        """The columns named by keys, renamed to keys' values, without the mean row."""
+        index = {key: i for i, (key, _) in enumerate(self.columns)}
+        picks = [index[key] for key in keys]
+        return Table(
+            tuple((name, name) for name in keys.values()),
+            tuple(tuple(row[i] for i in picks) for row in self.rows),
+        )
+
+    def body(self, mean_label: str) -> list[list[Cell]]:
+        """The rows, then the mean row led by mean_label if there is one."""
+        rows = [list(row) for row in self.rows]
+        if self.mean is not None:
+            rows.append([mean_label] + [self.mean.get(k, "") for k, _ in self.columns[1:]])
+        return rows
+
 
 def _fmt(value: float) -> str:
     return f"{value:.5f}"
 
 
-def _model_title(model: str) -> str:
-    return _MODEL_TITLES.get(model, model)
-
-
-def _literature_models(report: ComparisonReport) -> list[str]:
-    seen: list[str] = []
-    for record in report.records:
-        for model in record.literature_comparisons or {}:
-            if model not in seen:
-                seen.append(model)
-    return seen
-
-
-def render_report_table(report: ComparisonReport) -> str:
-    """Aligned text table of a comparison report, 5 decimals per number."""
-    models = _literature_models(report)
-    header = ["scenario", "observed", "classical", "quantum", "degree",
-              "fit_classical", "fit_quantum"]
-    for model in models:
-        header += [_model_title(model), f"{_model_title(model)} fit"]
-    rows = [header]
-    for r in report.records:
-        row = [
-            r.scenario.name,
-            _fmt(r.scenario.observed_unknown),
-            _fmt(r.classical_prediction),
-            _fmt(r.quantum_prediction),
-            _fmt(r.degree.value),
-            _fmt(r.fit_error_classical),
-            _fmt(r.fit_error_quantum),
-        ]
-        for model in models:
-            pair = (r.literature_comparisons or {}).get(model)
-            row += ["-", "-"] if pair is None else [_fmt(pair[0]), _fmt(pair[1])]
-        rows.append(row)
-    mean = ["(mean fit error)", "", "", "", "",
-            _fmt(report.average_fit_classical), _fmt(report.average_fit_quantum)]
-    for model in models:
-        avg = report.average_fit_literature.get(model)
-        mean += ["", "-" if avg is None else _fmt(avg)]
-    rows.append(mean)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
+def _render_text(table: Table) -> str:
+    rows = [[title for _, title in table.columns]] + [
+        ["-" if c is None else c if isinstance(c, str) else _fmt(c) for c in row]
+        for row in table.body("(mean fit error)")
+    ]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(table.columns))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
-def render_report_csv(report: ComparisonReport) -> str:
-    """CSV of a comparison report; floats keep full round-trip precision."""
-    models = _literature_models(report)
+def _render_csv(table: Table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["scenario", "observed", "classical", "quantum", "degree",
-              "fit_classical", "fit_quantum"]
+    writer.writerow([key for key, _ in table.columns])
+    for row in table.body("mean_fit_error"):
+        writer.writerow(
+            ["" if c is None else c if isinstance(c, str) else repr(c) for c in row]
+        )
+    return buf.getvalue()
+
+
+def _model_columns(models: Sequence[str]) -> list[tuple[str, str]]:
+    columns = []
     for model in models:
-        header += [f"{model}_prediction", f"{model}_fit"]
-    writer.writerow(header)
+        title = _MODEL_TITLES.get(model, model)
+        columns += [(f"{model}_prediction", title), (f"{model}_fit", f"{title} fit")]
+    return columns
+
+
+def _mean(values: Sequence[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _report_table(report: ComparisonReport) -> Table:
+    # the models with published columns, in the order records first name them
+    models = list(report.average_fit_literature)
+    rows = []
     for r in report.records:
-        row = [
+        row: list[Cell] = [
             r.scenario.name,
-            repr(r.scenario.observed_unknown),
-            repr(r.classical_prediction),
-            repr(r.quantum_prediction),
-            repr(r.degree.value),
-            repr(r.fit_error_classical),
-            repr(r.fit_error_quantum),
+            r.scenario.observed_unknown,
+            r.classical_prediction,
+            r.quantum_prediction,
+            r.degree.value,
+            r.fit_error_classical,
+            r.fit_error_quantum,
         ]
         for model in models:
-            pair = (r.literature_comparisons or {}).get(model)
-            row += ["", ""] if pair is None else [repr(pair[0]), repr(pair[1])]
-        writer.writerow(row)
-    mean = ["mean_fit_error", "", "", "", "",
-            repr(report.average_fit_classical), repr(report.average_fit_quantum)]
-    for model in models:
-        avg = report.average_fit_literature.get(model)
-        mean += ["", "" if avg is None else repr(avg)]
-    writer.writerow(mean)
-    return buf.getvalue()
+            row += (r.literature_comparisons or {}).get(model, (None, None))
+        rows.append(tuple(row))
+    keys = ["scenario", "observed", "classical", "quantum", "degree",
+            "fit_classical", "fit_quantum"]
+    return Table(
+        tuple((key, key) for key in keys) + tuple(_model_columns(models)),
+        tuple(rows),
+        {
+            "fit_classical": report.average_fit_classical,
+            "fit_quantum": report.average_fit_quantum,
+            **{f"{m}_fit": fit for m, fit in report.average_fit_literature.items()},
+        },
+    )
+
+
+def _table3_models(result: ReproductionResult) -> list[str]:
+    return list(result.table3[0].models) if result.table3 else []
+
+
+def _table3(result: ReproductionResult) -> Table:
+    models = _table3_models(result)
+    return Table(
+        (("condition", "condition"), ("observed", "observed"), *_model_columns(models),
+         ("prediction", "this model"), ("prediction_fit", "fit"), ("basis", "basis")),
+        tuple(
+            (row.name, row.observed, *(v for m in models for v in row.models[m]),
+             row.prediction, row.prediction_fit, row.basis)
+            for row in result.table3
+        ),
+        {
+            **{f"{m}_fit": _mean([row.models[m][1] for row in result.table3])
+               for m in models},
+            "prediction_fit": _mean([row.prediction_fit for row in result.table3]),
+        },
+    )
+
+
+def render_report_table(report: ComparisonReport) -> str:
+    """Aligned text table of a comparison report, 5 decimals per number."""
+    return _render_text(_report_table(report))
+
+
+def render_report_csv(report: ComparisonReport) -> str:
+    """CSV of a comparison report; floats keep full round-trip precision."""
+    return _render_csv(_report_table(report))
 
 
 def report_to_dict(report: ComparisonReport) -> dict:
@@ -560,77 +592,83 @@ def report_to_dict(report: ComparisonReport) -> dict:
 
 def render_table3(result: ReproductionResult) -> str:
     """Aligned text table of the published-models comparison."""
-    models = list(result.table3[0].models) if result.table3 else []
-    header = ["condition", "observed"]
-    for model in models:
-        header += [_model_title(model), f"{_model_title(model)} fit"]
-    header += ["this model", "fit", "basis"]
-    rows = [header]
-    for row in result.table3:
-        cells = [row.name, _fmt(row.observed)]
-        for model in models:
-            pred, err = row.models[model]
-            cells += [_fmt(pred), _fmt(err)]
-        cells += [_fmt(row.prediction), _fmt(row.prediction_fit), row.basis]
-        rows.append(cells)
-    mean = ["(mean fit error)", ""]
-    for model in models:
-        errs = [row.models[model][1] for row in result.table3]
-        mean += ["", _fmt(math.fsum(errs) / len(errs))]
-    fits = [row.prediction_fit for row in result.table3]
-    mean += ["", _fmt(math.fsum(fits) / len(fits)), ""]
-    rows.append(mean)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return _render_text(_table3(result))
 
 
 def render_table3_csv(result: ReproductionResult) -> str:
-    models = list(result.table3[0].models) if result.table3 else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["condition", "observed"]
-    for model in models:
-        header += [f"{model}_prediction", f"{model}_fit"]
-    header += ["prediction", "prediction_fit", "basis"]
-    writer.writerow(header)
-    for row in result.table3:
-        cells = [row.name, repr(row.observed)]
-        for model in models:
-            pred, err = row.models[model]
-            cells += [repr(pred), repr(err)]
-        cells += [repr(row.prediction), repr(row.prediction_fit), row.basis]
-        writer.writerow(cells)
-    return buf.getvalue()
+    """CSV of the published-models comparison; unlike the text table, no mean row."""
+    return _render_csv(replace(_table3(result), mean=None))
 
 
 def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
     """Bar-chart-shaped series: one row per scenario, observed next to both models."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "observed", "classical", "quantum"])
-    for r in report.records:
-        writer.writerow([
-            r.scenario.name,
-            repr(r.scenario.observed_unknown),
-            repr(r.classical_prediction),
-            repr(r.quantum_prediction),
-        ])
-    return buf.getvalue()
+    keys = ("scenario", "observed", "classical", "quantum")
+    return _render_csv(_report_table(report).select({k: k for k in keys}))
 
 
 def render_model_comparison_csv(result: ReproductionResult) -> str:
     """Bar-chart-shaped series over the comparison rows, all models side by side."""
-    models = list(result.table3[0].models) if result.table3 else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["condition", "observed"] + models + ["belief_degree"])
-    for row in result.table3:
-        writer.writerow(
-            [row.name, repr(row.observed)]
-            + [repr(row.models[m][0]) for m in models]
-            + [repr(row.prediction)]
-        )
-    return buf.getvalue()
+    models = _table3_models(result)
+    return _render_csv(_table3(result).select({
+        "condition": "condition",
+        "observed": "observed",
+        **{f"{m}_prediction": m for m in models},
+        "prediction": "belief_degree",
+    }))
+
+
+def render_reproduction(result: ReproductionResult, fmt: str) -> str:
+    """The whole reproduction as `qlbn reproduce` prints it: table, csv or json.
+
+    The table form is also the text of report.txt.
+    """
+    if fmt == "json":
+        return json.dumps(
+            {
+                "comparison": report_to_dict(result.comparison),
+                "published_models": [
+                    {
+                        "condition": row.name,
+                        "observed": row.observed,
+                        "models": {m: {"prediction": p, "fit": e}
+                                   for m, (p, e) in row.models.items()},
+                        "prediction": row.prediction,
+                        "prediction_fit": row.prediction_fit,
+                        "basis": row.basis,
+                    }
+                    for row in result.table3
+                ],
+                "goldens": [{**asdict(g), "passed": g.passed} for g in result.goldens],
+            },
+            indent=2,
+        ) + "\n"
+    if fmt == "csv":
+        return render_report_csv(result.comparison) + "\n" + render_table3_csv(result)
+    golden_lines = "".join(
+        f"{'PASS' if g.passed else 'FAIL'}  {g.label}: expected {g.expected} "
+        f"+- {g.tolerance}, got {g.actual:.6f}\n"
+        for g in result.goldens
+    )
+    return (
+        "benchmark predictions\n" + render_report_table(result.comparison)
+        + "\n\npublished-model comparison\n" + render_table3(result)
+        + "\n\ngolden checks\n" + golden_lines
+    )
+
+
+def write_reproduction(result: ReproductionResult, out: str | Path) -> None:
+    """Write report.txt and the four CSV series of a reproduction into directory out."""
+    files = {
+        "table2.csv": render_report_csv(result.comparison),
+        "table3.csv": render_table3_csv(result),
+        "observed_vs_predicted.csv": render_observed_vs_predicted_csv(result.comparison),
+        "model_comparison.csv": render_model_comparison_csv(result),
+        "report.txt": render_reproduction(result, "table"),
+    }
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from None

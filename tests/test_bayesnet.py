@@ -274,9 +274,18 @@ class TestNetworkFiles:
         with pytest.raises(NetworkDefinitionError, match="line 3"):
             load_network(path)
 
-    def test_missing_sections(self):
+    def test_missing_sections(self, tmp_path: Path):
         with pytest.raises(NetworkDefinitionError, match="'variables' and 'cpts'"):
             network_from_dict({"variables": []})
+        nameless = json.loads(json.dumps(SERVERS_DOC))
+        del nameless["variables"][0]["name"]
+        distless = json.loads(json.dumps(SERVERS_DOC))
+        del distless["cpts"]["S1"][0]["dist"]
+        path = tmp_path / "net.json"
+        for doc, key in ((nameless, "name"), (distless, "dist")):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(NetworkDefinitionError, match=f"missing key '{key}'"):
+                load_network(path)
 
     def test_edge_must_be_pair(self):
         doc = json.loads(json.dumps(SERVERS_DOC))

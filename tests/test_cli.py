@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -61,16 +62,29 @@ class TestEntropy:
         assert "error:" in err and "sum to" in err
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "entropy", "--bba", str(tmp_path / "none.json"))
-        assert code == 1
-        assert "cannot read" in err
+        missing = str(tmp_path / "none.json")
+        not_text = tmp_path / "binary.json"
+        not_text.write_bytes(b"\xff\xfe")
+        for argv, path in (
+            (["entropy", "--bba", missing], missing),
+            (["predict", "--scenario", missing], missing),
+            (["infer", "--network", missing, "--query", "A"], missing),
+            (["entropy", "--bba", str(not_text)], not_text),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert f"cannot read {path}" in err
 
     def test_wrong_shape(self, capsys, tmp_path):
         path = tmp_path / "bba.json"
-        path.write_text("[1, 2]")
-        code, _, err = run_cli(capsys, "entropy", "--bba", str(path))
-        assert code == 1
-        assert "'frame' and 'masses'" in err
+        for content, message in (
+            ("[1, 2]", "expected an object with 'frame' and 'masses'"),
+            ('{"frame": ["a", "b"], "masses": [1]}', "unexpected structure"),
+        ):
+            path.write_text(content)
+            code, _, err = run_cli(capsys, "entropy", "--bba", str(path))
+            assert code == 1
+            assert f"{path}: {message}" in err
 
 
 class TestInferClassical:
@@ -236,6 +250,14 @@ class TestInferQuantum:
         assert "degree: raw=0.00000 value=0.00000 (auto)" in out
         assert out.splitlines()[-2:] == ["Defect     0.87000", "Cooperate  0.13000"]
 
+    def test_unknown_query_is_named_before_counting_unobserved(self, capsys):
+        code, _, err = run_cli(
+            capsys, "infer", "--network", SERVERS_NET, "--query", "ZZ",
+            "--mode", "quantum",
+        )
+        assert code == 1
+        assert "no variable named 'ZZ'" in err
+
     def test_fixed_degree_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys, "infer", "--network", GAME_NET, "--query", "P2",
@@ -387,6 +409,14 @@ class TestReproduce:
         assert (out_dir / "report.txt").exists()
 
 
+    def test_out_path_is_a_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code, _, err = run_cli(capsys, "reproduce", "--out", str(target))
+        assert code == 1
+        assert f"error: cannot write {target}" in err
+
+
 class TestModuleInvocation:
     def test_reproduce_is_deterministic(self):
         runs = [
@@ -420,3 +450,99 @@ class TestModuleInvocation:
         )
         assert result.returncode == 0
         assert b"reproduce" in result.stdout
+
+
+# SHA-256 of every rendered output, recorded before the renderers were merged
+# into one rows-and-columns model; any byte of drift fails here.
+DIGEST_COMMANDS = {
+    "reproduce": ["reproduce"],
+    "compare": ["compare"],
+    "compare-scenario": ["compare", "--scenario", SCENARIOS],
+    "predict": ["predict", "--scenario", SCENARIOS],
+    "infer-quantum-verbose": [
+        "infer", "--network", GAME_NET, "--query", "P2", "--mode", "quantum", "--verbose",
+    ],
+    "infer-quantum-zero": [
+        "infer", "--network", GAME_NET, "--query", "P2", "--mode", "quantum",
+        "--degree", "zero",
+    ],
+    "infer-evidence": [
+        "infer", "--network", SERVERS_NET, "--query", "S2", "--evidence", "S1=T",
+    ],
+}
+STDOUT_DIGESTS = {
+    "reproduce-table":
+        "fff8099382e49ee86b736e6bba091371f108e1a69a2c91151ddf9b6e50d22886",
+    "reproduce-csv":
+        "5b4fb9c620cf9e244f150a4056c905d025e74c5ca358fe1199b8f15911340f53",
+    "reproduce-json":
+        "f8d83888a45acfdb06eb174df62dffa3d2d268ecda49db33b3372c5f22b6b9cf",
+    "compare-table":
+        "7d9fe8158e3815406eaac61549e2a4064a34ff1f8d8969fe20728ce2e744eaf3",
+    "compare-csv":
+        "ebe33103f777b7f758f352a929770b969d2a3754e1fc109fb7795eebd65b355b",
+    "compare-json":
+        "cbab372b84b1f3457972b04b2b04f033139217c7315742a6adba7778b184fd8d",
+    "compare-scenario-table":
+        "7d9fe8158e3815406eaac61549e2a4064a34ff1f8d8969fe20728ce2e744eaf3",
+    "compare-scenario-csv":
+        "ebe33103f777b7f758f352a929770b969d2a3754e1fc109fb7795eebd65b355b",
+    "compare-scenario-json":
+        "cbab372b84b1f3457972b04b2b04f033139217c7315742a6adba7778b184fd8d",
+    "predict-table":
+        "43dcd30daf84a1cb2951f70a52cf51da51fbbd5c8ab343d09723bc170dacdba4",
+    "predict-csv":
+        "ed5db5cb7a01a0d6d4ba61c061891f3dc7f364e5d5f71ed50d6fb1617d17ce16",
+    "predict-json":
+        "fde5e0a4794ac10d993defcde433bef23553cd4de0e496620fa79132ea0c3d35",
+    "infer-quantum-verbose-table":
+        "4d490c510cea8263b0e6928138bb036c6980ff375b486b26ff72ff4a1cc85660",
+    "infer-quantum-verbose-csv":
+        "e6f334d256b79bd9aefc76b5d66e19c3f445d2212946e6599da166387eaad598",
+    "infer-quantum-verbose-json":
+        "98951e13a62e3cda90c1137592ef084d3af0872cf66c0705d8587b29c39331d0",
+    "infer-quantum-zero-table":
+        "812891f7575e212cac873bc3f31a7673398ba0c4ad2e6458b9a4a3cad6ca25b9",
+    "infer-quantum-zero-csv":
+        "1ae146f71664ec4a04818a7cc5c4df0b9eba84dc3a80a175a932f133f812dad2",
+    "infer-quantum-zero-json":
+        "2ee219339b684596a4e07926e58493db5db7ccac3178fe41c3e9380688fddbf8",
+    "infer-evidence-table":
+        "de908dcee71ec7158fb8ef1612739e77eec530ca93144c289c04c4895af8ea14",
+    "infer-evidence-csv":
+        "40cd999f389cc300b3b8ec9bd20ec286f683612fb66e3c43d1cc474685cbea9d",
+    "infer-evidence-json":
+        "873647016eb45ab8339624be79be15983d3ea942bceb81f2f284de482c69c745",
+}
+OUT_FILE_DIGESTS = {
+    "model_comparison.csv":
+        "e26b9c4b29025b2c20f529acdaf43f38356a5a62e5d0f0c2d4b43f1a8b70f0bf",
+    "observed_vs_predicted.csv":
+        "2bb52dadbbbd4403d7cf6bfde45f0c308d0b3b48420b43074b2b52a1a988515c",
+    "report.txt":
+        "fff8099382e49ee86b736e6bba091371f108e1a69a2c91151ddf9b6e50d22886",
+    "table2.csv":
+        "ebe33103f777b7f758f352a929770b969d2a3754e1fc109fb7795eebd65b355b",
+    "table3.csv":
+        "06bf4b0eaf47d21b12c6f9b57b5cf71795def7b8f86af876cf6f5b1345a8493f",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("key", sorted(STDOUT_DIGESTS))
+    def test_stdout_digest(self, capsys, key):
+        label, _, fmt = key.rpartition("-")
+        code, out, _ = run_cli(capsys, *DIGEST_COMMANDS[label], "--format", fmt)
+        assert code == 0
+        assert sha256(out.encode()) == STDOUT_DIGESTS[key]
+
+    def test_out_files_digest_and_report_matches_stdout(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "reproduce", "--out", str(tmp_path))
+        assert code == 0
+        digests = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+        assert digests == OUT_FILE_DIGESTS
+        assert (tmp_path / "report.txt").read_text() == out

@@ -5,12 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbn.bayesnet import full_joint, infer, network_from_dict
+from qlbn.bayesnet import Network, full_joint, infer, network_from_dict
 from qlbn.errors import (
     IncompleteAssignmentError,
     NegativeUnnormalizedMassError,
@@ -62,6 +63,9 @@ class TestAmplitudes:
         for table in game_amps.amplitudes.values():
             for row in table.values():
                 assert math.fsum(a * a for a in row) == pytest.approx(1.0, abs=1e-12)
+
+    def test_annotations_resolve(self):
+        assert typing.get_type_hints(AmplitudeNetwork)["net"] is Network
 
     def test_rejects_non_binary_variables(self):
         doc = {

@@ -15,6 +15,7 @@ from qlbn.heuristic import degree_for_query
 from qlbn.quantum import amplitudes_from_network
 from qlbn.scenarios import (
     COOPERATE,
+    TOL_FIT,
     DEFECT,
     PLAYER_ONE,
     PLAYER_TWO,
@@ -325,6 +326,18 @@ class TestReproduction:
         assert computed["Hristova and Grinberg, 2008"] == pytest.approx(
             FROZEN_PIPELINE["Hristova and Grinberg, 2008"][0], abs=1e-9
         )
+
+    def test_table3_means_match_reported_average_fit_errors(self):
+        table = run_reproduction().table3
+        means = {
+            model: math.fsum(row.models[model][1] for row in table) / len(table)
+            for model in ("qpdt", "dynamic_heuristic")
+        }
+        means["belief_degree"] = math.fsum(row.prediction_fit for row in table) / len(table)
+        reported = load_reported_average_fit_errors()
+        assert set(means) == set(reported)
+        for model, mean in means.items():
+            assert mean == pytest.approx(reported[model], abs=TOL_FIT), model
 
     def test_published_rows_copy_reported_values(self):
         table = run_reproduction().table3
