@@ -23,6 +23,7 @@ from .errors import (
     UnknownVariableError,
     ValidationError,
     read_json,
+    shape_errors,
 )
 
 # An assignment maps variable names to outcome labels.
@@ -129,33 +130,55 @@ class Network:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def cpt_entry(self, name: str, assignment: Assignment) -> float:
-        """Pr(name = assignment[name] | parents as assigned)."""
-        key = tuple(assignment[p] for p in self.parents.get(name, ()))
-        return self.cpts[name][key].prob(assignment[name])
+
+# A value table has the CPT layout: variable name -> {parent key -> one value
+# per outcome, in the variable's declared outcome order}.
+ValueTable = dict[str, dict[ParentKey, tuple[float, ...]]]
+
+
+def value_table(net: Network, f: Callable[[float], float]) -> ValueTable:
+    """The network's CPTs with f applied to every entry (float: the classical table)."""
+    return {
+        v.name: {
+            key: tuple(f(dist.prob(o)) for o in v.outcomes)
+            for key, dist in net.cpts[v.name].items()
+        }
+        for v in net.variables
+    }
+
+
+def table_product(net: Network, table: ValueTable, assignment: Assignment) -> float:
+    """Product in declared variable order of table values; the assignment is not checked."""
+    product = 1.0
+    for v in net.variables:
+        key = tuple(assignment[p] for p in net.parents.get(v.name, ()))
+        product *= table[v.name][key][v.outcomes.index(assignment[v.name])]
+    return product
 
 
 def _check_assignment_names(net: Network, assignment: Assignment) -> None:
-    declared = set(net.names())
+    outcomes = {v.name: v.outcomes for v in net.variables}
     for name, outcome in assignment.items():
-        if name not in declared:
+        if name not in outcomes:
             raise UnknownVariableError(f"no variable named {name!r}")
-        if outcome not in net.outcomes(name):
+        if outcome not in outcomes[name]:
             raise UnknownVariableError(
-                f"{outcome!r} is not an outcome of {name!r} {net.outcomes(name)}"
+                f"{outcome!r} is not an outcome of {name!r} {outcomes[name]}"
             )
 
 
-def full_joint(net: Network, assignment: Assignment) -> float:
-    """Probability of a complete assignment: the product of CPT entries."""
+def check_complete(net: Network, assignment: Assignment) -> None:
+    """Raise unless assignment gives every variable, and nothing else, one of its outcomes."""
     _check_assignment_names(net, assignment)
     missing = [n for n in net.names() if n not in assignment]
     if missing:
         raise IncompleteAssignmentError(f"assignment misses variables {missing}")
-    product = 1.0
-    for name in net.names():
-        product *= net.cpt_entry(name, assignment)
-    return product
+
+
+def full_joint(net: Network, assignment: Assignment) -> float:
+    """Probability of a complete assignment: the product of CPT entries."""
+    check_complete(net, assignment)
+    return table_product(net, value_table(net, float), assignment)
 
 
 def completions(
@@ -169,6 +192,28 @@ def completions(
         yield full
 
 
+def completion_products(
+    net: Network, table: ValueTable, query: str, evidence: Assignment
+) -> dict[str, list[float]]:
+    """Table products per query outcome, one per completion of the unobserved variables.
+
+    The one enumeration behind classical and quantum-like inference; query and
+    evidence are checked once, up front. Lists follow declared outcome orders.
+    """
+    if query in evidence:
+        raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
+    query_outcomes = net.outcomes(query)
+    _check_assignment_names(net, evidence)
+    free = tuple(n for n in net.names() if n != query and n not in evidence)
+    return {
+        outcome: [
+            table_product(net, table, a)
+            for a in completions(net, {**evidence, query: outcome}, free)
+        ]
+        for outcome in query_outcomes
+    }
+
+
 def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistribution:
     """Posterior distribution of `query` given `evidence`, by enumeration.
 
@@ -176,26 +221,19 @@ def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistributio
     query outcome, then normalizes. Raises InconsistentEvidenceError when the
     evidence itself has probability zero.
     """
-    if query in evidence:
-        raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
-    net.variable(query)
-    _check_assignment_names(net, evidence)
-    free = tuple(n for n in net.names() if n != query and n not in evidence)
-    totals = []
-    for outcome in net.outcomes(query):
-        fixed = dict(evidence)
-        fixed[query] = outcome
-        totals.append(math.fsum(full_joint(net, a) for a in completions(net, fixed, free)))
+    products = completion_products(net, value_table(net, float), query, evidence)
+    totals = [math.fsum(joints) for joints in products.values()]
     normalizer = math.fsum(totals)
     if normalizer <= 0.0:
         raise InconsistentEvidenceError(f"evidence {dict(evidence)!r} has probability zero")
-    return DiscreteDistribution(net.outcomes(query), tuple(t / normalizer for t in totals))
+    return DiscreteDistribution(tuple(products), tuple(t / normalizer for t in totals))
 
 
 def event_probability(net: Network, predicate: Callable[[dict[str, str]], bool]) -> float:
     """Probability of the event selected by `predicate` over full assignments."""
+    table = value_table(net, float)
     return math.fsum(
-        full_joint(net, a) for a in completions(net, {}, net.names()) if predicate(a)
+        table_product(net, table, a) for a in completions(net, {}, net.names()) if predicate(a)
     )
 
 
@@ -221,46 +259,50 @@ def _as_probability(value: object, context: str) -> float:
 
 
 def network_from_dict(doc: Mapping) -> Network:
-    """Build a Network from the parsed JSON structure described above."""
+    """Build a Network from the parsed JSON structure described above.
+
+    Content of the wrong shape raises NetworkDefinitionError, as bad values do.
+    """
     try:
         raw_vars = doc["variables"]
         raw_cpts = doc["cpts"]
     except (KeyError, TypeError):
         raise NetworkDefinitionError("network definition needs 'variables' and 'cpts'") from None
-    variables = tuple(
-        Variable(str(v["name"]), tuple(str(o) for o in v["outcomes"])) for v in raw_vars
-    )
-    parents: dict[str, tuple[str, ...]] = {v.name: () for v in variables}
-    for edge in doc.get("edges", []):
-        if len(edge) != 2:
-            raise NetworkDefinitionError(f"edge {edge!r} must be a [parent, child] pair")
-        parent, child = str(edge[0]), str(edge[1])
-        if child not in parents:
-            raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
-        parents[child] = parents[child] + (parent,)
-    cpts: dict[str, dict[ParentKey, DiscreteDistribution]] = {}
-    for name, rows in raw_cpts.items():
-        table: dict[ParentKey, DiscreteDistribution] = {}
-        for row in rows:
-            given = row.get("given", {})
-            key = tuple(str(given[p]) for p in parents.get(str(name), ()) if p in given)
-            if len(key) != len(given):
-                raise NetworkDefinitionError(
-                    f"CPT row for {name!r} conditions on non-parents: {sorted(given)}"
-                )
-            dist = row["dist"]
-            labels = tuple(str(lb) for lb in dist)
-            try:
-                probs = tuple(
-                    _as_probability(dist[lb], f"CPT {name!r} given {dict(given)!r}")
-                    for lb in dist
-                )
-                table[key] = DiscreteDistribution(labels, probs)
-            except ValidationError as exc:
-                raise NetworkDefinitionError(
-                    f"CPT row for {name!r} given {dict(given)!r} is invalid: {exc}"
-                ) from None
-        cpts[str(name)] = table
+    with shape_errors(NetworkDefinitionError):
+        variables = tuple(
+            Variable(str(v["name"]), tuple(str(o) for o in v["outcomes"])) for v in raw_vars
+        )
+        parents: dict[str, tuple[str, ...]] = {v.name: () for v in variables}
+        for edge in doc.get("edges", []):
+            if len(edge) != 2:
+                raise NetworkDefinitionError(f"edge {edge!r} must be a [parent, child] pair")
+            parent, child = str(edge[0]), str(edge[1])
+            if child not in parents:
+                raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
+            parents[child] = parents[child] + (parent,)
+        cpts: dict[str, dict[ParentKey, DiscreteDistribution]] = {}
+        for name, rows in raw_cpts.items():
+            table: dict[ParentKey, DiscreteDistribution] = {}
+            for row in rows:
+                given = row.get("given", {})
+                key = tuple(str(given[p]) for p in parents.get(str(name), ()) if p in given)
+                if len(key) != len(given):
+                    raise NetworkDefinitionError(
+                        f"CPT row for {name!r} conditions on non-parents: {sorted(given)}"
+                    )
+                dist = row["dist"]
+                labels = tuple(str(lb) for lb in dist)
+                try:
+                    probs = tuple(
+                        _as_probability(dist[lb], f"CPT {name!r} given {dict(given)!r}")
+                        for lb in dist
+                    )
+                    table[key] = DiscreteDistribution(labels, probs)
+                except ValidationError as exc:
+                    raise NetworkDefinitionError(
+                        f"CPT row for {name!r} given {dict(given)!r} is invalid: {exc}"
+                    ) from None
+            cpts[str(name)] = table
     return Network(variables, parents, cpts)
 
 

@@ -77,9 +77,6 @@ class BeliefAssignment:
     frame: Frame
     masses: Mapping[FocalSet, float] = field(default_factory=dict)
 
-    def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(self.masses.keys())
-
     def mass(self, labels: Iterable[str] | str) -> float:
         return self.masses.get(canonical_subset(labels), 0.0)
 
@@ -174,9 +171,6 @@ class DiscreteDistribution:
 
     def items(self) -> tuple[tuple[str, float], ...]:
         return tuple(zip(self.labels, self.probabilities))
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.items())
 
 
 def shannon_entropy(dist: DiscreteDistribution, log_base: float = 2.0) -> float:

@@ -28,6 +28,7 @@ from .errors import (
     GoldenMismatchError,
     InferenceError,
     QlbnError,
+    SingularDenominatorError,
     UnsupportedStructureError,
     ValidationError,
     read_json,
@@ -192,9 +193,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.verbose:
         try:
             for pair in extract_outcome_vectors(anet, args.query, evidence):
-                distance = belief_distance(pair.alpha, pair.beta)
+                try:
+                    distance = f"{belief_distance(pair.alpha, pair.beta):.5f}"
+                except SingularDenominatorError:
+                    distance = "singular"  # a fixed degree does not depend on it
                 print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
-                      f"beta={pair.beta:.5f} distance={distance:.5f}")
+                      f"beta={pair.beta:.5f} distance={distance}")
         except UnsupportedStructureError:
             print("vectors: unavailable for this structure")
         print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})")

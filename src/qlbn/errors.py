@@ -9,8 +9,9 @@ The command line maps the families to distinct exit codes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 _T = TypeVar("_T")
 
@@ -110,6 +111,17 @@ class GoldenMismatchError(QlbnError):
 # --- input files --------------------------------------------------------------
 
 
+@contextmanager
+def shape_errors(error: type[ValidationError] = ValidationError) -> Iterator[None]:
+    """Turn a missing key or a wrong-typed value met while parsing into error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise error(f"unexpected structure: {exc}") from None
+
+
 def read_json(
     path: str | Path,
     parse: Callable[[object], _T],
@@ -119,20 +131,17 @@ def read_json(
 
     Every way the file can fail raises error with a message that names the
     path: it cannot be read, it is not JSON, parse rejects it with a
-    ValidationError, or its content has the wrong shape for parse (a missing
-    key, a list where an object belongs, ...).
+    ValidationError, or its content has the wrong shape for parse (see
+    shape_errors).
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
     try:
-        return parse(json.loads(text))
+        with shape_errors(error):
+            return parse(json.loads(text))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except ValidationError as exc:
         raise error(f"{path}: {exc}") from None
-    except KeyError as exc:
-        raise error(f"{path}: missing key {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise error(f"{path}: unexpected structure: {exc}") from None

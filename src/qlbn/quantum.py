@@ -18,16 +18,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Sequence
 
-from .bayesnet import Assignment, Network, completions, infer
+from .bayesnet import (
+    Assignment,
+    Network,
+    ValueTable,
+    check_complete,
+    completion_products,
+    table_product,
+    value_table,
+)
 from .belief import DiscreteDistribution
 from .errors import (
-    IncompleteAssignmentError,
     NegativeUnnormalizedMassError,
     NonBinaryVariableError,
-    QueryInEvidenceError,
     UnknownVariableError,
 )
 
@@ -42,19 +48,14 @@ DegreeSource = InterferenceDegree | Callable[[str], InterferenceDegree]
 class AmplitudeNetwork:
     """A binary network plus one nonnegative amplitude table per variable.
 
-    amplitudes mirrors the CPT layout: variable name -> {parent outcome
-    combination -> amplitudes aligned with the variable's outcome order}.
-    Each row satisfies sum of squares = 1 because the underlying CPT row sums
-    to 1. Build through amplitudes_from_network.
+    amplitudes is a value table (see bayesnet): variable name -> {parent
+    outcome combination -> amplitudes aligned with the variable's outcome
+    order}. Each row satisfies sum of squares = 1 because the underlying CPT
+    row sums to 1. Build through amplitudes_from_network.
     """
 
     net: Network
-    amplitudes: dict[str, dict[tuple[str, ...], tuple[float, ...]]]
-
-    def amplitude(self, name: str, assignment: Assignment) -> float:
-        key = tuple(assignment[p] for p in self.net.parents.get(name, ()))
-        row = self.amplitudes[name][key]
-        return row[self.net.outcomes(name).index(assignment[name])]
+    amplitudes: ValueTable
 
 
 def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
@@ -71,24 +72,13 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
                 f"variable {v.name!r} has {len(v.outcomes)} outcomes; amplitude "
                 "networks answer only two-outcome questions"
             )
-    tables: dict[str, dict[tuple[str, ...], tuple[float, ...]]] = {}
-    for v in net.variables:
-        tables[v.name] = {
-            key: tuple(math.sqrt(dist.prob(o)) for o in v.outcomes)
-            for key, dist in net.cpts[v.name].items()
-        }
-    return AmplitudeNetwork(net, tables)
+    return AmplitudeNetwork(net, value_table(net, math.sqrt))
 
 
 def amplitude_product(anet: AmplitudeNetwork, assignment: Assignment) -> float:
     """Product of per-variable amplitudes for a complete assignment."""
-    missing = [n for n in anet.net.names() if n not in assignment]
-    if missing:
-        raise IncompleteAssignmentError(f"assignment misses variables {missing}")
-    product = 1.0
-    for name in anet.net.names():
-        product *= anet.amplitude(name, assignment)
-    return product
+    check_complete(anet.net, assignment)
+    return table_product(anet.net, anet.amplitudes, assignment)
 
 
 def quantum_full_joint(anet: AmplitudeNetwork, assignment: Assignment) -> float:
@@ -139,54 +129,20 @@ class QuantumInferenceResult:
             tuple(om.probability for om in self.outcomes),
         )
 
-    def any_clamped(self) -> bool:
-        return any(om.clamped for om in self.outcomes)
-
     def to_dict(self) -> dict:
         """Plain-data form carrying every field, for JSON output and reports."""
         return {
             "query": self.query,
             "normalizer": self.normalizer,
-            "outcomes": [
-                {
-                    "outcome": om.outcome,
-                    "classical_part": om.classical_part,
-                    "interference_part": om.interference_part,
-                    "unnormalized": om.unnormalized,
-                    "clamped": om.clamped,
-                    "probability": om.probability,
-                }
-                for om in self.outcomes
-            ],
+            "outcomes": [asdict(om) for om in self.outcomes],
         }
 
 
 def completion_magnitudes(
     anet: AmplitudeNetwork, query: str, evidence: Assignment
 ) -> dict[str, list[float]]:
-    """Amplitude products per query outcome, one per unobserved-variable completion.
-
-    Completions iterate in the declared outcome order of each unobserved
-    variable, so magnitude lists are deterministic.
-    """
-    net = anet.net
-    if query in evidence:
-        raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
-    net.variable(query)
-    for name, outcome in evidence.items():
-        if outcome not in net.outcomes(name):
-            raise UnknownVariableError(
-                f"{outcome!r} is not an outcome of {name!r} {net.outcomes(name)}"
-            )
-    free = tuple(n for n in net.names() if n != query and n not in evidence)
-    result: dict[str, list[float]] = {}
-    for outcome in net.outcomes(query):
-        fixed = dict(evidence)
-        fixed[query] = outcome
-        result[outcome] = [
-            amplitude_product(anet, a) for a in completions(net, fixed, free)
-        ]
-    return result
+    """Amplitude products per query outcome, one per unobserved-variable completion."""
+    return completion_products(anet.net, anet.amplitudes, query, evidence)
 
 
 def quantum_infer(
@@ -229,21 +185,7 @@ def quantum_infer(
         )
     normalizer = 1.0 / total
     final = tuple(
-        OutcomeMass(
-            om.outcome,
-            om.classical_part,
-            om.interference_part,
-            om.unnormalized,
-            om.clamped,
-            0.0 if om.clamped else om.unnormalized * normalizer,
-        )
+        replace(om, probability=0.0 if om.clamped else om.unnormalized * normalizer)
         for om in masses
     )
     return QuantumInferenceResult(query, final, normalizer)
-
-
-def classical_equivalent(
-    anet: AmplitudeNetwork, query: str, evidence: Assignment
-) -> DiscreteDistribution:
-    """Classical posterior on the underlying network; the degree-zero reference."""
-    return infer(anet.net, query, evidence)

@@ -46,6 +46,22 @@ def binary_net_docs(draw: st.DrawFn) -> dict:
         "cpts": cpts,
     }
 
+
+def draw_query_and_evidence(
+    names: list[str], data: st.DataObject
+) -> tuple[str, dict[str, str]]:
+    """A query among names and, for each other name, evidence T, F or none at random."""
+    query = data.draw(st.sampled_from(names))
+    evidence = {
+        nm: pick
+        for nm in names
+        if nm != query
+        for pick in [data.draw(st.sampled_from([None, "T", "F"]))]
+        if pick is not None
+    }
+    return query, evidence
+
+
 # Two-player game: P1 declares Cooperate first so outcome vectors read as
 # (cooperating opponent, defecting opponent); P2 declares Defect first.
 GAME_DOC = {

@@ -15,12 +15,14 @@ from qlbn.belief import DiscreteDistribution
 from qlbn.bayesnet import (
     Network,
     Variable,
+    completion_products,
     completions,
     event_probability,
     full_joint,
     infer,
     load_network,
     network_from_dict,
+    value_table,
 )
 from qlbn.errors import (
     IncompleteAssignmentError,
@@ -30,7 +32,7 @@ from qlbn.errors import (
     UnknownVariableError,
 )
 
-from conftest import GAME_DOC, SERVERS_DOC, binary_net_docs
+from conftest import GAME_DOC, SERVERS_DOC, binary_net_docs, draw_query_and_evidence
 
 
 def _oracle_posterior(doc: dict, query: str, evidence: dict[str, str]) -> dict[str, float]:
@@ -201,19 +203,23 @@ class TestInfer:
     def test_matches_enumeration_oracle(self, doc: dict, data: st.DataObject):
         """Posterior equals raw-dictionary enumeration on random small networks."""
         net = network_from_dict(doc)
-        names = list(net.names())
-        query = data.draw(st.sampled_from(names))
-        evidence = {
-            nm: pick
-            for nm in names
-            if nm != query
-            for pick in [data.draw(st.sampled_from([None, "T", "F"]))]
-            if pick is not None
-        }
+        query, evidence = draw_query_and_evidence(list(net.names()), data)
         dist = infer(net, query, evidence)
         expected = _oracle_posterior(doc, query, evidence)
         for outcome, p in expected.items():
             assert dist.prob(outcome) == pytest.approx(p, abs=1e-12)
+
+    @given(doc=binary_net_docs(), data=st.data())
+    def test_completion_products_equal_full_joint(self, doc: dict, data: st.DataObject):
+        """The shared enumeration gives the validated reference's floats exactly."""
+        net = network_from_dict(doc)
+        query, evidence = draw_query_and_evidence(list(net.names()), data)
+        free = tuple(n for n in net.names() if n != query and n not in evidence)
+        products = completion_products(net, value_table(net, float), query, evidence)
+        assert list(products) == list(net.outcomes(query))
+        for outcome, joints in products.items():
+            fixed = {**evidence, query: outcome}
+            assert joints == [full_joint(net, a) for a in completions(net, fixed, free)]
 
     @given(doc=binary_net_docs())
     def test_joint_normalizes_on_random_networks(self, doc: dict):
@@ -281,11 +287,24 @@ class TestNetworkFiles:
         del nameless["variables"][0]["name"]
         distless = json.loads(json.dumps(SERVERS_DOC))
         del distless["cpts"]["S1"][0]["dist"]
+        listed_dist = json.loads(json.dumps(SERVERS_DOC))
+        listed_dist["cpts"]["S1"][0]["dist"] = [0.9, 0.1]
+        object_cpt = json.loads(json.dumps(SERVERS_DOC))
+        object_cpt["cpts"]["S1"] = object_cpt["cpts"]["S1"][0]
         path = tmp_path / "net.json"
-        for doc, key in ((nameless, "name"), (distless, "dist")):
+        for doc, message in (
+            (nameless, "missing key 'name'"),
+            (distless, "missing key 'dist'"),
+            (listed_dist, "unexpected structure: list indices must be integers"),
+            (object_cpt, "unexpected structure: 'str' object has no attribute 'get'"),
+        ):
+            with pytest.raises(NetworkDefinitionError) as direct:
+                network_from_dict(doc)
+            assert str(direct.value).startswith(message)
             path.write_text(json.dumps(doc))
-            with pytest.raises(NetworkDefinitionError, match=f"missing key '{key}'"):
+            with pytest.raises(NetworkDefinitionError) as from_file:
                 load_network(path)
+            assert str(from_file.value) == f"{path}: {direct.value}"
 
     def test_edge_must_be_pair(self):
         doc = json.loads(json.dumps(SERVERS_DOC))
@@ -296,4 +315,4 @@ class TestNetworkFiles:
     def test_game_doc_matches_fixture(self, game_net: Network):
         net = network_from_dict(GAME_DOC)
         assert net.names() == game_net.names()
-        assert net.cpt_entry("P2", {"P1": "Defect", "P2": "Defect"}) == 0.87
+        assert net.cpts["P2"][("Defect",)].prob("Defect") == 0.87

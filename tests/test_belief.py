@@ -87,7 +87,7 @@ class TestFrame:
 class TestValidateBBA:
     def test_accepts_split_assignment(self):
         bba = validate_bba({"a": 0.5, ("b", "c"): 0.5}, ABC)
-        assert bba.focal_sets() == (("a",), ("b", "c"))
+        assert tuple(bba.masses) == (("a",), ("b", "c"))
         assert bba.mass("a") == 0.5
         assert bba.mass(("c", "b")) == 0.5
 
@@ -102,7 +102,7 @@ class TestValidateBBA:
 
     def test_zero_mass_on_empty_set_is_ignored(self):
         bba = validate_bba({(): 0.0, "a": 1.0}, ABC)
-        assert bba.focal_sets() == (("a",),)
+        assert tuple(bba.masses) == (("a",),)
 
     def test_rejects_mass_on_empty_set(self):
         with pytest.raises(EmptySetMassError, match="empty set"):
@@ -147,7 +147,7 @@ class TestDiscreteDistribution:
     def test_lookup_and_iteration(self):
         dist = DiscreteDistribution(("x", "y"), (0.25, 0.75))
         assert dist.prob("y") == 0.75
-        assert dist.as_dict() == {"x": 0.25, "y": 0.75}
+        assert dict(dist.items()) == {"x": 0.25, "y": 0.75}
 
     def test_unknown_label(self):
         dist = DiscreteDistribution(("x", "y"), (0.25, 0.75))

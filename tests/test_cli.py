@@ -250,6 +250,39 @@ class TestInferQuantum:
         assert "degree: raw=0.00000 value=0.00000 (auto)" in out
         assert out.splitlines()[-2:] == ["Defect     0.87000", "Cooperate  0.13000"]
 
+    def test_verbose_singular_distance_keeps_fixed_degree_result(self, capsys, tmp_path):
+        # P2=Defect's outcome vector is (0.3, 0.7): alpha + beta = 1, a singular distance.
+        doc = {
+            "variables": [
+                {"name": "P1", "outcomes": ["Cooperate", "Defect"]},
+                {"name": "P2", "outcomes": ["Defect", "Cooperate"]},
+            ],
+            "edges": [["P1", "P2"]],
+            "cpts": {
+                "P1": [{"given": {}, "dist": {"Cooperate": 0.5, "Defect": 0.5}}],
+                "P2": [
+                    {"given": {"P1": "Cooperate"}, "dist": {"Defect": 0.18, "Cooperate": 0.82}},
+                    {"given": {"P1": "Defect"}, "dist": {"Defect": 0.98, "Cooperate": 0.02}},
+                ],
+            },
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        base = ("infer", "--network", str(path), "--query", "P2", "--mode", "quantum")
+        for degree in ("fixed:0.3", "zero"):
+            code, plain, _ = run_cli(capsys, *base, "--degree", degree)
+            assert code == 0
+            code, verbose, _ = run_cli(capsys, *base, "--degree", degree, "--verbose")
+            assert code == 0
+            assert "vector Defect: alpha=0.30000 beta=0.70000 distance=singular" in verbose
+            assert verbose.endswith(plain)
+        code, _, plain_err = run_cli(capsys, *base)
+        assert code == 2
+        code, _, verbose_err = run_cli(capsys, *base, "--verbose")
+        assert code == 2
+        assert verbose_err == plain_err
+        assert "|alpha + beta - 1|" in plain_err
+
     def test_unknown_query_is_named_before_counting_unobserved(self, capsys):
         code, _, err = run_cli(
             capsys, "infer", "--network", SERVERS_NET, "--query", "ZZ",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbn.bayesnet import Network, full_joint, infer, network_from_dict
+from qlbn.bayesnet import Network, completions, full_joint, infer, network_from_dict
 from qlbn.errors import (
     IncompleteAssignmentError,
     NegativeUnnormalizedMassError,
@@ -23,14 +23,13 @@ from qlbn.quantum import (
     AmplitudeNetwork,
     amplitude_product,
     amplitudes_from_network,
-    classical_equivalent,
     completion_magnitudes,
     interference_sum,
     quantum_full_joint,
     quantum_infer,
 )
 
-from conftest import binary_net_docs
+from conftest import binary_net_docs, draw_query_and_evidence
 
 # Three independent coins: leaves two unobserved variables when one is
 # queried, so each query outcome has four completions to interfere.
@@ -55,9 +54,10 @@ def _coins() -> AmplitudeNetwork:
 
 class TestAmplitudes:
     def test_rows_are_square_roots(self, game_amps: AmplitudeNetwork):
-        assert game_amps.amplitude(
-            "P2", {"P1": "Defect", "P2": "Defect"}
-        ) == pytest.approx(math.sqrt(0.87), abs=1e-15)
+        # P2 declares Defect first; the row is keyed by P1's outcome.
+        assert game_amps.amplitudes["P2"][("Defect",)][0] == pytest.approx(
+            math.sqrt(0.87), abs=1e-15
+        )
 
     def test_rows_have_unit_square_sum(self, game_amps: AmplitudeNetwork):
         for table in game_amps.amplitudes.values():
@@ -138,6 +138,26 @@ class TestCompletionMagnitudes:
         with pytest.raises(UnknownVariableError, match="'Betray'"):
             completion_magnitudes(game_amps, "P2", {"P1": "Betray"})
 
+    def test_rejects_unknown_evidence_variable(self, game_amps: AmplitudeNetwork):
+        with pytest.raises(UnknownVariableError, match="'P9'"):
+            completion_magnitudes(game_amps, "P2", {"P9": "Defect"})
+
+    @given(doc=binary_net_docs(), data=st.data())
+    def test_equals_amplitude_product_per_completion(
+        self, doc: dict, data: st.DataObject
+    ):
+        """The shared enumeration gives the validated reference's floats exactly."""
+        net = network_from_dict(doc)
+        anet = amplitudes_from_network(net)
+        query, evidence = draw_query_and_evidence(list(net.names()), data)
+        free = tuple(n for n in net.names() if n != query and n not in evidence)
+        mags = completion_magnitudes(anet, query, evidence)
+        for outcome in net.outcomes(query):
+            fixed = {**evidence, query: outcome}
+            assert mags[outcome] == [
+                amplitude_product(anet, a) for a in completions(net, fixed, free)
+            ]
+
 
 class TestQuantumInfer:
     def test_fixed_degree_masses(self, game_amps: AmplitudeNetwork):
@@ -164,7 +184,7 @@ class TestQuantumInfer:
 
     def test_degree_zero_matches_classical(self, game_amps: AmplitudeNetwork):
         result = quantum_infer(game_amps, "P2", {}, 0.0)
-        classical = classical_equivalent(game_amps, "P2", {})
+        classical = infer(game_amps.net, "P2", {})
         for outcome in ("Defect", "Cooperate"):
             assert result.probability(outcome) == pytest.approx(
                 classical.prob(outcome), abs=1e-12
@@ -176,9 +196,9 @@ class TestQuantumInfer:
     ):
         net = network_from_dict(doc)
         anet = amplitudes_from_network(net)
-        query = data.draw(st.sampled_from(list(net.names())))
-        result = quantum_infer(anet, query, {}, 0.0)
-        classical = infer(net, query, {})
+        query, evidence = draw_query_and_evidence(list(net.names()), data)
+        result = quantum_infer(anet, query, evidence, 0.0)
+        classical = infer(net, query, evidence)
         for outcome in net.outcomes(query):
             assert result.probability(outcome) == pytest.approx(
                 classical.prob(outcome), abs=1e-12
@@ -242,7 +262,7 @@ class TestQuantumInfer:
         assert t_mass.clamped
         assert t_mass.unnormalized < 0.0
         assert t_mass.probability == 0.0
-        assert result.any_clamped()
+        assert [om.clamped for om in result.outcomes] == [True, False]
         assert result.probability("F") == 1.0
 
     def test_all_mass_cancelled_raises(self):

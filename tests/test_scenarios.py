@@ -80,14 +80,14 @@ class TestScenarioToNetwork:
 
     def test_conditional_entries(self):
         net = scenario_to_network(AVERAGE)
-        assert net.cpt_entry(PLAYER_TWO, {PLAYER_ONE: DEFECT, PLAYER_TWO: DEFECT}) == 0.87
-        assert net.cpt_entry(PLAYER_TWO, {PLAYER_ONE: COOPERATE, PLAYER_TWO: DEFECT}) == 0.74
+        assert net.cpts[PLAYER_TWO][(DEFECT,)].prob(DEFECT) == 0.87
+        assert net.cpts[PLAYER_TWO][(COOPERATE,)].prob(DEFECT) == 0.74
 
     def test_prior_maps_to_defect(self):
         biased = Scenario("biased", 0.87, 0.74, 0.64, prior_defect=0.3)
         net = scenario_to_network(biased)
-        assert net.cpt_entry(PLAYER_ONE, {PLAYER_ONE: DEFECT}) == pytest.approx(0.3)
-        assert net.cpt_entry(PLAYER_ONE, {PLAYER_ONE: COOPERATE}) == pytest.approx(0.7)
+        assert net.cpts[PLAYER_ONE][()].prob(DEFECT) == pytest.approx(0.3)
+        assert net.cpts[PLAYER_ONE][()].prob(COOPERATE) == pytest.approx(0.7)
 
 
 class TestFitError:
