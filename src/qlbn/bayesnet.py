@@ -1,18 +1,25 @@
 """Discrete Bayesian networks with inference by joint enumeration.
 
-Networks here are small (a handful of nodes), so posteriors are computed by
-summing the full joint over completions of the unobserved variables rather
-than by variable elimination. The full joint of an assignment a is the
-product over variables X of Pr(X = a[X] | parents(X) = a[parents]).
+The full joint of an assignment a is the product over variables X of
+Pr(X = a[X] | parents(X) = a[parents]); posteriors sum it over the
+completions of the unobserved variables. That enumeration is the one engine
+behind classical and quantum-like inference, and it runs on a compiled value
+table: per variable, in declared order, an itemgetter that picks the
+variable's family (its parents in declared order, then itself) out of a
+positional list of outcome labels, and a dict from those family labels to a
+value f(p) of the CPT entry p. A completion then costs one dict lookup per
+variable, and its product multiplies the values in declared variable order
+starting from 1.0, so every float is bit-identical to full_joint's.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .belief import DiscreteDistribution
 from .errors import (
@@ -22,6 +29,7 @@ from .errors import (
     QueryInEvidenceError,
     UnknownVariableError,
     ValidationError,
+    parse_number,
     read_json,
     shape_errors,
 )
@@ -64,107 +72,126 @@ class Network:
 
     Construction validates the structure: every parent exists, the graph is
     acyclic, and every variable has exactly one CPT row per combination of
-    parent outcomes. Treat instances as immutable.
+    parent outcomes. Validation also compiles the CPTs for value_table, which
+    is why instances must be treated as immutable.
     """
 
     variables: tuple[Variable, ...]
     parents: dict[str, tuple[str, ...]]
     cpts: dict[str, dict[ParentKey, DiscreteDistribution]]
+    # Set by validation: variable name -> declared position, and per variable,
+    # in declared order, (family getter, family label keys, CPT entries) with
+    # keys and entries flat and aligned (see value_table).
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _families: tuple[tuple[Callable, tuple, tuple[float, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
+        positions = {v.name: i for i, v in enumerate(self.variables)}
+        if len(positions) != len(self.variables):
+            names = [v.name for v in self.variables]
             raise NetworkDefinitionError(f"duplicate variable names in {names}")
-        by_name = {v.name: v for v in self.variables}
+        object.__setattr__(self, "_positions", positions)
         for child, parent_names in self.parents.items():
-            if child not in by_name:
+            if child not in positions:
                 raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
             for p in parent_names:
-                if p not in by_name:
+                if p not in positions:
                     raise NetworkDefinitionError(f"edge parent {p!r} is not a declared variable")
             if len(set(parent_names)) != len(parent_names):
                 raise NetworkDefinitionError(f"variable {child!r} lists a parent twice")
         self._check_acyclic()
-        for v in self.variables:
+        families = []
+        for position, v in enumerate(self.variables):
             rows = self.cpts.get(v.name)
             if rows is None:
                 raise NetworkDefinitionError(f"variable {v.name!r} has no CPT")
+            parent_positions = [positions[p] for p in self.parents.get(v.name, ())]
             expected = set(
-                itertools.product(*(by_name[p].outcomes for p in self.parents.get(v.name, ())))
+                itertools.product(*(self.variables[i].outcomes for i in parent_positions))
             )
-            if set(rows) != expected:
+            if rows.keys() != expected:
                 missing = sorted(expected - set(rows))
                 extra = sorted(set(rows) - expected)
                 raise NetworkDefinitionError(
                     f"CPT for {v.name!r} mismatches its parents: missing rows {missing}, "
                     f"unexpected rows {extra}"
                 )
+            outcomes = set(v.outcomes)
+            keys: list = []
+            entries: list[float] = []
             for key, dist in rows.items():
-                if set(dist.labels) != set(v.outcomes):
+                if set(dist.labels) != outcomes:
                     raise NetworkDefinitionError(
                         f"CPT row {v.name!r}|{key} covers {dist.labels}, expected {v.outcomes}"
                     )
+                keys += [(*key, label) for label in dist.labels] if key else dist.labels
+                entries += dist.probabilities
+            getter = itemgetter(*parent_positions, position)
+            families.append((getter, tuple(keys), tuple(entries)))
+        object.__setattr__(self, "_families", tuple(families))
 
     def _check_acyclic(self) -> None:
-        remaining = {v.name: set(self.parents.get(v.name, ())) for v in self.variables}
-        while remaining:
-            roots = [n for n, ps in remaining.items() if not ps]
-            if not roots:
-                raise NetworkDefinitionError(
-                    f"the network contains a cycle through {sorted(remaining)}"
-                )
-            for n in roots:
-                del remaining[n]
-            for ps in remaining.values():
-                ps.difference_update(roots)
+        # Kahn's algorithm: what is never placed lies on a cycle or below one.
+        unplaced = {v.name: len(self.parents.get(v.name, ())) for v in self.variables}
+        children: dict[str, list[str]] = {name: [] for name in unplaced}
+        for child, parent_names in self.parents.items():
+            for p in parent_names:
+                children[p].append(child)
+        ready = [name for name, count in unplaced.items() if count == 0]
+        while ready:
+            name = ready.pop()
+            del unplaced[name]
+            for child in children[name]:
+                unplaced[child] -= 1
+                if unplaced[child] == 0:
+                    ready.append(child)
+        if unplaced:
+            raise NetworkDefinitionError(
+                f"the network contains a cycle through {sorted(unplaced)}"
+            )
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise UnknownVariableError(f"no variable named {name!r}")
+        position = self._positions.get(name)
+        if position is None:
+            raise UnknownVariableError(f"no variable named {name!r}")
+        return self.variables[position]
 
     def outcomes(self, name: str) -> tuple[str, ...]:
         return self.variable(name).outcomes
 
     def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
+        return tuple(self._positions)
 
 
-# A value table has the CPT layout: variable name -> {parent key -> one value
-# per outcome, in the variable's declared outcome order}.
-ValueTable = dict[str, dict[ParentKey, tuple[float, ...]]]
+# A value table holds one factor per variable, in declared variable order. A
+# factor is a getter that picks the variable's family labels (its parents in
+# declared order, then itself) out of a positional label list, and the values
+# f(p) keyed by those labels: a bare label for a root, a tuple otherwise.
+Factor = tuple[Callable[[Sequence[str]], object], dict[object, float]]
+ValueTable = tuple[Factor, ...]
 
 
 def value_table(net: Network, f: Callable[[float], float]) -> ValueTable:
     """The network's CPTs with f applied to every entry (float: the classical table)."""
-    return {
-        v.name: {
-            key: tuple(f(dist.prob(o)) for o in v.outcomes)
-            for key, dist in net.cpts[v.name].items()
-        }
-        for v in net.variables
-    }
+    return tuple((get, dict(zip(keys, map(f, entries)))) for get, keys, entries in net._families)
 
 
-def table_product(net: Network, table: ValueTable, assignment: Assignment) -> float:
-    """Product in declared variable order of table values; the assignment is not checked."""
+def table_product(table: ValueTable, labels: Sequence[str]) -> float:
+    """Product in declared variable order of the table values for one outcome
+    label per variable, given in declared variable order; labels are not checked."""
     product = 1.0
-    for v in net.variables:
-        key = tuple(assignment[p] for p in net.parents.get(v.name, ()))
-        product *= table[v.name][key][v.outcomes.index(assignment[v.name])]
+    for get, values in table:
+        product *= values[get(labels)]
     return product
 
 
 def _check_assignment_names(net: Network, assignment: Assignment) -> None:
-    outcomes = {v.name: v.outcomes for v in net.variables}
     for name, outcome in assignment.items():
-        if name not in outcomes:
-            raise UnknownVariableError(f"no variable named {name!r}")
-        if outcome not in outcomes[name]:
-            raise UnknownVariableError(
-                f"{outcome!r} is not an outcome of {name!r} {outcomes[name]}"
-            )
+        outcomes = net.outcomes(name)
+        if outcome not in outcomes:
+            raise UnknownVariableError(f"{outcome!r} is not an outcome of {name!r} {outcomes}")
 
 
 def check_complete(net: Network, assignment: Assignment) -> None:
@@ -178,7 +205,7 @@ def check_complete(net: Network, assignment: Assignment) -> None:
 def full_joint(net: Network, assignment: Assignment) -> float:
     """Probability of a complete assignment: the product of CPT entries."""
     check_complete(net, assignment)
-    return table_product(net, value_table(net, float), assignment)
+    return table_product(value_table(net, float), [assignment[n] for n in net.names()])
 
 
 def completions(
@@ -198,20 +225,28 @@ def completion_products(
     """Table products per query outcome, one per completion of the unobserved variables.
 
     The one enumeration behind classical and quantum-like inference; query and
-    evidence are checked once, up front. Lists follow declared outcome orders.
+    evidence are checked once, up front. Lists follow declared outcome orders,
+    and completions run as `completions` yields them.
     """
     if query in evidence:
         raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
     query_outcomes = net.outcomes(query)
     _check_assignment_names(net, evidence)
-    free = tuple(n for n in net.names() if n != query and n not in evidence)
-    return {
-        outcome: [
-            table_product(net, table, a)
-            for a in completions(net, {**evidence, query: outcome}, free)
-        ]
-        for outcome in query_outcomes
-    }
+    labels = [evidence.get(v.name) for v in net.variables]
+    at_query = net._positions[query]
+    free = [
+        i for i, v in enumerate(net.variables) if v.name != query and v.name not in evidence
+    ]
+    domains = [net.variables[i].outcomes for i in free]
+    products: dict[str, list[float]] = {}
+    for outcome in query_outcomes:
+        labels[at_query] = outcome
+        row = products[outcome] = []
+        for combo in itertools.product(*domains):
+            for i, label in zip(free, combo):
+                labels[i] = label
+            row.append(table_product(table, labels))
+    return products
 
 
 def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistribution:
@@ -232,8 +267,11 @@ def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistributio
 def event_probability(net: Network, predicate: Callable[[dict[str, str]], bool]) -> float:
     """Probability of the event selected by `predicate` over full assignments."""
     table = value_table(net, float)
+    names = net.names()
     return math.fsum(
-        table_product(net, table, a) for a in completions(net, {}, net.names()) if predicate(a)
+        table_product(table, [a[n] for n in names])
+        for a in completions(net, {}, names)
+        if predicate(a)
     )
 
 
@@ -249,15 +287,6 @@ def event_probability(net: Network, predicate: Callable[[dict[str, str]], bool])
 # correctly rounded decimal-to-binary conversion.
 
 
-def _as_probability(value: object, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise NetworkDefinitionError(f"{context}: probability must be a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise NetworkDefinitionError(f"{context}: cannot parse probability {value!r}") from None
-
-
 def network_from_dict(doc: Mapping) -> Network:
     """Build a Network from the parsed JSON structure described above.
 
@@ -270,7 +299,7 @@ def network_from_dict(doc: Mapping) -> Network:
         raise NetworkDefinitionError("network definition needs 'variables' and 'cpts'") from None
     with shape_errors(NetworkDefinitionError):
         variables = tuple(
-            Variable(str(v["name"]), tuple(str(o) for o in v["outcomes"])) for v in raw_vars
+            Variable(str(v["name"]), tuple([str(o) for o in v["outcomes"]])) for v in raw_vars
         )
         parents: dict[str, tuple[str, ...]] = {v.name: () for v in variables}
         for edge in doc.get("edges", []):
@@ -282,21 +311,19 @@ def network_from_dict(doc: Mapping) -> Network:
             parents[child] = parents[child] + (parent,)
         cpts: dict[str, dict[ParentKey, DiscreteDistribution]] = {}
         for name, rows in raw_cpts.items():
+            parent_names = parents.get(str(name), ())
             table: dict[ParentKey, DiscreteDistribution] = {}
             for row in rows:
                 given = row.get("given", {})
-                key = tuple(str(given[p]) for p in parents.get(str(name), ()) if p in given)
+                key = tuple([str(given[p]) for p in parent_names if p in given])
                 if len(key) != len(given):
                     raise NetworkDefinitionError(
                         f"CPT row for {name!r} conditions on non-parents: {sorted(given)}"
                     )
                 dist = row["dist"]
-                labels = tuple(str(lb) for lb in dist)
+                labels = tuple([str(lb) for lb in dist])
                 try:
-                    probs = tuple(
-                        _as_probability(dist[lb], f"CPT {name!r} given {dict(given)!r}")
-                        for lb in dist
-                    )
+                    probs = tuple([parse_number(dist[lb], NetworkDefinitionError) for lb in dist])
                     table[key] = DiscreteDistribution(labels, probs)
                 except ValidationError as exc:
                     raise NetworkDefinitionError(

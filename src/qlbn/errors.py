@@ -122,6 +122,17 @@ def shape_errors(error: type[ValidationError] = ValidationError) -> Iterator[Non
         raise error(f"unexpected structure: {exc}") from None
 
 
+def parse_number(value: object, error: type[ValidationError]) -> float:
+    """A JSON number or decimal string as a float; anything else, bool included,
+    raises error. The message names only the value; callers add the context."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise error(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise error(f"cannot parse number {value!r}") from None
+
+
 def read_json(
     path: str | Path,
     parse: Callable[[object], _T],

@@ -16,7 +16,6 @@ entropy-based choice). Posteriors divide by the total unnormalized mass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
@@ -48,10 +47,10 @@ DegreeSource = InterferenceDegree | Callable[[str], InterferenceDegree]
 class AmplitudeNetwork:
     """A binary network plus one nonnegative amplitude table per variable.
 
-    amplitudes is a value table (see bayesnet): variable name -> {parent
-    outcome combination -> amplitudes aligned with the variable's outcome
-    order}. Each row satisfies sum of squares = 1 because the underlying CPT
-    row sums to 1. Build through amplitudes_from_network.
+    amplitudes is a value table (see bayesnet) of square roots: one factor per
+    variable, in declared order, mapping the variable's family labels to
+    sqrt(p). The amplitudes of one CPT row have a sum of squares of 1 because
+    the row sums to 1. Build through amplitudes_from_network.
     """
 
     net: Network
@@ -78,7 +77,7 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
 def amplitude_product(anet: AmplitudeNetwork, assignment: Assignment) -> float:
     """Product of per-variable amplitudes for a complete assignment."""
     check_complete(anet.net, assignment)
-    return table_product(anet.net, anet.amplitudes, assignment)
+    return table_product(anet.amplitudes, [assignment[n] for n in anet.net.names()])
 
 
 def quantum_full_joint(anet: AmplitudeNetwork, assignment: Assignment) -> float:
@@ -87,10 +86,17 @@ def quantum_full_joint(anet: AmplitudeNetwork, assignment: Assignment) -> float:
 
 
 def interference_sum(magnitudes: Sequence[float], degree: InterferenceDegree) -> float:
-    """2 * degree * sum of pairwise magnitude products; zero for fewer than two terms."""
-    return 2.0 * degree * math.fsum(
-        a * b for a, b in itertools.combinations(magnitudes, 2)
-    )
+    """2 * degree * sum of pairwise magnitude products; zero for fewer than two terms.
+
+    The pairs are summed in linear time as sum_j m_j * (m_0 + ... + m_{j-1}).
+    Every term is nonnegative, so fsum over them loses nothing to cancellation,
+    unlike ((sum m)^2 - sum m^2) / 2.
+    """
+    terms, prefix = [], 0.0
+    for m in magnitudes:
+        terms.append(m * prefix)
+        prefix += m
+    return 2.0 * degree * math.fsum(terms)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .bayesnet import Network, Variable, infer
 from .belief import DiscreteDistribution
-from .errors import ValidationError, ZeroObservedError, read_json
+from .errors import ValidationError, ZeroObservedError, parse_number, read_json
 from .heuristic import BeliefDegree, degree_for_query
 from .quantum import amplitudes_from_network, quantum_infer
 
@@ -276,13 +276,12 @@ _REQUIRED_KEYS = {
 _OPTIONAL_KEYS = {"prior_defect", "payoff_note"}
 
 
-def _to_float(value: object, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValidationError(f"{context}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{context}: cannot parse number {value!r}") from None
+_NUMBER_KEYS = (
+    "p_defect_given_defect",
+    "p_defect_given_cooperate",
+    "observed_unknown",
+    "prior_defect",
+)
 
 
 def scenarios_from_json(doc: object) -> list[Scenario]:
@@ -301,19 +300,14 @@ def scenarios_from_json(doc: object) -> list[Scenario]:
             raise ValidationError(
                 f"scenario {i}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
             )
+        try:
+            numbers = {
+                key: parse_number(row[key], ValidationError) for key in _NUMBER_KEYS if key in row
+            }
+        except ValidationError as exc:
+            raise ValidationError(f"scenario {i}: {exc}") from None
         out.append(
-            Scenario(
-                name=str(row["name"]),
-                p_defect_given_defect=_to_float(
-                    row["p_defect_given_defect"], f"scenario {i}"
-                ),
-                p_defect_given_cooperate=_to_float(
-                    row["p_defect_given_cooperate"], f"scenario {i}"
-                ),
-                observed_unknown=_to_float(row["observed_unknown"], f"scenario {i}"),
-                prior_defect=_to_float(row.get("prior_defect", 0.5), f"scenario {i}"),
-                payoff_note=row.get("payoff_note"),
-            )
+            Scenario(name=str(row["name"]), payoff_note=row.get("payoff_note"), **numbers)
         )
     return out
 

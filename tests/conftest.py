@@ -21,7 +21,11 @@ GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 @st.composite
 def binary_net_docs(draw: st.DrawFn) -> dict:
-    """A random binary network of up to 4 variables with grid-valued CPTs."""
+    """A random binary network of up to 4 variables with grid-valued CPTs.
+
+    A node's two parents may be listed against declaration order, and a CPT
+    row may list F before T, against the declared outcome order T, F.
+    """
     n = draw(st.integers(min_value=1, max_value=4))
     names = [f"V{i}" for i in range(n)]
     edges: list[list[str]] = []
@@ -30,15 +34,18 @@ def binary_net_docs(draw: st.DrawFn) -> dict:
         for j in range(i):
             if len(parents[names[i]]) < 2 and draw(st.booleans()):
                 parents[names[i]].append(names[j])
-                edges.append([names[j], names[i]])
+        if draw(st.booleans()):
+            parents[names[i]].reverse()
+        edges.extend([parent, names[i]] for parent in parents[names[i]])
     cpts: dict[str, list[dict]] = {}
     for nm in names:
         rows = []
         for combo in itertools.product(["T", "F"], repeat=len(parents[nm])):
             p = draw(st.sampled_from(GRID))
-            rows.append(
-                {"given": dict(zip(parents[nm], combo)), "dist": {"T": p, "F": 1 - p}}
-            )
+            dist = {"T": p, "F": 1 - p}
+            if draw(st.booleans()):
+                dist = {"F": 1 - p, "T": p}
+            rows.append({"given": dict(zip(parents[nm], combo)), "dist": dist})
         cpts[nm] = rows
     return {
         "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in names],

@@ -96,25 +96,23 @@ class TestNetworkValidation:
             network_from_dict(doc)
 
     def test_cycle_detected(self):
+        """The message names the cycle and what lies below it, not the roots above."""
+        half = {"T": 0.5, "F": 0.5}
         doc = {
-            "variables": [
-                {"name": "A", "outcomes": ["T", "F"]},
-                {"name": "B", "outcomes": ["T", "F"]},
-            ],
-            "edges": [["A", "B"], ["B", "A"]],
+            "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in ("R", "A", "B", "C")],
+            "edges": [["R", "A"], ["A", "B"], ["B", "A"], ["B", "C"]],
             "cpts": {
+                "R": [{"given": {}, "dist": half}],
                 "A": [
-                    {"given": {"B": "T"}, "dist": {"T": 0.5, "F": 0.5}},
-                    {"given": {"B": "F"}, "dist": {"T": 0.5, "F": 0.5}},
+                    {"given": {"R": r, "B": b}, "dist": half} for r in "TF" for b in "TF"
                 ],
-                "B": [
-                    {"given": {"A": "T"}, "dist": {"T": 0.5, "F": 0.5}},
-                    {"given": {"A": "F"}, "dist": {"T": 0.5, "F": 0.5}},
-                ],
+                "B": [{"given": {"A": a}, "dist": half} for a in "TF"],
+                "C": [{"given": {"B": b}, "dist": half} for b in "TF"],
             },
         }
-        with pytest.raises(NetworkDefinitionError, match="cycle"):
+        with pytest.raises(NetworkDefinitionError) as caught:
             network_from_dict(doc)
+        assert str(caught.value) == "the network contains a cycle through ['A', 'B', 'C']"
 
     def test_unknown_edge_endpoint(self):
         doc = json.loads(json.dumps(SERVERS_DOC))
@@ -221,6 +219,53 @@ class TestInfer:
             fixed = {**evidence, query: outcome}
             assert joints == [full_joint(net, a) for a in completions(net, fixed, free)]
 
+    def test_out_of_declared_order_network(self):
+        """CPT rows listing outcomes against the declared order, and a node whose
+        parents are listed against declaration order, give the reference floats."""
+        doc = {
+            "variables": [
+                {"name": "A", "outcomes": ["T", "F"]},
+                {"name": "B", "outcomes": ["lo", "mid", "hi"]},
+                {"name": "C", "outcomes": ["T", "F"]},
+            ],
+            "edges": [["B", "C"], ["A", "C"], ["A", "B"]],
+            "cpts": {
+                "A": [{"given": {}, "dist": {"F": 0.35, "T": 0.65}}],
+                "B": [
+                    {"given": {"A": "T"}, "dist": {"hi": 0.5, "lo": 0.2, "mid": 0.3}},
+                    {"given": {"A": "F"}, "dist": {"mid": 0.1, "hi": 0.3, "lo": 0.6}},
+                ],
+                "C": [
+                    {"given": {"A": a, "B": b}, "dist": {"F": 1 - p, "T": p}}
+                    for (a, b), p in zip(
+                        itertools.product("TF", ("lo", "mid", "hi")),
+                        (0.9, 0.8, 0.7, 0.4, 0.3, 0.2),
+                    )
+                ],
+            },
+        }
+        net = network_from_dict(doc)
+        assert net.parents["C"] == ("B", "A")
+        table = value_table(net, float)
+        names = net.names()
+        for query in names:
+            others = [n for n in names if n != query]
+            for observed in itertools.chain.from_iterable(
+                itertools.combinations(others, k) for k in range(len(others))
+            ):
+                for labels in itertools.product(*(net.outcomes(n) for n in observed)):
+                    evidence = dict(zip(observed, labels))
+                    free = tuple(n for n in names if n != query and n not in evidence)
+                    products = completion_products(net, table, query, evidence)
+                    for outcome, joints in products.items():
+                        fixed = {**evidence, query: outcome}
+                        assert joints == [
+                            full_joint(net, a) for a in completions(net, fixed, free)
+                        ]
+                    dist = infer(net, query, evidence)
+                    for outcome, p in _oracle_posterior(doc, query, evidence).items():
+                        assert dist.prob(outcome) == pytest.approx(p, abs=1e-12)
+
     @given(doc=binary_net_docs())
     def test_joint_normalizes_on_random_networks(self, doc: dict):
         net = network_from_dict(doc)
@@ -271,8 +316,20 @@ class TestNetworkFiles:
     def test_boolean_probability_rejected(self):
         doc = json.loads(json.dumps(SERVERS_DOC))
         doc["cpts"]["S1"][0]["dist"] = {"T": True, "F": 0.0}
-        with pytest.raises(NetworkDefinitionError, match="must be a number"):
+        with pytest.raises(NetworkDefinitionError) as caught:
             network_from_dict(doc)
+        assert str(caught.value) == (
+            "CPT row for 'S1' given {} is invalid: expected a number, got True"
+        )
+
+    def test_unparsable_probability_rejected(self):
+        doc = json.loads(json.dumps(SERVERS_DOC))
+        doc["cpts"]["S2"][1]["dist"] = {"T": "0.3x", "F": 0.7}
+        with pytest.raises(NetworkDefinitionError) as caught:
+            network_from_dict(doc)
+        assert str(caught.value) == (
+            "CPT row for 'S2' given {'S1': 'F'} is invalid: cannot parse number '0.3x'"
+        )
 
     def test_malformed_json_reports_line(self, tmp_path: Path):
         path = tmp_path / "broken.json"

@@ -54,14 +54,17 @@ def _coins() -> AmplitudeNetwork:
 
 class TestAmplitudes:
     def test_rows_are_square_roots(self, game_amps: AmplitudeNetwork):
-        # P2 declares Defect first; the row is keyed by P1's outcome.
-        assert game_amps.amplitudes["P2"][("Defect",)][0] == pytest.approx(
-            math.sqrt(0.87), abs=1e-15
-        )
+        # P2 is the second variable; its values are keyed by (P1's outcome, P2's).
+        _, p2 = game_amps.amplitudes[1]
+        assert p2[("Defect", "Defect")] == pytest.approx(math.sqrt(0.87), abs=1e-15)
 
     def test_rows_have_unit_square_sum(self, game_amps: AmplitudeNetwork):
-        for table in game_amps.amplitudes.values():
-            for row in table.values():
+        for _, values in game_amps.amplitudes:
+            rows: dict[tuple, list[float]] = {}
+            for key, a in values.items():
+                parent_key = key[:-1] if isinstance(key, tuple) else ()
+                rows.setdefault(parent_key, []).append(a)
+            for row in rows.values():
                 assert math.fsum(a * a for a in row) == pytest.approx(1.0, abs=1e-12)
 
     def test_annotations_resolve(self):
@@ -102,6 +105,8 @@ class TestInterferenceSum:
     def test_two_magnitudes(self):
         value = interference_sum([0.65954, 0.60828], -0.9420)
         assert value == pytest.approx(-0.7558325234208, abs=1e-12)
+        # One pair: the same float as the pairwise definition, bit for bit.
+        assert value == 2.0 * -0.9420 * (0.65954 * 0.60828)
 
     def test_three_magnitudes_full_degree(self):
         assert interference_sum([0.3, 0.4, 0.5], 1.0) == pytest.approx(0.94, abs=1e-12)
@@ -112,6 +117,26 @@ class TestInterferenceSum:
     def test_fewer_than_two_terms(self):
         assert interference_sum([0.7], -1.0) == 0.0
         assert interference_sum([], 1.0) == 0.0
+
+    @given(
+        magnitudes=st.lists(
+            st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False), max_size=40
+        ),
+        degree=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_matches_pairwise_definition(self, magnitudes: list[float], degree: float):
+        """The linear-time sum agrees with the sum over all pairs i < j.
+
+        Each prefix sum carries at most k rounding errors for k magnitudes, so
+        40 magnitudes stay far inside 1e-13 relative; the absolute floor only
+        covers pair products that underflow.
+        """
+        pairwise = 2.0 * degree * math.fsum(
+            a * b for a, b in itertools.combinations(magnitudes, 2)
+        )
+        assert interference_sum(magnitudes, degree) == pytest.approx(
+            pairwise, rel=1e-13, abs=1e-300
+        )
 
 
 class TestCompletionMagnitudes:
