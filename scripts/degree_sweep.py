@@ -20,7 +20,7 @@ from qlbn.scenarios import (
     DEFECT,
     PLAYER_TWO,
     fit_error,
-    load_builtin_scenarios,
+    load_builtin,
     load_scenarios,
     scenario_to_network,
 )
@@ -40,7 +40,7 @@ def main() -> int:
     args = parser.parse_args()
 
     scenarios = (
-        load_scenarios(args.scenario) if args.scenario else load_builtin_scenarios()
+        load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
     )
     by_name = {s.name: s for s in scenarios}
     if args.name not in by_name:

@@ -38,7 +38,7 @@ from .scenarios import (
     PredictionRecord,
     Scenario,
     fit_error,
-    load_builtin_scenarios,
+    load_builtin,
     predict_unknown,
     run_comparison,
     run_reproduction,

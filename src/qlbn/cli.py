@@ -36,9 +36,10 @@ from .errors import (
 from .heuristic import belief_distance, degree_for_query, extract_outcome_vectors
 from .quantum import amplitudes_from_network, quantum_infer
 from .scenarios import (
-    load_builtin_scenarios,
-    load_comparison_rows,
+    Table,
+    load_builtin,
     load_scenarios,
+    render_csv,
     render_report_csv,
     render_report_table,
     render_reproduction,
@@ -155,20 +156,20 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_distribution(labels, probabilities, fmt: str, query: str) -> None:
+def _print_csv(keys: tuple[str, ...], rows) -> None:
+    print(render_csv(Table(tuple((key, key) for key in keys), tuple(rows))), end="")
+
+
+def _print_distribution(items, fmt: str, query: str) -> None:
+    """Print (outcome, probability) pairs as an aligned table, csv or json."""
     if fmt == "table":
-        width = max(len(lb) for lb in labels)
-        for lb, p in zip(labels, probabilities):
+        width = max(len(lb) for lb, _ in items)
+        for lb, p in items:
             print(f"{lb.ljust(width)}  {p:.5f}")
     elif fmt == "csv":
-        print("outcome,probability")
-        for lb, p in zip(labels, probabilities):
-            print(f"{lb},{p!r}")
+        _print_csv(("outcome", "probability"), items)
     else:
-        print(json.dumps(
-            {"query": query, "distribution": dict(zip(labels, probabilities))},
-            indent=2,
-        ))
+        print(json.dumps({"query": query, "distribution": dict(items)}, indent=2))
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -177,7 +178,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     net = load_network(args.network)
     if args.mode == "classical":
         dist = infer(net, args.query, evidence)
-        _print_distribution(dist.labels, dist.probabilities, args.format, args.query)
+        _print_distribution(dist.items(), args.format, args.query)
         return 0
 
     anet = amplitudes_from_network(net)
@@ -213,16 +214,15 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     elif args.format == "csv":
-        print("outcome,classical_part,interference_part,unnormalized,clamped,probability")
-        for om in result.outcomes:
-            print(f"{om.outcome},{om.classical_part!r},{om.interference_part!r},"
-                  f"{om.unnormalized!r},{om.clamped},{om.probability!r}")
+        _print_csv(
+            ("outcome", "classical_part", "interference_part", "unnormalized",
+             "clamped", "probability"),
+            ((om.outcome, om.classical_part, om.interference_part, om.unnormalized,
+              str(om.clamped), om.probability) for om in result.outcomes),
+        )
     else:
         _print_distribution(
-            [om.outcome for om in result.outcomes],
-            [om.probability for om in result.outcomes],
-            "table",
-            args.query,
+            [(om.outcome, om.probability) for om in result.outcomes], "table", args.query
         )
     return 0
 
@@ -242,16 +242,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.scenario:
-        scenarios = load_scenarios(args.scenario)
-    else:
-        scenarios = load_builtin_scenarios()
-    literature = {
-        row.scenario_name: row.models
-        for row in load_comparison_rows()
-        if row.scenario_name
-    }
-    _emit_report(run_comparison(scenarios, literature), args.format)
+    data = load_builtin()
+    scenarios = load_scenarios(args.scenario) if args.scenario else data.scenarios
+    _emit_report(run_comparison(scenarios, data.literature()), args.format)
     return 0
 
 

@@ -10,15 +10,16 @@ term on top of the classical sum:
 
 where m_i is the amplitude product of completion i. The degree stands in for
 the phase-difference cosine, which this model never represents explicitly;
-callers supply it per query outcome (see the heuristic module for the
-entropy-based choice). Posteriors divide by the total unnormalized mass.
+callers supply one degree for every outcome of the query (see the heuristic
+module for the entropy-based choice). Posteriors divide by the total
+unnormalized mass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bayesnet import (
     Assignment,
@@ -35,12 +36,6 @@ from .errors import (
     NonBinaryVariableError,
     UnknownVariableError,
 )
-
-# A degree is a plain scalar, expected in [-1, 1]; values outside that range
-# model nothing and tend to end in NegativeUnnormalizedMassError.
-InterferenceDegree = float
-
-DegreeSource = InterferenceDegree | Callable[[str], InterferenceDegree]
 
 
 @dataclass(frozen=True)
@@ -85,18 +80,19 @@ def quantum_full_joint(anet: AmplitudeNetwork, assignment: Assignment) -> float:
     return amplitude_product(anet, assignment) ** 2
 
 
-def interference_sum(magnitudes: Sequence[float], degree: InterferenceDegree) -> float:
-    """2 * degree * sum of pairwise magnitude products; zero for fewer than two terms.
+def interference_sum(magnitudes: Sequence[float], degree: float) -> float:
+    """2 * degree * sum of pairwise magnitude products; +0.0 for fewer than two terms.
 
     The pairs are summed in linear time as sum_j m_j * (m_0 + ... + m_{j-1}).
     Every term is nonnegative, so fsum over them loses nothing to cancellation,
-    unlike ((sum m)^2 - sum m^2) / 2.
+    unlike ((sum m)^2 - sum m^2) / 2. Adding 0.0 turns the -0.0 of a negative
+    degree times an empty sum into 0.0 and changes no other value.
     """
     terms, prefix = [], 0.0
     for m in magnitudes:
         terms.append(m * prefix)
         prefix += m
-    return 2.0 * degree * math.fsum(terms)
+    return 2.0 * degree * math.fsum(terms) + 0.0
 
 
 @dataclass(frozen=True)
@@ -155,7 +151,7 @@ def quantum_infer(
     anet: AmplitudeNetwork,
     query: str,
     evidence: Assignment,
-    degree_source: DegreeSource,
+    degree: float,
 ) -> QuantumInferenceResult:
     """Interference-aware posterior of `query` given `evidence`.
 
@@ -163,19 +159,19 @@ def quantum_infer(
         anet: the amplitude network.
         query: name of the (binary) query variable.
         evidence: observed variable -> outcome; must not include the query.
-        degree_source: a scalar applied to every query outcome, or a callable
-            mapping each outcome label to its own degree.
+        degree: the interference degree shared by every query outcome,
+            expected in [-1, 1]; values outside that range model nothing and
+            tend to end in NegativeUnnormalizedMassError.
 
-    With every degree 0 the posterior matches classical enumeration; with no
+    With degree 0 the posterior matches classical enumeration; with no
     unobserved variables there are no interference pairs at all, so the result
-    is the classical one regardless of the degrees. Negative unnormalized
+    is the classical one regardless of the degree. Negative unnormalized
     masses are floored to zero and flagged; if that leaves no mass anywhere,
     NegativeUnnormalizedMassError is raised.
     """
     magnitudes = completion_magnitudes(anet, query, evidence)
     masses: list[OutcomeMass] = []
     for outcome, mags in magnitudes.items():
-        degree = degree_source(outcome) if callable(degree_source) else degree_source
         classical = math.fsum(m * m for m in mags)
         interference = interference_sum(mags, degree)
         unnormalized = classical + interference

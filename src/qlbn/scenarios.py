@@ -184,82 +184,6 @@ def run_comparison(
     )
 
 
-# --- built-in dataset --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """A published benchmark row: observed rate, earlier models' printed columns,
-    and this model's printed prediction. scenario_name links the rows whose
-    conditionals are known; the rest stay constants-only."""
-
-    name: str
-    observed: float
-    models: dict[str, tuple[float, float]]
-    reported_prediction: float
-    reported_fit_error: float
-    scenario_name: str | None
-
-
-def _builtin_doc() -> dict:
-    text = resources.files("qlbn").joinpath("data/literature.json").read_text()
-    return json.loads(text)
-
-
-def load_builtin_scenarios() -> list[Scenario]:
-    """The five benchmark conditions, payoff note attached to each."""
-    doc = _builtin_doc()
-    note = doc.get("payoff_note")
-    return [
-        Scenario(
-            name=row["name"],
-            p_defect_given_defect=row["p_defect_given_defect"],
-            p_defect_given_cooperate=row["p_defect_given_cooperate"],
-            observed_unknown=row["observed_unknown"],
-            payoff_note=note,
-        )
-        for row in doc["scenarios"]
-    ]
-
-
-def load_builtin_reported_classical() -> dict[str, float]:
-    doc = _builtin_doc()
-    return {
-        row["name"]: row["reported_classical"]
-        for row in doc["scenarios"]
-        if "reported_classical" in row
-    }
-
-
-def load_builtin_reported_predictions() -> dict[str, tuple[float, float]]:
-    """Scenario name -> (reported prediction, reported fit error), where published."""
-    doc = _builtin_doc()
-    return {
-        row["name"]: (row["reported_prediction"], row["reported_fit_error"])
-        for row in doc["scenarios"]
-        if "reported_prediction" in row
-    }
-
-
-def load_comparison_rows() -> list[ComparisonRow]:
-    doc = _builtin_doc()
-    return [
-        ComparisonRow(
-            name=row["name"],
-            observed=row["observed"],
-            models={m: (v[0], v[1]) for m, v in row["models"].items()},
-            reported_prediction=row["reported_prediction"],
-            reported_fit_error=row["reported_fit_error"],
-            scenario_name=row["scenario"],
-        )
-        for row in doc["comparison_rows"]
-    ]
-
-
-def load_reported_average_fit_errors() -> dict[str, float]:
-    return dict(_builtin_doc()["reported_average_fit_errors"])
-
-
 # --- scenario files -----------------------------------------------------------
 #
 # A scenario file is a JSON list of objects with keys name,
@@ -316,6 +240,78 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     return read_json(path, scenarios_from_json)
 
 
+# --- built-in dataset --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Table3Row:
+    """One published comparison-table row: the earlier models' printed columns
+    plus this model's prediction. The built-in dataset holds the printed
+    prediction (basis 'published'); run_reproduction recomputes it for the rows
+    whose scenario_name links a built-in scenario (basis 'computed')."""
+
+    name: str
+    observed: float
+    models: dict[str, tuple[float, float]]
+    prediction: float
+    prediction_fit: float
+    basis: str
+    scenario_name: str | None
+
+
+@dataclass(frozen=True)
+class BuiltinDataset:
+    """The bundled published tables, parsed once by load_builtin. The reported_*
+    maps are keyed by scenario name, or by model for the mean fit errors."""
+
+    scenarios: tuple[Scenario, ...]
+    reported_classical: dict[str, float]
+    reported_predictions: dict[str, tuple[float, float]]
+    comparison_rows: tuple[Table3Row, ...]
+    reported_average_fit_errors: dict[str, float]
+
+    def literature(self) -> dict[str, dict[str, tuple[float, float]]]:
+        """Scenario name -> published model columns, over the linked comparison rows."""
+        return {r.scenario_name: r.models for r in self.comparison_rows if r.scenario_name}
+
+
+def load_builtin() -> BuiltinDataset:
+    """Parse the bundled literature.json; every scenario carries the payoff note."""
+    text = resources.files("qlbn").joinpath("data/literature.json").read_text()
+    doc = json.loads(text)
+    note = doc.get("payoff_note")
+    rows = doc["scenarios"]
+    return BuiltinDataset(
+        scenarios=tuple(
+            Scenario(**{key: row[key] for key in _REQUIRED_KEYS}, payoff_note=note)
+            for row in rows
+        ),
+        reported_classical={
+            row["name"]: row["reported_classical"]
+            for row in rows
+            if "reported_classical" in row
+        },
+        reported_predictions={
+            row["name"]: (row["reported_prediction"], row["reported_fit_error"])
+            for row in rows
+            if "reported_prediction" in row
+        },
+        comparison_rows=tuple(
+            Table3Row(
+                name=row["name"],
+                observed=row["observed"],
+                models={m: (v[0], v[1]) for m, v in row["models"].items()},
+                prediction=row["reported_prediction"],
+                prediction_fit=row["reported_fit_error"],
+                basis="published",
+                scenario_name=row["scenario"],
+            )
+            for row in doc["comparison_rows"]
+        ),
+        reported_average_fit_errors=dict(doc["reported_average_fit_errors"]),
+    )
+
+
 # --- reproduction -------------------------------------------------------------
 
 
@@ -331,20 +327,6 @@ class GoldenCheck:
     @property
     def passed(self) -> bool:
         return abs(self.actual - self.expected) <= self.tolerance
-
-
-@dataclass(frozen=True)
-class Table3Row:
-    """One comparison-table row as rendered: published model columns plus this
-    model's prediction, which is computed where conditionals exist and copied
-    from the published table otherwise (basis 'published')."""
-
-    name: str
-    observed: float
-    models: dict[str, tuple[float, float]]
-    prediction: float
-    prediction_fit: float
-    basis: str
 
 
 @dataclass(frozen=True)
@@ -366,29 +348,12 @@ class ReproductionResult:
 
 def run_reproduction() -> ReproductionResult:
     """Evaluate the built-in dataset and check every published golden value."""
-    scenarios = load_builtin_scenarios()
-    rows = load_comparison_rows()
-    literature = {r.scenario_name: r.models for r in rows if r.scenario_name}
-    comparison = run_comparison(scenarios, literature)
+    data = load_builtin()
+    comparison = run_comparison(data.scenarios, data.literature())
     by_name = {rec.scenario.name: rec for rec in comparison.records}
 
-    table3: list[Table3Row] = []
-    for row in rows:
-        record = by_name.get(row.scenario_name) if row.scenario_name else None
-        if record is not None:
-            prediction, fit, basis = (
-                record.quantum_prediction, record.fit_error_quantum, "computed"
-            )
-        else:
-            prediction, fit, basis = (
-                row.reported_prediction, row.reported_fit_error, "published"
-            )
-        table3.append(
-            Table3Row(row.name, row.observed, dict(row.models), prediction, fit, basis)
-        )
-
     goldens: list[GoldenCheck] = []
-    for name, expected in load_builtin_reported_classical().items():
+    for name, expected in data.reported_classical.items():
         goldens.append(
             GoldenCheck(
                 f"classical prediction ({name})",
@@ -397,7 +362,7 @@ def run_reproduction() -> ReproductionResult:
                 TOL_CLASSICAL,
             )
         )
-    for name, (pred, err) in load_builtin_reported_predictions().items():
+    for name, (pred, err) in data.reported_predictions.items():
         goldens.append(
             GoldenCheck(
                 f"quantum prediction ({name})", pred, by_name[name].quantum_prediction,
@@ -409,16 +374,25 @@ def run_reproduction() -> ReproductionResult:
                 f"fit error ({name})", err, by_name[name].fit_error_quantum, TOL_FIT
             )
         )
-    for row in rows:
+    table3: list[Table3Row] = []
+    for row in data.comparison_rows:
         if row.scenario_name:
+            record = by_name[row.scenario_name]
             goldens.append(
                 GoldenCheck(
                     f"comparison prediction ({row.name})",
-                    row.reported_prediction,
-                    by_name[row.scenario_name].quantum_prediction,
+                    row.prediction,
+                    record.quantum_prediction,
                     TOL_COMPARISON,
                 )
             )
+            row = replace(
+                row,
+                prediction=record.quantum_prediction,
+                prediction_fit=record.fit_error_quantum,
+                basis="computed",
+            )
+        table3.append(row)
     return ReproductionResult(comparison, tuple(table3), tuple(goldens))
 
 
@@ -474,7 +448,9 @@ def _render_text(table: Table) -> str:
     return "\n".join(lines)
 
 
-def _render_csv(table: Table) -> str:
+def render_csv(table: Table) -> str:
+    """The one CSV form of a table: floats as repr, None as an empty cell, and
+    csv quoting for any cell that holds a comma, quote or line break."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([key for key, _ in table.columns])
@@ -556,7 +532,7 @@ def render_report_table(report: ComparisonReport) -> str:
 
 def render_report_csv(report: ComparisonReport) -> str:
     """CSV of a comparison report; floats keep full round-trip precision."""
-    return _render_csv(_report_table(report))
+    return render_csv(_report_table(report))
 
 
 def report_to_dict(report: ComparisonReport) -> dict:
@@ -591,19 +567,19 @@ def render_table3(result: ReproductionResult) -> str:
 
 def render_table3_csv(result: ReproductionResult) -> str:
     """CSV of the published-models comparison; unlike the text table, no mean row."""
-    return _render_csv(replace(_table3(result), mean=None))
+    return render_csv(replace(_table3(result), mean=None))
 
 
 def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
     """Bar-chart-shaped series: one row per scenario, observed next to both models."""
     keys = ("scenario", "observed", "classical", "quantum")
-    return _render_csv(_report_table(report).select({k: k for k in keys}))
+    return render_csv(_report_table(report).select({k: k for k in keys}))
 
 
 def render_model_comparison_csv(result: ReproductionResult) -> str:
     """Bar-chart-shaped series over the comparison rows, all models side by side."""
     models = _table3_models(result)
-    return _render_csv(_table3(result).select({
+    return render_csv(_table3(result).select({
         "condition": "condition",
         "observed": "observed",
         **{f"{m}_prediction": m for m in models},

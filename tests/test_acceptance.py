@@ -20,7 +20,7 @@ from qlbn.quantum import amplitudes_from_network, quantum_infer
 from qlbn.scenarios import (
     Scenario,
     fit_error,
-    load_builtin_scenarios,
+    load_builtin,
     predict_unknown,
     scenario_to_network,
 )
@@ -142,7 +142,7 @@ def test_criterion_2_classical_predictions_match_reported_column():
         "Average": 0.8050,
     }
     checks: list[Check] = []
-    for scenario in load_builtin_scenarios():
+    for scenario in load_builtin().scenarios:
         classical = infer(scenario_to_network(scenario), "P2", {}).prob("Defect")
         checks.append(
             (
@@ -164,7 +164,7 @@ def test_criterion_3_interference_predictions_match_published_comparisons():
         "Busemeyer et al., 2006a": 0.6069,
         "Hristova and Grinberg, 2008": 0.9045,
     }
-    by_name = {s.name: s for s in load_builtin_scenarios()}
+    by_name = {s.name: s for s in load_builtin().scenarios}
     checks: list[Check] = []
     for name, value in expected.items():
         prediction = predict_unknown(by_name[name]).quantum_prediction

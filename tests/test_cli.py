@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from qlbn.cli import main
-from qlbn.scenarios import GoldenCheck, ReproductionResult, run_reproduction
+from qlbn.scenarios import GoldenCheck, ReproductionResult, load_builtin, run_reproduction
 
 ROOT = Path(__file__).resolve().parent.parent
 GAME_NET = str(ROOT / "data" / "networks" / "prisoners_average.json")
@@ -283,6 +284,18 @@ class TestInferQuantum:
         assert verbose_err == plain_err
         assert "|alpha + beta - 1|" in plain_err
 
+    def test_negative_degree_without_pairs_prints_positive_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "infer", "--network", SERVERS_NET, "--query", "S2",
+            "--evidence", "S1=T", "--mode", "quantum", "--degree", "fixed:-0.5",
+            "--format", "json",
+        )
+        assert code == 0
+        parts = [om["interference_part"] for om in json.loads(out)["outcomes"]]
+        assert parts == [0.0, 0.0]
+        assert '"interference_part": 0.0,' in out
+        assert "-0.0" not in out
+
     def test_unknown_query_is_named_before_counting_unobserved(self, capsys):
         code, _, err = run_cli(
             capsys, "infer", "--network", SERVERS_NET, "--query", "ZZ",
@@ -356,6 +369,42 @@ class TestInferQuantum:
         assert "exactly one" in err
 
 
+class TestInferCsvQuoting:
+    LABELS = ["yes, surely", 'no "way"']
+
+    @pytest.fixture
+    def net_path(self, tmp_path) -> str:
+        yes, no = self.LABELS
+        doc = {
+            "variables": [
+                {"name": "A", "outcomes": self.LABELS},
+                {"name": "B", "outcomes": ["T", "F"]},
+            ],
+            "edges": [["A", "B"]],
+            "cpts": {
+                "A": [{"given": {}, "dist": {yes: 0.25, no: 0.75}}],
+                "B": [
+                    {"given": {"A": yes}, "dist": {"T": 0.5, "F": 0.5}},
+                    {"given": {"A": no}, "dist": {"T": 0.9, "F": 0.1}},
+                ],
+            },
+        }
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["classical", "quantum"])
+    def test_labels_with_commas_and_quotes_stay_one_field(self, capsys, net_path, mode):
+        code, out, _ = run_cli(
+            capsys, "infer", "--network", net_path, "--query", "A", "--mode", mode,
+            "--degree", "fixed:0.3", "--format", "csv",
+        )
+        assert code == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert [row[0] for row in rows] == self.LABELS
+
+
 class TestPredictAndCompare:
     def test_predict_table(self, capsys):
         code, out, _ = run_cli(capsys, "predict", "--scenario", SCENARIOS)
@@ -385,6 +434,21 @@ class TestPredictAndCompare:
         payload = json.loads(out)
         assert len(payload["records"]) == 5
         assert set(payload["mean_fit_literature"]) == {"qpdt", "dynamic_heuristic"}
+
+    def test_builtin_dataset_is_parsed_once_per_command(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_load_builtin():
+            calls.append(1)
+            return load_builtin()
+
+        for module in ("qlbn.cli", "qlbn.scenarios"):
+            monkeypatch.setattr(f"{module}.load_builtin", counting_load_builtin)
+        for argv in (["reproduce"], ["compare"], ["compare", "--scenario", SCENARIOS]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert len(calls) == 1, argv
 
     def test_compare_accepts_scenario_file(self, capsys):
         code, out, _ = run_cli(

@@ -263,25 +263,28 @@ class TestQuantumInfer:
         """One completion per outcome means no pairs, whatever the degree."""
         result = quantum_infer(game_amps, "P2", {"P1": "Defect"}, -1.0)
         assert all(om.interference_part == 0.0 for om in result.outcomes)
+        # a positive zero: a negative degree times an empty sum would give -0.0
+        assert all(math.copysign(1.0, om.interference_part) == 1.0 for om in result.outcomes)
         assert result.probability("Defect") == pytest.approx(0.87, abs=1e-12)
 
-    def test_callable_degree_receives_outcome_labels(
-        self, game_amps: AmplitudeNetwork
-    ):
-        seen: list[str] = []
-
-        def source(outcome: str) -> float:
-            seen.append(outcome)
-            return 0.0
-
-        quantum_infer(game_amps, "P2", {}, source)
-        assert seen == ["Defect", "Cooperate"]
-
     def test_partial_clamp_zeroes_one_outcome(self):
-        anet = _coins()
-        result = quantum_infer(
-            anet, "A", {}, lambda outcome: -1.0 if outcome == "T" else 0.0
-        )
+        """A -> B, A -> C: given A=T the four completions are equal (unnormalized
+        0.5 - 0.75 = -0.25); given A=F one completion dominates and mass remains."""
+        child_rows = [
+            {"given": {"A": "T"}, "dist": {"T": 0.5, "F": 0.5}},
+            {"given": {"A": "F"}, "dist": {"T": 0.99, "F": 0.01}},
+        ]
+        doc = {
+            "variables": [{"name": n, "outcomes": ["T", "F"]} for n in "ABC"],
+            "edges": [["A", "B"], ["A", "C"]],
+            "cpts": {
+                "A": [{"given": {}, "dist": {"T": 0.5, "F": 0.5}}],
+                "B": child_rows,
+                "C": child_rows,
+            },
+        }
+        anet = amplitudes_from_network(network_from_dict(doc))
+        result = quantum_infer(anet, "A", {}, -0.5)
         t_mass = result.outcomes[0]
         assert t_mass.outcome == "T"
         assert t_mass.clamped

@@ -22,11 +22,7 @@ from qlbn.scenarios import (
     ComparisonReport,
     Scenario,
     fit_error,
-    load_builtin_reported_classical,
-    load_builtin_reported_predictions,
-    load_builtin_scenarios,
-    load_comparison_rows,
-    load_reported_average_fit_errors,
+    load_builtin,
     load_scenarios,
     predict_unknown,
     render_model_comparison_csv,
@@ -134,7 +130,7 @@ class TestPredictUnknown:
         assert record.literature_comparisons == {"qpdt": (0.62, 0.05)}
 
     def test_benchmark_pipeline_values(self):
-        for scenario in load_builtin_scenarios():
+        for scenario in load_builtin().scenarios:
             expected_q, expected_d = FROZEN_PIPELINE[scenario.name]
             record = predict_unknown(scenario)
             assert record.quantum_prediction == pytest.approx(expected_q, abs=1e-9)
@@ -143,12 +139,12 @@ class TestPredictUnknown:
 
 class TestRunComparison:
     def test_preserves_input_order(self):
-        scenarios = load_builtin_scenarios()
+        scenarios = load_builtin().scenarios
         report = run_comparison(scenarios)
         assert [r.scenario.name for r in report.records] == [s.name for s in scenarios]
 
     def test_averages_are_arithmetic_means(self):
-        report = run_comparison(load_builtin_scenarios())
+        report = run_comparison(load_builtin().scenarios)
         n = len(report.records)
         assert report.average_fit_quantum == pytest.approx(
             math.fsum(r.fit_error_quantum for r in report.records) / n, abs=1e-15
@@ -158,7 +154,7 @@ class TestRunComparison:
         )
 
     def test_literature_average_spans_only_linked_rows(self):
-        scenarios = load_builtin_scenarios()[:2]
+        scenarios = load_builtin().scenarios[:2]
         literature = {scenarios[0].name: {"qpdt": (0.6, 0.1)}}
         report = run_comparison(scenarios, literature)
         assert report.average_fit_literature == {"qpdt": pytest.approx(0.1)}
@@ -178,7 +174,7 @@ class TestRunComparison:
         classical mix on every single-condition row. The Li and Taplin row
         pools three separate conditions into one average, where the published
         per-condition fits do not carry over, so it is left out."""
-        report = run_comparison(load_builtin_scenarios())
+        report = run_comparison(load_builtin().scenarios)
         for record in report.records:
             if record.scenario.name == "Li and Taplin, 2002":
                 continue
@@ -187,16 +183,16 @@ class TestRunComparison:
 
 class TestBuiltinDataset:
     def test_five_scenarios_in_report_order(self):
-        names = [s.name for s in load_builtin_scenarios()]
+        names = [s.name for s in load_builtin().scenarios]
         assert names == list(FROZEN_PIPELINE)
 
     def test_payoff_note_attached_everywhere(self):
-        notes = {s.payoff_note for s in load_builtin_scenarios()}
+        notes = {s.payoff_note for s in load_builtin().scenarios}
         assert len(notes) == 1
         assert "payoff" in notes.pop().lower()
 
     def test_reported_classical_column(self):
-        reported = load_builtin_reported_classical()
+        reported = load_builtin().reported_classical
         assert reported == {
             "Shafir and Tversky, 1992": 0.905,
             "Li and Taplin, 2002": 0.795,
@@ -206,12 +202,12 @@ class TestBuiltinDataset:
         }
 
     def test_reported_prediction_only_for_average(self):
-        reported = load_builtin_reported_predictions()
+        reported = load_builtin().reported_predictions
         assert set(reported) == {"Average"}
         assert reported["Average"] == (0.6926, 0.082)
 
     def test_comparison_rows(self):
-        rows = load_comparison_rows()
+        rows = load_builtin().comparison_rows
         assert len(rows) == 5
         linked = {r.name: r.scenario_name for r in rows if r.scenario_name}
         assert linked == {
@@ -220,9 +216,19 @@ class TestBuiltinDataset:
         }
         for row in rows:
             assert set(row.models) == {"qpdt", "dynamic_heuristic"}
+            assert row.basis == "published"
+        assert (rows[3].prediction, rows[3].prediction_fit) == (0.6069, 0.0805)
+
+    def test_literature_maps_linked_scenarios_to_model_columns(self):
+        data = load_builtin()
+        rows = data.comparison_rows
+        assert data.literature() == {
+            "Busemeyer et al., 2006a": rows[3].models,
+            "Hristova and Grinberg, 2008": rows[4].models,
+        }
 
     def test_reported_average_fit_errors(self):
-        reported = load_reported_average_fit_errors()
+        reported = load_builtin().reported_average_fit_errors
         assert reported == {
             "qpdt": 0.2095,
             "dynamic_heuristic": 0.0723,
@@ -334,7 +340,7 @@ class TestReproduction:
             for model in ("qpdt", "dynamic_heuristic")
         }
         means["belief_degree"] = math.fsum(row.prediction_fit for row in table) / len(table)
-        reported = load_reported_average_fit_errors()
+        reported = load_builtin().reported_average_fit_errors
         assert set(means) == set(reported)
         for model, mean in means.items():
             assert mean == pytest.approx(reported[model], abs=TOL_FIT), model
@@ -349,9 +355,8 @@ class TestReproduction:
 
 @pytest.fixture(scope="module")
 def report() -> ComparisonReport:
-    rows = load_comparison_rows()
-    literature = {r.scenario_name: r.models for r in rows if r.scenario_name}
-    return run_comparison(load_builtin_scenarios(), literature)
+    data = load_builtin()
+    return run_comparison(data.scenarios, data.literature())
 
 
 class TestRendering:
