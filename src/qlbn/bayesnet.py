@@ -21,14 +21,13 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .belief import DiscreteDistribution
+from .belief import MASS_SUM_TOL, DiscreteDistribution
 from .errors import (
     IncompleteAssignmentError,
     InconsistentEvidenceError,
     NetworkDefinitionError,
     QueryInEvidenceError,
     UnknownVariableError,
-    ValidationError,
     parse_number,
     read_json,
     shape_errors,
@@ -36,9 +35,6 @@ from .errors import (
 
 # An assignment maps variable names to outcome labels.
 Assignment = Mapping[str, str]
-
-# CPT row key: the parents' outcome labels, in declared parent order.
-ParentKey = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -61,110 +57,6 @@ class Variable:
             )
 
 
-@dataclass(frozen=True)
-class Network:
-    """A directed acyclic network of discrete variables with one CPT per variable.
-
-    Fields:
-        variables: the variables, in declaration order.
-        parents: variable name -> parent names, in declared (edge) order.
-        cpts: variable name -> {parent outcome combination -> distribution}.
-
-    Construction validates the structure: every parent exists, the graph is
-    acyclic, and every variable has exactly one CPT row per combination of
-    parent outcomes. Validation also compiles the CPTs for value_table, which
-    is why instances must be treated as immutable.
-    """
-
-    variables: tuple[Variable, ...]
-    parents: dict[str, tuple[str, ...]]
-    cpts: dict[str, dict[ParentKey, DiscreteDistribution]]
-    # Set by validation: variable name -> declared position, and per variable,
-    # in declared order, (family getter, family label keys, CPT entries) with
-    # keys and entries flat and aligned (see value_table).
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
-    _families: tuple[tuple[Callable, tuple, tuple[float, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        positions = {v.name: i for i, v in enumerate(self.variables)}
-        if len(positions) != len(self.variables):
-            names = [v.name for v in self.variables]
-            raise NetworkDefinitionError(f"duplicate variable names in {names}")
-        object.__setattr__(self, "_positions", positions)
-        for child, parent_names in self.parents.items():
-            if child not in positions:
-                raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
-            for p in parent_names:
-                if p not in positions:
-                    raise NetworkDefinitionError(f"edge parent {p!r} is not a declared variable")
-            if len(set(parent_names)) != len(parent_names):
-                raise NetworkDefinitionError(f"variable {child!r} lists a parent twice")
-        self._check_acyclic()
-        families = []
-        for position, v in enumerate(self.variables):
-            rows = self.cpts.get(v.name)
-            if rows is None:
-                raise NetworkDefinitionError(f"variable {v.name!r} has no CPT")
-            parent_positions = [positions[p] for p in self.parents.get(v.name, ())]
-            expected = set(
-                itertools.product(*(self.variables[i].outcomes for i in parent_positions))
-            )
-            if rows.keys() != expected:
-                missing = sorted(expected - set(rows))
-                extra = sorted(set(rows) - expected)
-                raise NetworkDefinitionError(
-                    f"CPT for {v.name!r} mismatches its parents: missing rows {missing}, "
-                    f"unexpected rows {extra}"
-                )
-            outcomes = set(v.outcomes)
-            keys: list = []
-            entries: list[float] = []
-            for key, dist in rows.items():
-                if set(dist.labels) != outcomes:
-                    raise NetworkDefinitionError(
-                        f"CPT row {v.name!r}|{key} covers {dist.labels}, expected {v.outcomes}"
-                    )
-                keys += [(*key, label) for label in dist.labels] if key else dist.labels
-                entries += dist.probabilities
-            getter = itemgetter(*parent_positions, position)
-            families.append((getter, tuple(keys), tuple(entries)))
-        object.__setattr__(self, "_families", tuple(families))
-
-    def _check_acyclic(self) -> None:
-        # Kahn's algorithm: what is never placed lies on a cycle or below one.
-        unplaced = {v.name: len(self.parents.get(v.name, ())) for v in self.variables}
-        children: dict[str, list[str]] = {name: [] for name in unplaced}
-        for child, parent_names in self.parents.items():
-            for p in parent_names:
-                children[p].append(child)
-        ready = [name for name, count in unplaced.items() if count == 0]
-        while ready:
-            name = ready.pop()
-            del unplaced[name]
-            for child in children[name]:
-                unplaced[child] -= 1
-                if unplaced[child] == 0:
-                    ready.append(child)
-        if unplaced:
-            raise NetworkDefinitionError(
-                f"the network contains a cycle through {sorted(unplaced)}"
-            )
-
-    def variable(self, name: str) -> Variable:
-        position = self._positions.get(name)
-        if position is None:
-            raise UnknownVariableError(f"no variable named {name!r}")
-        return self.variables[position]
-
-    def outcomes(self, name: str) -> tuple[str, ...]:
-        return self.variable(name).outcomes
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._positions)
-
-
 # A value table holds one factor per variable, in declared variable order. A
 # factor is a getter that picks the variable's family labels (its parents in
 # declared order, then itself) out of a positional label list, and the values
@@ -173,9 +65,42 @@ Factor = tuple[Callable[[Sequence[str]], object], dict[object, float]]
 ValueTable = tuple[Factor, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class Network:
+    """A directed acyclic network of discrete variables with one CPT per variable.
+
+    Fields:
+        variables: the variables, in declaration order.
+        parents: variable name -> parent names, in declared (edge) order.
+        table: the classical value table, whose values are the CPT entries p.
+        positions: variable name -> declared position.
+
+    Build through network_from_dict, which validates the definition and
+    compiles it; instances must be treated as immutable. Networks compare by
+    identity.
+    """
+
+    variables: tuple[Variable, ...]
+    parents: dict[str, tuple[str, ...]]
+    table: ValueTable = field(repr=False)
+    positions: dict[str, int] = field(repr=False)
+
+    def variable(self, name: str) -> Variable:
+        position = self.positions.get(name)
+        if position is None:
+            raise UnknownVariableError(f"no variable named {name!r}")
+        return self.variables[position]
+
+    def outcomes(self, name: str) -> tuple[str, ...]:
+        return self.variable(name).outcomes
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(self.positions)
+
+
 def value_table(net: Network, f: Callable[[float], float]) -> ValueTable:
-    """The network's CPTs with f applied to every entry (float: the classical table)."""
-    return tuple((get, dict(zip(keys, map(f, entries)))) for get, keys, entries in net._families)
+    """The network's classical table with f applied to every entry."""
+    return tuple((get, dict(zip(values, map(f, values.values())))) for get, values in net.table)
 
 
 def table_product(table: ValueTable, labels: Sequence[str]) -> float:
@@ -187,25 +112,29 @@ def table_product(table: ValueTable, labels: Sequence[str]) -> float:
     return product
 
 
-def _check_assignment_names(net: Network, assignment: Assignment) -> None:
+def _positional_labels(net: Network, assignment: Assignment) -> list[str | None]:
+    """Each variable's assigned outcome in declared order, None where unassigned."""
+    labels: list[str | None] = [None] * len(net.variables)
     for name, outcome in assignment.items():
         outcomes = net.outcomes(name)
         if outcome not in outcomes:
             raise UnknownVariableError(f"{outcome!r} is not an outcome of {name!r} {outcomes}")
+        labels[net.positions[name]] = outcome
+    return labels
 
 
-def check_complete(net: Network, assignment: Assignment) -> None:
-    """Raise unless assignment gives every variable, and nothing else, one of its outcomes."""
-    _check_assignment_names(net, assignment)
-    missing = [n for n in net.names() if n not in assignment]
+def check_complete(net: Network, assignment: Assignment) -> list[str]:
+    """The outcomes in declared order; raises unless every variable, and nothing else, has one."""
+    labels = _positional_labels(net, assignment)
+    missing = [v.name for v, label in zip(net.variables, labels) if label is None]
     if missing:
         raise IncompleteAssignmentError(f"assignment misses variables {missing}")
+    return labels
 
 
 def full_joint(net: Network, assignment: Assignment) -> float:
     """Probability of a complete assignment: the product of CPT entries."""
-    check_complete(net, assignment)
-    return table_product(value_table(net, float), [assignment[n] for n in net.names()])
+    return table_product(net.table, check_complete(net, assignment))
 
 
 def completions(
@@ -231,12 +160,9 @@ def completion_products(
     if query in evidence:
         raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
     query_outcomes = net.outcomes(query)
-    _check_assignment_names(net, evidence)
-    labels = [evidence.get(v.name) for v in net.variables]
-    at_query = net._positions[query]
-    free = [
-        i for i, v in enumerate(net.variables) if v.name != query and v.name not in evidence
-    ]
+    labels = _positional_labels(net, evidence)
+    at_query = net.positions[query]
+    free = [i for i, label in enumerate(labels) if label is None and i != at_query]
     domains = [net.variables[i].outcomes for i in free]
     products: dict[str, list[float]] = {}
     for outcome in query_outcomes:
@@ -256,7 +182,7 @@ def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistributio
     query outcome, then normalizes. Raises InconsistentEvidenceError when the
     evidence itself has probability zero.
     """
-    products = completion_products(net, value_table(net, float), query, evidence)
+    products = completion_products(net, net.table, query, evidence)
     totals = [math.fsum(joints) for joints in products.values()]
     normalizer = math.fsum(totals)
     if normalizer <= 0.0:
@@ -266,10 +192,9 @@ def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistributio
 
 def event_probability(net: Network, predicate: Callable[[dict[str, str]], bool]) -> float:
     """Probability of the event selected by `predicate` over full assignments."""
-    table = value_table(net, float)
     names = net.names()
     return math.fsum(
-        table_product(table, [a[n] for n in names])
+        table_product(net.table, [a[n] for n in names])
         for a in completions(net, {}, names)
         if predicate(a)
     )
@@ -283,14 +208,16 @@ def event_probability(net: Network, predicate: Callable[[dict[str, str]], bool])
 #   "cpts": {"S2": [{"given": {"S1": "T"}, "dist": {"T": 0.7, "F": 0.3}}, ...], ...}
 # }
 #
-# Probabilities may be JSON numbers or decimal strings; both parse with
-# correctly rounded decimal-to-binary conversion.
+# Each declared variable, and no other, has a CPT: one row per combination of its
+# parents' outcomes, each listing exactly its outcomes. Entries may be JSON numbers
+# or decimal strings; both parse with correctly rounded decimal-to-binary conversion.
 
 
 def network_from_dict(doc: Mapping) -> Network:
     """Build a Network from the parsed JSON structure described above.
 
-    Content of the wrong shape raises NetworkDefinitionError, as bad values do.
+    One validating pass compiles each CPT row straight into the classical
+    table. Content of the wrong shape raises NetworkDefinitionError, as bad values do.
     """
     try:
         raw_vars = doc["variables"]
@@ -298,39 +225,127 @@ def network_from_dict(doc: Mapping) -> Network:
     except (KeyError, TypeError):
         raise NetworkDefinitionError("network definition needs 'variables' and 'cpts'") from None
     with shape_errors(NetworkDefinitionError):
-        variables = tuple(
-            Variable(str(v["name"]), tuple([str(o) for o in v["outcomes"]])) for v in raw_vars
-        )
-        parents: dict[str, tuple[str, ...]] = {v.name: () for v in variables}
+        variables = []
+        for raw in raw_vars:
+            name, outcomes = str(raw["name"]), raw["outcomes"]
+            if not isinstance(outcomes, list):
+                raise NetworkDefinitionError(
+                    f"variable {name!r} needs a list of outcomes, got {outcomes!r}"
+                )
+            variables.append(Variable(name, tuple(map(str, outcomes))))
+        positions = {v.name: i for i, v in enumerate(variables)}
+        if len(positions) != len(variables):
+            raise NetworkDefinitionError(
+                f"duplicate variable names in {[v.name for v in variables]}"
+            )
+        parents: dict[str, tuple[str, ...]] = {name: () for name in positions}
         for edge in doc.get("edges", []):
             if len(edge) != 2:
                 raise NetworkDefinitionError(f"edge {edge!r} must be a [parent, child] pair")
             parent, child = str(edge[0]), str(edge[1])
             if child not in parents:
                 raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
-            parents[child] = parents[child] + (parent,)
-        cpts: dict[str, dict[ParentKey, DiscreteDistribution]] = {}
-        for name, rows in raw_cpts.items():
-            parent_names = parents.get(str(name), ())
-            table: dict[ParentKey, DiscreteDistribution] = {}
-            for row in rows:
-                given = row.get("given", {})
-                key = tuple([str(given[p]) for p in parent_names if p in given])
-                if len(key) != len(given):
+            if parent not in parents:
+                raise NetworkDefinitionError(f"edge parent {parent!r} is not a declared variable")
+            parents[child] += (parent,)
+        _check_acyclic(parents)
+        for name in raw_cpts.keys():
+            if name not in positions:
+                raise NetworkDefinitionError(f"CPT variable {name!r} is not a declared variable")
+        table = []
+        for position, v in enumerate(variables):
+            rows = raw_cpts.get(v.name)
+            if rows is None:
+                raise NetworkDefinitionError(f"variable {v.name!r} has no CPT")
+            parent_names = parents[v.name]
+            domains = [variables[positions[p]].outcomes for p in parent_names]
+            getter = itemgetter(*[positions[p] for p in parent_names], position)
+            table.append((getter, _compile_cpt(v, parent_names, domains, rows)))
+    return Network(tuple(variables), parents, tuple(table), positions)
+
+
+def _check_acyclic(parents: Mapping[str, tuple[str, ...]]) -> None:
+    # Kahn's algorithm: what is never placed lies on a cycle or below one.
+    unplaced = {name: len(parent_names) for name, parent_names in parents.items()}
+    children: dict[str, list[str]] = {name: [] for name in parents}
+    for child, parent_names in parents.items():
+        for p in parent_names:
+            children[p].append(child)
+    ready = [name for name, count in unplaced.items() if count == 0]
+    while ready:
+        name = ready.pop()
+        del unplaced[name]
+        for child in children[name]:
+            unplaced[child] -= 1
+            if unplaced[child] == 0:
+                ready.append(child)
+    if unplaced:
+        raise NetworkDefinitionError(f"the network contains a cycle through {sorted(unplaced)}")
+
+
+def _row_key(given: Mapping, parent_names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple([str(given[p]) for p in parent_names if p in given])
+
+
+def _compile_cpt(v: Variable, parent_names: tuple[str, ...], domains: list, rows) -> dict:
+    """The CPT rows of v as its classical-table values, keyed by family labels.
+
+    Each row is checked once. Rows are counted against the parent outcome
+    combinations; a repeated row shows as a table that did not grow.
+    """
+    outcomes = set(v.outcomes)
+    width = len(v.outcomes)
+    values: dict[object, float] = {}
+    for count, row in enumerate(rows, 1):
+        given = row.get("given", {})
+        key = _row_key(given, parent_names)
+        if len(key) != len(given):
+            raise NetworkDefinitionError(
+                f"CPT row for {v.name!r} conditions on non-parents: {sorted(given)}"
+            )
+        if len(key) != len(domains) or not all(map(tuple.__contains__, domains, key)):
+            raise _row_mismatch(v.name, parent_names, domains, rows)
+        dist = row["dist"]
+        try:
+            entries = [parse_number(dist[lb], NetworkDefinitionError) for lb in dist]
+            for label, p in zip(dist, entries):
+                if not 0.0 <= p <= 1.0:
                     raise NetworkDefinitionError(
-                        f"CPT row for {name!r} conditions on non-parents: {sorted(given)}"
+                        f"probability {p!r} for {str(label)!r} is outside [0, 1]"
                     )
-                dist = row["dist"]
-                labels = tuple([str(lb) for lb in dist])
-                try:
-                    probs = tuple([parse_number(dist[lb], NetworkDefinitionError) for lb in dist])
-                    table[key] = DiscreteDistribution(labels, probs)
-                except ValidationError as exc:
-                    raise NetworkDefinitionError(
-                        f"CPT row for {name!r} given {dict(given)!r} is invalid: {exc}"
-                    ) from None
-            cpts[str(name)] = table
-    return Network(variables, parents, cpts)
+                values[(*key, str(label)) if key else str(label)] = p
+            total = math.fsum(entries)
+            if abs(total - 1.0) > MASS_SUM_TOL:
+                raise NetworkDefinitionError(f"probabilities sum to {total!r}, expected 1")
+        except NetworkDefinitionError as exc:
+            raise NetworkDefinitionError(
+                f"CPT row for {v.name!r} given {dict(given)!r} is invalid: {exc}"
+            ) from None
+        if dist.keys() != outcomes:
+            labels = tuple(map(str, dist))
+            if sorted(labels) != sorted(v.outcomes):
+                raise NetworkDefinitionError(
+                    f"CPT row {v.name!r}|{key} covers {labels}, expected {v.outcomes}"
+                )
+        if len(values) != count * width:
+            raise NetworkDefinitionError(
+                f"CPT for {v.name!r} lists the row given {dict(given)!r} twice"
+            )
+    # After the rows, whose messages name the row that conditions on the parent.
+    if len(set(parent_names)) != len(parent_names):
+        raise NetworkDefinitionError(f"variable {v.name!r} lists a parent twice")
+    if len(values) != width * math.prod(map(len, domains)):
+        raise _row_mismatch(v.name, parent_names, domains, rows)
+    return values
+
+
+def _row_mismatch(name: str, parent_names: tuple, domains: list, rows) -> NetworkDefinitionError:
+    keys = {_row_key(row.get("given", {}), parent_names) for row in rows}
+    expected = set(itertools.product(*domains))
+    return NetworkDefinitionError(
+        f"CPT for {name!r} mismatches its parents: missing rows {sorted(expected - keys)}, "
+        f"unexpected rows {sorted(keys - expected)}"
+    )
 
 
 def load_network(path: str | Path) -> Network:

@@ -125,6 +125,8 @@ def shape_errors(error: type[ValidationError] = ValidationError) -> Iterator[Non
 def parse_number(value: object, error: type[ValidationError]) -> float:
     """A JSON number or decimal string as a float; anything else, bool included,
     raises error. The message names only the value; callers add the context."""
+    if value.__class__ is float:  # the common case needs no checks or conversion
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise error(f"expected a number, got {value!r}")
     try:

@@ -71,8 +71,7 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
 
 def amplitude_product(anet: AmplitudeNetwork, assignment: Assignment) -> float:
     """Product of per-variable amplitudes for a complete assignment."""
-    check_complete(anet.net, assignment)
-    return table_product(anet.amplitudes, [assignment[n] for n in anet.net.names()])
+    return table_product(anet.amplitudes, check_complete(anet.net, assignment))
 
 
 def quantum_full_joint(anet: AmplitudeNetwork, assignment: Assignment) -> float:

@@ -24,8 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .bayesnet import Network, Variable, infer
-from .belief import DiscreteDistribution
+from .bayesnet import Network, infer, network_from_dict
 from .errors import ValidationError, ZeroObservedError, parse_number, read_json
 from .heuristic import BeliefDegree, degree_for_query
 from .quantum import amplitudes_from_network, quantum_infer
@@ -77,26 +76,25 @@ def scenario_to_network(scenario: Scenario) -> Network:
     (cooperating opponent, defecting opponent); P2 declares Defect first, the
     outcome every report leads with.
     """
-    p1 = Variable(PLAYER_ONE, (COOPERATE, DEFECT))
-    p2 = Variable(PLAYER_TWO, (DEFECT, COOPERATE))
-    prior = DiscreteDistribution(
-        p1.outcomes, (1.0 - scenario.prior_defect, scenario.prior_defect)
-    )
-    given_c = DiscreteDistribution(
-        p2.outcomes,
-        (scenario.p_defect_given_cooperate, 1.0 - scenario.p_defect_given_cooperate),
-    )
-    given_d = DiscreteDistribution(
-        p2.outcomes,
-        (scenario.p_defect_given_defect, 1.0 - scenario.p_defect_given_defect),
-    )
-    return Network(
-        variables=(p1, p2),
-        parents={PLAYER_ONE: (), PLAYER_TWO: (PLAYER_ONE,)},
-        cpts={
-            PLAYER_ONE: {(): prior},
-            PLAYER_TWO: {(COOPERATE,): given_c, (DEFECT,): given_d},
-        },
+
+    def row(given: dict[str, str], defect: float) -> dict:
+        return {"given": given, "dist": {DEFECT: defect, COOPERATE: 1.0 - defect}}
+
+    return network_from_dict(
+        {
+            "variables": [
+                {"name": PLAYER_ONE, "outcomes": [COOPERATE, DEFECT]},
+                {"name": PLAYER_TWO, "outcomes": [DEFECT, COOPERATE]},
+            ],
+            "edges": [[PLAYER_ONE, PLAYER_TWO]],
+            "cpts": {
+                PLAYER_ONE: [row({}, scenario.prior_defect)],
+                PLAYER_TWO: [
+                    row({PLAYER_ONE: COOPERATE}, scenario.p_defect_given_cooperate),
+                    row({PLAYER_ONE: DEFECT}, scenario.p_defect_given_defect),
+                ],
+            },
+        }
     )
 
 

@@ -23,8 +23,9 @@ GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 def binary_net_docs(draw: st.DrawFn) -> dict:
     """A random binary network of up to 4 variables with grid-valued CPTs.
 
-    A node's two parents may be listed against declaration order, and a CPT
-    row may list F before T, against the declared outcome order T, F.
+    A node's two parents may be listed against declaration order, a CPT's rows
+    come in any order, and a CPT row may list F before T, against the declared
+    outcome order T, F.
     """
     n = draw(st.integers(min_value=1, max_value=4))
     names = [f"V{i}" for i in range(n)]
@@ -46,12 +47,19 @@ def binary_net_docs(draw: st.DrawFn) -> dict:
             if draw(st.booleans()):
                 dist = {"F": 1 - p, "T": p}
             rows.append({"given": dict(zip(parents[nm], combo)), "dist": dist})
-        cpts[nm] = rows
+        cpts[nm] = draw(st.permutations(rows))
     return {
         "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in names],
         "edges": edges,
         "cpts": cpts,
     }
+
+
+def table_entry(net: Network, name: str, *family: str) -> float:
+    """The classical table's entry for `name` at its family labels: the
+    parents' outcomes in declared parent order, then its own."""
+    _, values = net.table[net.names().index(name)]
+    return values[family if len(family) > 1 else family[0]]
 
 
 def draw_query_and_evidence(

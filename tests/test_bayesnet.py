@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbn.belief import DiscreteDistribution
 from qlbn.bayesnet import (
     Network,
     Variable,
@@ -32,7 +31,13 @@ from qlbn.errors import (
     UnknownVariableError,
 )
 
-from conftest import GAME_DOC, SERVERS_DOC, binary_net_docs, draw_query_and_evidence
+from conftest import (
+    GAME_DOC,
+    SERVERS_DOC,
+    binary_net_docs,
+    draw_query_and_evidence,
+    table_entry,
+)
 
 
 def _oracle_posterior(doc: dict, query: str, evidence: dict[str, str]) -> dict[str, float]:
@@ -76,24 +81,133 @@ class TestVariable:
             Variable("X", ("a", "a"))
 
 
+def _edit(path: tuple, value=None, *, append=None, delete=False):
+    """An edit of one place in a network document: set it, append to it or delete it."""
+
+    def apply(doc: dict) -> None:
+        *outer, last = path
+        target = doc
+        for step in outer:
+            target = target[step]
+        if delete:
+            del target[last]
+        elif append is not None:
+            target[last].append(append)
+        else:
+            target[last] = value
+
+    return apply
+
+
+HALF = {"T": 0.5, "F": 0.5}
+
+
+def _cycle(doc: dict) -> None:
+    doc["edges"].append(["S2", "S1"])
+    doc["cpts"]["S1"] = [{"given": {"S2": o}, "dist": HALF} for o in "TF"]
+
+
+# Documents with exactly one fault, each an edit of SERVERS_DOC, and the exact
+# message network_from_dict raises for it.
+SINGLE_FAULTS = {
+    "missing row": (
+        _edit(("cpts", "S2", 1), delete=True),
+        "CPT for 'S2' mismatches its parents: missing rows [('F',)], unexpected rows []",
+    ),
+    "unexpected row": (
+        _edit(("cpts", "S2"), append={"given": {"S1": "X"}, "dist": HALF}),
+        "CPT for 'S2' mismatches its parents: missing rows [], unexpected rows [('X',)]",
+    ),
+    "row on a non-parent": (
+        _edit(("edges",), []),
+        "CPT row for 'S2' conditions on non-parents: ['S1']",
+    ),
+    "cycle": (_cycle, "the network contains a cycle through ['S1', 'S2']"),
+    "undeclared edge child": (
+        _edit(("edges",), append=["S1", "S9"]),
+        "edge child 'S9' is not a declared variable",
+    ),
+    "undeclared edge parent": (
+        _edit(("edges",), append=["S9", "S2"]),
+        "edge parent 'S9' is not a declared variable",
+    ),
+    # The rows' given then names S1 once against two listed parents.
+    "parent listed twice": (
+        _edit(("edges",), append=["S1", "S2"]),
+        "CPT row for 'S2' conditions on non-parents: ['S1']",
+    ),
+    "edge not a pair": (
+        _edit(("edges",), [["S1", "S2", "S2"]]),
+        "edge ['S1', 'S2', 'S2'] must be a [parent, child] pair",
+    ),
+    "labels not covering the outcomes": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": 0.9, "X": 0.1}),
+        "CPT row 'S1'|() covers ('T', 'X'), expected ('T', 'F')",
+    ),
+    "entry out of [0, 1]": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": 1.5, "F": -0.5}),
+        "CPT row for 'S1' given {} is invalid: probability 1.5 for 'T' is outside [0, 1]",
+    ),
+    "row total off 1": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": 0.9, "F": 0.2}),
+        "CPT row for 'S1' given {} is invalid: probabilities sum to 1.1, expected 1",
+    ),
+    "bool entry": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": True, "F": 0.0}),
+        "CPT row for 'S1' given {} is invalid: expected a number, got True",
+    ),
+    "unparsable string": (
+        _edit(("cpts", "S2", 1, "dist"), {"T": "0.3x", "F": 0.7}),
+        "CPT row for 'S2' given {'S1': 'F'} is invalid: cannot parse number '0.3x'",
+    ),
+    "duplicate variable name": (
+        _edit(("variables",), append={"name": "S1", "outcomes": ["T", "F"]}),
+        "duplicate variable names in ['S1', 'S2', 'S1']",
+    ),
+    "variable without a CPT": (
+        _edit(("cpts", "S2"), delete=True),
+        "variable 'S2' has no CPT",
+    ),
+    "duplicated row": (
+        _edit(("cpts", "S2"), append={"given": {"S1": "T"}, "dist": {"T": 0.1, "F": 0.9}}),
+        "CPT for 'S2' lists the row given {'S1': 'T'} twice",
+    ),
+    "CPT for an undeclared variable": (
+        _edit(("cpts", "S9"), [{"given": {}, "dist": HALF}]),
+        "CPT variable 'S9' is not a declared variable",
+    ),
+    "string outcomes": (
+        _edit(("variables", 0, "outcomes"), "TF"),
+        "variable 'S1' needs a list of outcomes, got 'TF'",
+    ),
+}
+
+
+def assert_single_fault(fault: str, tmp_path: Path) -> None:
+    """The fault's document raises its exact message, and from a file the same
+    message after the path."""
+    edit, message = SINGLE_FAULTS[fault]
+    doc = json.loads(json.dumps(SERVERS_DOC))
+    edit(doc)
+    with pytest.raises(NetworkDefinitionError) as direct:
+        network_from_dict(doc)
+    assert str(direct.value) == message
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetworkDefinitionError) as from_file:
+        load_network(path)
+    assert str(from_file.value) == f"{path}: {message}"
+
+
 class TestNetworkValidation:
-    def test_missing_cpt_row(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        del doc["cpts"]["S2"][1]
-        with pytest.raises(NetworkDefinitionError, match="missing rows"):
-            network_from_dict(doc)
+    def test_missing_cpt_row(self, tmp_path: Path):
+        assert_single_fault("missing row", tmp_path)
 
-    def test_unexpected_cpt_row(self):
-        half = DiscreteDistribution(("T", "F"), (0.5, 0.5))
-        cpts = {"A": {(): half, ("T",): half}}
-        with pytest.raises(NetworkDefinitionError, match="unexpected rows"):
-            Network((Variable("A", ("T", "F")),), {"A": ()}, cpts)
+    def test_unexpected_cpt_row(self, tmp_path: Path):
+        assert_single_fault("unexpected row", tmp_path)
 
-    def test_row_conditioning_on_non_parent(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["edges"] = []
-        with pytest.raises(NetworkDefinitionError, match="non-parents"):
-            network_from_dict(doc)
+    def test_row_conditioning_on_non_parent(self, tmp_path: Path):
+        assert_single_fault("row on a non-parent", tmp_path)
 
     def test_cycle_detected(self):
         """The message names the cycle and what lies below it, not the roots above."""
@@ -114,30 +228,41 @@ class TestNetworkValidation:
             network_from_dict(doc)
         assert str(caught.value) == "the network contains a cycle through ['A', 'B', 'C']"
 
-    def test_unknown_edge_endpoint(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["edges"].append(["S9", "S2"])
-        with pytest.raises(NetworkDefinitionError):
-            network_from_dict(doc)
+    def test_unknown_edge_endpoint(self, tmp_path: Path):
+        assert_single_fault("undeclared edge parent", tmp_path)
 
-    def test_cpt_labels_must_match_outcomes(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["cpts"]["S1"][0]["dist"] = {"T": 0.9, "X": 0.1}
-        with pytest.raises(NetworkDefinitionError, match="covers"):
-            network_from_dict(doc)
+    def test_cpt_labels_must_match_outcomes(self, tmp_path: Path):
+        assert_single_fault("labels not covering the outcomes", tmp_path)
 
-    def test_cpt_row_must_normalize(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["cpts"]["S1"][0]["dist"] = {"T": 0.9, "F": 0.2}
-        with pytest.raises(NetworkDefinitionError, match="invalid"):
-            network_from_dict(doc)
+    def test_cpt_row_must_normalize(self, tmp_path: Path):
+        assert_single_fault("row total off 1", tmp_path)
 
-    def test_duplicate_variable_names(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["variables"].append({"name": "S1", "outcomes": ["T", "F"]})
-        doc["cpts"]["S1"] = doc["cpts"]["S1"]
-        with pytest.raises(NetworkDefinitionError, match="duplicate"):
-            network_from_dict(doc)
+    def test_duplicate_variable_names(self, tmp_path: Path):
+        assert_single_fault("duplicate variable name", tmp_path)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "cycle",
+            "undeclared edge child",
+            "parent listed twice",
+            "entry out of [0, 1]",
+            "variable without a CPT",
+        ],
+    )
+    def test_single_fault_message(self, fault: str, tmp_path: Path):
+        assert_single_fault(fault, tmp_path)
+
+    def test_duplicated_cpt_row_rejected(self, tmp_path: Path):
+        """A repeated row used to overwrite the first: S2 | S1=T read 0.1, not 0.7."""
+        assert_single_fault("duplicated row", tmp_path)
+
+    def test_cpt_for_undeclared_variable_rejected(self, tmp_path: Path):
+        assert_single_fault("CPT for an undeclared variable", tmp_path)
+
+    def test_string_outcomes_rejected(self, tmp_path: Path):
+        """A string used to load as its characters: "TF" as ('T', 'F')."""
+        assert_single_fault("string outcomes", tmp_path)
 
 
 class TestFullJoint:
@@ -152,6 +277,24 @@ class TestFullJoint:
             for a in completions(servers_net, {}, servers_net.names())
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @given(doc=binary_net_docs())
+    def test_equals_document_product(self, doc: dict):
+        """Every complete assignment's joint is, bit for bit, the product of the
+        document's own entries in declared variable order, starting from 1.0."""
+        net = network_from_dict(doc)
+        names = [v["name"] for v in doc["variables"]]
+        for labels in itertools.product("TF", repeat=len(names)):
+            assignment = dict(zip(names, labels))
+            product = 1.0
+            for name in names:
+                (row,) = [
+                    row
+                    for row in doc["cpts"][name]
+                    if all(assignment[p] == o for p, o in row["given"].items())
+                ]
+                product *= row["dist"][assignment[name]]
+            assert full_joint(net, assignment) == product
 
     def test_rejects_incomplete_assignment(self, servers_net: Network):
         with pytest.raises(IncompleteAssignmentError, match="S2"):
@@ -313,23 +456,11 @@ class TestNetworkFiles:
         net = network_from_dict(doc)
         assert full_joint(net, {"S1": "T", "S2": "T"}) == pytest.approx(0.63, abs=1e-12)
 
-    def test_boolean_probability_rejected(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["cpts"]["S1"][0]["dist"] = {"T": True, "F": 0.0}
-        with pytest.raises(NetworkDefinitionError) as caught:
-            network_from_dict(doc)
-        assert str(caught.value) == (
-            "CPT row for 'S1' given {} is invalid: expected a number, got True"
-        )
+    def test_boolean_probability_rejected(self, tmp_path: Path):
+        assert_single_fault("bool entry", tmp_path)
 
-    def test_unparsable_probability_rejected(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["cpts"]["S2"][1]["dist"] = {"T": "0.3x", "F": 0.7}
-        with pytest.raises(NetworkDefinitionError) as caught:
-            network_from_dict(doc)
-        assert str(caught.value) == (
-            "CPT row for 'S2' given {'S1': 'F'} is invalid: cannot parse number '0.3x'"
-        )
+    def test_unparsable_probability_rejected(self, tmp_path: Path):
+        assert_single_fault("unparsable string", tmp_path)
 
     def test_malformed_json_reports_line(self, tmp_path: Path):
         path = tmp_path / "broken.json"
@@ -363,13 +494,10 @@ class TestNetworkFiles:
                 load_network(path)
             assert str(from_file.value) == f"{path}: {direct.value}"
 
-    def test_edge_must_be_pair(self):
-        doc = json.loads(json.dumps(SERVERS_DOC))
-        doc["edges"] = [["S1", "S2", "S2"]]
-        with pytest.raises(NetworkDefinitionError, match="pair"):
-            network_from_dict(doc)
+    def test_edge_must_be_pair(self, tmp_path: Path):
+        assert_single_fault("edge not a pair", tmp_path)
 
     def test_game_doc_matches_fixture(self, game_net: Network):
         net = network_from_dict(GAME_DOC)
         assert net.names() == game_net.names()
-        assert net.cpts["P2"][("Defect",)].prob("Defect") == 0.87
+        assert table_entry(net, "P2", "Defect", "Defect") == 0.87

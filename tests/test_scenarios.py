@@ -38,6 +38,8 @@ from qlbn.scenarios import (
     scenarios_from_json,
 )
 
+from conftest import table_entry
+
 AVERAGE = Scenario(
     name="Average",
     p_defect_given_defect=0.87,
@@ -76,14 +78,14 @@ class TestScenarioToNetwork:
 
     def test_conditional_entries(self):
         net = scenario_to_network(AVERAGE)
-        assert net.cpts[PLAYER_TWO][(DEFECT,)].prob(DEFECT) == 0.87
-        assert net.cpts[PLAYER_TWO][(COOPERATE,)].prob(DEFECT) == 0.74
+        assert table_entry(net, PLAYER_TWO, DEFECT, DEFECT) == 0.87
+        assert table_entry(net, PLAYER_TWO, COOPERATE, DEFECT) == 0.74
 
     def test_prior_maps_to_defect(self):
         biased = Scenario("biased", 0.87, 0.74, 0.64, prior_defect=0.3)
         net = scenario_to_network(biased)
-        assert net.cpts[PLAYER_ONE][()].prob(DEFECT) == pytest.approx(0.3)
-        assert net.cpts[PLAYER_ONE][()].prob(COOPERATE) == pytest.approx(0.7)
+        assert table_entry(net, PLAYER_ONE, DEFECT) == pytest.approx(0.3)
+        assert table_entry(net, PLAYER_ONE, COOPERATE) == pytest.approx(0.7)
 
 
 class TestFitError:
