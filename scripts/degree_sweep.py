@@ -10,8 +10,8 @@ cancels all probability mass produce empty prediction fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from pathlib import Path
 
 from qlbn.errors import NegativeUnnormalizedMassError
 from qlbn.heuristic import degree_for_query
@@ -19,9 +19,11 @@ from qlbn.quantum import amplitudes_from_network, quantum_infer
 from qlbn.scenarios import (
     DEFECT,
     PLAYER_TWO,
+    Table,
     fit_error,
     load_builtin,
     load_scenarios,
+    render_csv,
     scenario_to_network,
 )
 
@@ -55,25 +57,25 @@ def main() -> int:
     anet = amplitudes_from_network(scenario_to_network(scenario))
     auto = degree_for_query(anet, PLAYER_TWO)
 
-    def evaluate(degree: float) -> tuple[str, str]:
+    def evaluate(degree: float) -> tuple[float | None, float | None]:
         try:
             prediction = quantum_infer(
                 anet, PLAYER_TWO, {}, degree
             ).probability(DEFECT)
         except NegativeUnnormalizedMassError:
-            return "", ""
-        return repr(prediction), repr(fit_error(prediction, scenario.observed_unknown))
+            return None, None
+        return prediction, fit_error(prediction, scenario.observed_unknown)
 
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["degree", "prediction", "fit_error", "source"])
-    for i in range(args.steps):
-        degree = -1.0 + 2.0 * i / (args.steps - 1)
-        writer.writerow([repr(degree), *evaluate(degree), "sweep"])
-    writer.writerow([repr(auto.value), *evaluate(auto.value), "heuristic"])
+    degrees = [-1.0 + 2.0 * i / (args.steps - 1) for i in range(args.steps)]
+    rows = [(degree, *evaluate(degree), "sweep") for degree in degrees]
+    rows.append((auto.value, *evaluate(auto.value), "heuristic"))
+    keys = ("degree", "prediction", "fit_error", "source")
+    text = render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
     if args.out:
-        sink.close()
+        Path(args.out).write_text(text, newline="")
         print(f"wrote {args.out} ({args.steps} sweep rows plus the heuristic row)")
+    else:
+        print(text, end="")
     return 0
 
 

@@ -3,7 +3,6 @@
 from .bayesnet import (
     Network,
     Variable,
-    event_probability,
     full_joint,
     infer,
     load_network,
@@ -30,7 +29,6 @@ from .quantum import (
     QuantumInferenceResult,
     amplitudes_from_network,
     interference_sum,
-    quantum_full_joint,
     quantum_infer,
 )
 from .scenarios import (

@@ -7,9 +7,10 @@ behind classical and quantum-like inference, and it runs on a compiled value
 table: per variable, in declared order, an itemgetter that picks the
 variable's family (its parents in declared order, then itself) out of a
 positional list of outcome labels, and a dict from those family labels to a
-value f(p) of the CPT entry p. A completion then costs one dict lookup per
-variable, and its product multiplies the values in declared variable order
-starting from 1.0, so every float is bit-identical to full_joint's.
+value of the CPT entry p: p itself in the classical table, sqrt(p) in the
+amplitude table. A completion then costs one dict lookup per variable, and
+its product multiplies the values in declared variable order starting from
+1.0, so every float is bit-identical to full_joint's.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ class Variable:
     outcomes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.outcomes, list):
-            object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if len(self.outcomes) < 2:
             raise NetworkDefinitionError(
                 f"variable {self.name!r} needs at least two outcomes, got {self.outcomes}"
@@ -60,7 +59,8 @@ class Variable:
 # A value table holds one factor per variable, in declared variable order. A
 # factor is a getter that picks the variable's family labels (its parents in
 # declared order, then itself) out of a positional label list, and the values
-# f(p) keyed by those labels: a bare label for a root, a tuple otherwise.
+# of its CPT entries keyed by those labels: a bare label for a root, a tuple
+# otherwise.
 Factor = tuple[Callable[[Sequence[str]], object], dict[object, float]]
 ValueTable = tuple[Factor, ...]
 
@@ -96,11 +96,6 @@ class Network:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.positions)
-
-
-def value_table(net: Network, f: Callable[[float], float]) -> ValueTable:
-    """The network's classical table with f applied to every entry."""
-    return tuple((get, dict(zip(values, map(f, values.values())))) for get, values in net.table)
 
 
 def table_product(table: ValueTable, labels: Sequence[str]) -> float:
@@ -190,16 +185,6 @@ def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistributio
     return DiscreteDistribution(tuple(products), tuple(t / normalizer for t in totals))
 
 
-def event_probability(net: Network, predicate: Callable[[dict[str, str]], bool]) -> float:
-    """Probability of the event selected by `predicate` over full assignments."""
-    names = net.names()
-    return math.fsum(
-        table_product(net.table, [a[n] for n in names])
-        for a in completions(net, {}, names)
-        if predicate(a)
-    )
-
-
 # --- network files ----------------------------------------------------------
 #
 # {
@@ -247,6 +232,8 @@ def network_from_dict(doc: Mapping) -> Network:
                 raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
             if parent not in parents:
                 raise NetworkDefinitionError(f"edge parent {parent!r} is not a declared variable")
+            if parent in parents[child]:
+                raise NetworkDefinitionError(f"variable {child!r} lists a parent twice")
             parents[child] += (parent,)
         _check_acyclic(parents)
         for name in raw_cpts.keys():
@@ -331,9 +318,6 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], domains: list, rows
             raise NetworkDefinitionError(
                 f"CPT for {v.name!r} lists the row given {dict(given)!r} twice"
             )
-    # After the rows, whose messages name the row that conditions on the parent.
-    if len(set(parent_names)) != len(parent_names):
-        raise NetworkDefinitionError(f"variable {v.name!r} lists a parent twice")
     if len(values) != width * math.prod(map(len, domains)):
         raise _row_mismatch(v.name, parent_names, domains, rows)
     return values

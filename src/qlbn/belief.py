@@ -19,7 +19,6 @@ from typing import Iterable, Mapping
 
 from .errors import (
     EmptySetMassError,
-    InvalidBaseError,
     MassOutOfRangeError,
     MassSumMismatchError,
     UnknownElementError,
@@ -50,8 +49,6 @@ class Frame:
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.elements, list):
-            object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise UnknownElementError("frame must contain at least one element")
         if len(set(self.elements)) != len(self.elements):
@@ -146,10 +143,6 @@ class DiscreteDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.labels, list):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if isinstance(self.probabilities, list):
-            object.__setattr__(self, "probabilities", tuple(self.probabilities))
         if len(self.labels) != len(self.probabilities):
             raise MassSumMismatchError(
                 f"{len(self.labels)} labels but {len(self.probabilities)} probabilities"
@@ -173,18 +166,9 @@ class DiscreteDistribution:
         return tuple(zip(self.labels, self.probabilities))
 
 
-def shannon_entropy(dist: DiscreteDistribution, log_base: float = 2.0) -> float:
-    """Shannon entropy - sum p * log_base(p), with 0 * log 0 taken as 0.
-
-    Args:
-        dist: the distribution to measure.
-        log_base: logarithm base; must be positive and not 1.
-    """
-    if not math.isfinite(log_base) or log_base <= 0.0 or log_base == 1.0:
-        raise InvalidBaseError(f"log base must be positive and != 1, got {log_base!r}")
-    total = -math.fsum(
-        p * math.log(p, log_base) for p in dist.probabilities if p > 0.0
-    )
+def shannon_entropy(dist: DiscreteDistribution) -> float:
+    """Shannon entropy in bits, - sum p * log2(p), with 0 * log 0 taken as 0."""
+    total = -math.fsum(p * math.log(p, 2.0) for p in dist.probabilities if p > 0.0)
     return total + 0.0  # avoid returning -0.0 for certain distributions
 
 

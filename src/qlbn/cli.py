@@ -12,8 +12,8 @@ reproduction check missed its published value.
 
 A belief-assignment file is JSON like
     {"frame": ["a", "b", "c"], "masses": {"a": 0.5, "b,c": 0.5}}
-where each mass key joins the focal set's labels with commas and values may
-be numbers or decimal strings.
+where the frame is a list, each mass key joins the focal set's labels with
+commas and values are numbers or decimal strings, never booleans.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     SingularDenominatorError,
     UnsupportedStructureError,
     ValidationError,
+    parse_number,
     read_json,
 )
 from .heuristic import belief_distance, degree_for_query, extract_outcome_vectors
@@ -134,13 +135,16 @@ def _parse_degree(spec: str) -> float | None:
 def _bba_from_json(doc: object):
     if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
         raise ValidationError("expected an object with 'frame' and 'masses'")
-    frame = Frame(tuple(str(e) for e in doc["frame"]))
+    elements = doc["frame"]
+    if not isinstance(elements, list):
+        raise ValidationError(f"the frame needs a list of labels, got {elements!r}")
+    frame = Frame(tuple(str(e) for e in elements))
     raw = {}
     for key, value in doc["masses"].items():
         labels = tuple(part.strip() for part in str(key).split(",") if part.strip())
         try:
-            mass = float(value)
-        except (TypeError, ValueError):
+            mass = parse_number(value, ValidationError)
+        except ValidationError:
             raise ValidationError(f"mass {value!r} for {key!r} is not a number") from None
         raw[labels] = raw.get(labels, 0.0) + mass
     return validate_bba(raw, frame)
@@ -275,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     except GoldenMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,10 +47,6 @@ class UnknownElementError(ValidationError):
     """A focal set mentions an element missing from the frame."""
 
 
-class InvalidBaseError(ValidationError):
-    """Logarithm base is non-positive or equal to 1."""
-
-
 # --- networks and classical inference --------------------------------------
 
 

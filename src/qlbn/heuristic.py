@@ -15,8 +15,9 @@ then act like masses whose negated Deng entropy is the Belief Degree
 
     D_b = sum over distances B of  B * log2( B / (2^n - 1) )
 
-with n the number of unobserved variables, clamped into [-1, 1]. The degree
-is shared by every outcome of the query.
+with n the number of unobserved variables, clamped into [-1, 1]. The distance
+is defined on pairs only, so n = 1, 2^n - 1 = 1 and each term is B * log2(B).
+The degree is shared by every outcome of the query.
 """
 
 from __future__ import annotations
@@ -107,33 +108,24 @@ class BeliefDegree:
         return self.value != self.raw
 
 
-def belief_degree(distances: Sequence[float], num_unobserved: int = 1) -> BeliefDegree:
+def belief_degree(distances: Sequence[float]) -> BeliefDegree:
     """Condense Belief Distances into a single signed degree.
 
-    Computes sum of B * log2(B / (2^num_unobserved - 1)) over the distances
-    (zero distances contribute nothing) and clamps into [-1, 1]. Two distances
-    of 0.5 give exactly -1, total destructive interference under ignorance.
+    Computes sum of B * log2(B) over the distances (zero distances contribute
+    nothing), the Deng form with one unobserved variable, and clamps into
+    [-1, 1]. Two distances of 0.5 give exactly -1, total destructive
+    interference under ignorance.
     """
     if not distances:
         raise ValueError("at least one distance is required")
-    if num_unobserved < 1:
-        raise ValueError(f"num_unobserved must be >= 1, got {num_unobserved}")
-    denominator = 2.0 ** num_unobserved - 1.0
-    raw = math.fsum(
-        b * math.log2(b / denominator) for b in distances if b > 0.0
-    )
+    raw = math.fsum(b * math.log2(b) for b in distances if b > 0.0)
     return BeliefDegree(min(1.0, max(-1.0, raw)), raw)
 
 
 def degree_for_query(
     anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
 ) -> BeliefDegree:
-    """The full chain: outcome vectors -> distances -> degree, shared by all outcomes.
-
-    num_unobserved is fixed at 1, matching the single-unobserved-variable
-    regime extract_outcome_vectors enforces; belief_degree keeps the parameter
-    open for experimentation outside this entry point.
-    """
+    """The full chain: outcome vectors -> distances -> degree, shared by all outcomes."""
     pairs = extract_outcome_vectors(anet, query, evidence)
     distances = [belief_distance(p.alpha, p.beta) for p in pairs]
-    return belief_degree(distances, num_unobserved=1)
+    return belief_degree(distances)

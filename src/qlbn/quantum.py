@@ -28,7 +28,6 @@ from .bayesnet import (
     check_complete,
     completion_products,
     table_product,
-    value_table,
 )
 from .belief import DiscreteDistribution
 from .errors import (
@@ -66,17 +65,15 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
                 f"variable {v.name!r} has {len(v.outcomes)} outcomes; amplitude "
                 "networks answer only two-outcome questions"
             )
-    return AmplitudeNetwork(net, value_table(net, math.sqrt))
+    amplitudes = tuple(
+        (get, dict(zip(values, map(math.sqrt, values.values())))) for get, values in net.table
+    )
+    return AmplitudeNetwork(net, amplitudes)
 
 
 def amplitude_product(anet: AmplitudeNetwork, assignment: Assignment) -> float:
     """Product of per-variable amplitudes for a complete assignment."""
     return table_product(anet.amplitudes, check_complete(anet.net, assignment))
-
-
-def quantum_full_joint(anet: AmplitudeNetwork, assignment: Assignment) -> float:
-    """Squared amplitude product; agrees with the classical full joint."""
-    return amplitude_product(anet, assignment) ** 2
 
 
 def interference_sum(magnitudes: Sequence[float], degree: float) -> float:

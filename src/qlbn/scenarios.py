@@ -149,6 +149,10 @@ class ComparisonReport:
     average_fit_literature: dict[str, float] = field(default_factory=dict)
 
 
+def _mean(values: Sequence[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
 def run_comparison(
     scenarios: Sequence[Scenario],
     literature: Mapping[str, Mapping[str, tuple[float, float]]] | None = None,
@@ -172,13 +176,9 @@ def run_comparison(
             model_errors.setdefault(model, []).append(err)
     return ComparisonReport(
         records=records,
-        average_fit_classical=math.fsum(r.fit_error_classical for r in records)
-        / len(records),
-        average_fit_quantum=math.fsum(r.fit_error_quantum for r in records)
-        / len(records),
-        average_fit_literature={
-            m: math.fsum(errs) / len(errs) for m, errs in model_errors.items()
-        },
+        average_fit_classical=_mean([r.fit_error_classical for r in records]),
+        average_fit_quantum=_mean([r.fit_error_quantum for r in records]),
+        average_fit_literature={m: _mean(errs) for m, errs in model_errors.items()},
     )
 
 
@@ -465,10 +465,6 @@ def _model_columns(models: Sequence[str]) -> list[tuple[str, str]]:
         title = _MODEL_TITLES.get(model, model)
         columns += [(f"{model}_prediction", title), (f"{model}_fit", f"{title} fit")]
     return columns
-
-
-def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
 
 
 def _report_table(report: ComparisonReport) -> Table:

@@ -16,12 +16,10 @@ from qlbn.bayesnet import (
     Variable,
     completion_products,
     completions,
-    event_probability,
     full_joint,
     infer,
     load_network,
     network_from_dict,
-    value_table,
 )
 from qlbn.errors import (
     IncompleteAssignmentError,
@@ -131,10 +129,9 @@ SINGLE_FAULTS = {
         _edit(("edges",), append=["S9", "S2"]),
         "edge parent 'S9' is not a declared variable",
     ),
-    # The rows' given then names S1 once against two listed parents.
     "parent listed twice": (
         _edit(("edges",), append=["S1", "S2"]),
-        "CPT row for 'S2' conditions on non-parents: ['S1']",
+        "variable 'S2' lists a parent twice",
     ),
     "edge not a pair": (
         _edit(("edges",), [["S1", "S2", "S2"]]),
@@ -356,7 +353,7 @@ class TestInfer:
         net = network_from_dict(doc)
         query, evidence = draw_query_and_evidence(list(net.names()), data)
         free = tuple(n for n in net.names() if n != query and n not in evidence)
-        products = completion_products(net, value_table(net, float), query, evidence)
+        products = completion_products(net, net.table, query, evidence)
         assert list(products) == list(net.outcomes(query))
         for outcome, joints in products.items():
             fixed = {**evidence, query: outcome}
@@ -389,7 +386,6 @@ class TestInfer:
         }
         net = network_from_dict(doc)
         assert net.parents["C"] == ("B", "A")
-        table = value_table(net, float)
         names = net.names()
         for query in names:
             others = [n for n in names if n != query]
@@ -399,7 +395,7 @@ class TestInfer:
                 for labels in itertools.product(*(net.outcomes(n) for n in observed)):
                     evidence = dict(zip(observed, labels))
                     free = tuple(n for n in names if n != query and n not in evidence)
-                    products = completion_products(net, table, query, evidence)
+                    products = completion_products(net, net.table, query, evidence)
                     for outcome, joints in products.items():
                         fixed = {**evidence, query: outcome}
                         assert joints == [
@@ -416,25 +412,6 @@ class TestInfer:
             full_joint(net, a) for a in completions(net, {}, net.names())
         )
         assert total == pytest.approx(1.0, abs=1e-9)
-
-
-class TestEventProbability:
-    def test_exactly_one_true(self, servers_net: Network):
-        p = event_probability(
-            servers_net, lambda a: (a["S1"] == "T") != (a["S2"] == "T")
-        )
-        assert p == pytest.approx(0.3, abs=1e-12)
-
-    def test_conjunction(self, servers_net: Network):
-        p = event_probability(
-            servers_net, lambda a: a["S1"] == "T" and a["S2"] == "T"
-        )
-        assert p == pytest.approx(0.63, abs=1e-12)
-
-    def test_event_and_complement_partition(self, servers_net: Network):
-        p = event_probability(servers_net, lambda a: a["S1"] == "T")
-        q = event_probability(servers_net, lambda a: a["S1"] != "T")
-        assert p + q == pytest.approx(1.0, abs=1e-12)
 
 
 class TestNetworkFiles:

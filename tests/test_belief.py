@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,13 +21,22 @@ from qlbn.belief import (
 )
 from qlbn.errors import (
     EmptySetMassError,
-    InvalidBaseError,
     MassOutOfRangeError,
     MassSumMismatchError,
     UnknownElementError,
 )
 
 ABC = Frame(("a", "b", "c"))
+BBA_DIR = Path(__file__).resolve().parent.parent / "data" / "bba"
+
+# repr of shannon_entropy, bit for bit, over each bundled belief-assignment
+# file's masses read as a distribution over its focal sets, and over one
+# four-outcome distribution.
+SHANNON_REPRS = {
+    "single_certain.json": "0.0",
+    "split_pair.json": "1.0",
+}
+FOUR_OUTCOME_REPR = "1.8464393446710154"
 
 
 @st.composite
@@ -185,15 +196,15 @@ class TestShannonEntropy:
         expected = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
         assert shannon_entropy(dist) == pytest.approx(expected, abs=1e-15)
 
-    def test_other_base_rescales(self):
-        dist = DiscreteDistribution(("w", "x", "y", "z"), (0.25, 0.25, 0.25, 0.25))
-        assert shannon_entropy(dist, log_base=4.0) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("name", sorted(SHANNON_REPRS))
+    def test_bundled_files_keep_their_bits(self, name: str):
+        masses = json.loads((BBA_DIR / name).read_text())["masses"]
+        dist = DiscreteDistribution(tuple(masses), tuple(map(float, masses.values())))
+        assert repr(shannon_entropy(dist)) == SHANNON_REPRS[name]
 
-    @pytest.mark.parametrize("base", [0.0, 1.0, -2.0, math.inf])
-    def test_rejects_bad_base(self, base: float):
-        dist = DiscreteDistribution(("x", "y"), (0.5, 0.5))
-        with pytest.raises(InvalidBaseError, match="log base"):
-            shannon_entropy(dist, log_base=base)
+    def test_four_outcomes_keep_their_bits(self):
+        dist = DiscreteDistribution(("a", "b", "c", "d"), (0.1, 0.2, 0.3, 0.4))
+        assert repr(shannon_entropy(dist)) == FOUR_OUTCOME_REPR
 
     @given(singleton_bbas())
     def test_bounded_by_log_of_support(self, bba: BeliefAssignment):

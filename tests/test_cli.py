@@ -87,6 +87,29 @@ class TestEntropy:
             assert code == 1
             assert f"{path}: {message}" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # true used to count as mass 1: this file printed shannon=0.00000 and exited 0
+            ({"frame": ["a", "b"], "masses": {"a": True, "b": 0}},
+             "mass True for 'a' is not a number"),
+            # a string used to load as its characters: "ab" as the labels a and b
+            ({"frame": "ab", "masses": {"a": 0.5, "b": 0.5}},
+             "the frame needs a list of labels, got 'ab'"),
+            ({"frame": ["a", "b"], "masses": {"a": "half", "b": 0.5}},
+             "mass 'half' for 'a' is not a number"),
+            ({"frame": ["a", "b"], "masses": {"a": None, "b": 1}},
+             "mass None for 'a' is not a number"),
+        ],
+        ids=["bool mass", "string frame", "word mass", "null mass"],
+    )
+    def test_rejected_values(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bba.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "entropy", "--bba", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
+
 
 class TestInferClassical:
     def test_table_output(self, capsys):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +14,10 @@ from qlbn.scenarios import load_builtin, predict_unknown
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "degree_sweep.py"
+
+# SHA-256 of the default 81-step sweep over the built-in Average scenario;
+# stdout and the --out file hold the same bytes.
+SWEEP_81_DIGEST = "22af86d4ae31ef57bb67d7bc56e851b4fa1a0d4842fa65b4e2a643ad06f54a03"
 
 
 def run_sweep(*args: str) -> subprocess.CompletedProcess:
@@ -42,3 +48,33 @@ def test_unknown_scenario_name_exits_one():
     assert result.returncode == 1
     assert "no scenario named 'Nope'" in result.stderr
     assert result.stdout == ""
+
+
+def test_sweep_bytes_are_pinned(tmp_path: Path):
+    result = run_sweep("--steps", "81")
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == SWEEP_81_DIGEST
+    out = tmp_path / "sweep.csv"
+    result = run_sweep("--steps", "81", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"wrote {out} (81 sweep rows plus the heuristic row)\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_81_DIGEST
+
+
+def test_cancelled_mass_leaves_empty_cells(tmp_path: Path):
+    """The fully ignorant condition cancels all mass at degree -1, which is
+    also the degree the heuristic picks."""
+    path = tmp_path / "ignorant.json"
+    path.write_text(json.dumps([{
+        "name": "Ignorant", "p_defect_given_defect": 0.5,
+        "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5,
+    }]))
+    result = run_sweep("--scenario", str(path), "--name", "Ignorant", "--steps", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "degree,prediction,fit_error,source\n"
+        "-1.0,,,sweep\n"
+        "0.0,0.5,0.0,sweep\n"
+        "1.0,0.5,0.0,sweep\n"
+        "-1.0,,,heuristic\n"
+    )

@@ -184,18 +184,9 @@ class TestBeliefDegree:
     def test_zero_distances_contribute_nothing(self):
         assert belief_degree([0.5, 0.5, 0.0]).raw == belief_degree([0.5, 0.5]).raw
 
-    def test_wider_unobserved_set_shrinks_the_ratio(self):
-        single = belief_degree([0.5, 0.5], num_unobserved=1)
-        double = belief_degree([0.5, 0.5], num_unobserved=2)
-        assert double.raw < single.raw
-
     def test_rejects_empty_distances(self):
         with pytest.raises(ValueError, match="at least one"):
             belief_degree([])
-
-    def test_rejects_non_positive_unobserved_count(self):
-        with pytest.raises(ValueError, match="num_unobserved"):
-            belief_degree([0.5], num_unobserved=0)
 
     @given(st.lists(st.floats(0.0, 2.0, allow_nan=False), min_size=1, max_size=5))
     def test_value_always_in_range(self, distances: list[float]):

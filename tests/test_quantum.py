@@ -25,7 +25,6 @@ from qlbn.quantum import (
     amplitudes_from_network,
     completion_magnitudes,
     interference_sum,
-    quantum_full_joint,
     quantum_infer,
 )
 
@@ -85,7 +84,7 @@ class TestAmplitudes:
 
     def test_squared_product_is_classical_joint(self, game_amps: AmplitudeNetwork):
         assignment = {"P1": "Cooperate", "P2": "Cooperate"}
-        assert quantum_full_joint(game_amps, assignment) == pytest.approx(
+        assert amplitude_product(game_amps, assignment) ** 2 == pytest.approx(
             0.13, abs=1e-12
         )
 
@@ -96,7 +95,7 @@ class TestAmplitudes:
         names = net.names()
         for combo in itertools.product(*(net.outcomes(nm) for nm in names)):
             assignment = dict(zip(names, combo))
-            assert quantum_full_joint(anet, assignment) == pytest.approx(
+            assert amplitude_product(anet, assignment) ** 2 == pytest.approx(
                 full_joint(net, assignment), abs=1e-12
             )
 

@@ -1,4 +1,4 @@
-"""The runtime imports nothing outside the standard library."""
+"""Neither the package nor its scripts import anything outside the standard library."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qlbn"
+ROOT = Path(__file__).resolve().parent.parent
+RUNTIME = sorted((ROOT / "src" / "qlbn").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -22,7 +23,7 @@ def _absolute_imports(path: Path) -> list[str]:
     return [name.split(".")[0] for name in names]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RUNTIME, ids=lambda p: p.name)
 def test_imports_only_stdlib_and_qlbn(path: Path):
     foreign = [
         name
