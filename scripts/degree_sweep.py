@@ -72,7 +72,11 @@ def main() -> int:
     keys = ("degree", "prediction", "fit_error", "source")
     text = render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
     if args.out:
-        Path(args.out).write_text(text, newline="")
+        try:
+            Path(args.out).write_text(text, newline="")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 1
         print(f"wrote {args.out} ({args.steps} sweep rows plus the heuristic row)")
     else:
         print(text, end="")

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .belief import MASS_SUM_TOL, DiscreteDistribution
 from .errors import (
@@ -38,22 +37,24 @@ from .errors import (
 Assignment = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A named variable with at least two distinct outcome labels."""
-
+class _VariableFields(NamedTuple):
     name: str
     outcomes: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.outcomes) < 2:
+
+class Variable(_VariableFields):
+    """A named variable with at least two distinct outcome labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, outcomes: tuple[str, ...]) -> Variable:
+        if len(outcomes) < 2:
             raise NetworkDefinitionError(
-                f"variable {self.name!r} needs at least two outcomes, got {self.outcomes}"
+                f"variable {name!r} needs at least two outcomes, got {outcomes}"
             )
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise NetworkDefinitionError(
-                f"variable {self.name!r} has duplicate outcomes {self.outcomes}"
-            )
+        if len(set(outcomes)) != len(outcomes):
+            raise NetworkDefinitionError(f"variable {name!r} has duplicate outcomes {outcomes}")
+        return _VariableFields.__new__(cls, name, outcomes)
 
 
 # A value table holds one factor per variable, in declared variable order. A
@@ -65,7 +66,6 @@ Factor = tuple[Callable[[Sequence[str]], object], dict[object, float]]
 ValueTable = tuple[Factor, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class Network:
     """A directed acyclic network of discrete variables with one CPT per variable.
 
@@ -76,14 +76,27 @@ class Network:
         positions: variable name -> declared position.
 
     Build through network_from_dict, which validates the definition and
-    compiles it; instances must be treated as immutable. Networks compare by
-    identity.
+    compiles it. Fields cannot be reassigned, and the dicts must be treated as
+    immutable. Networks compare by identity.
     """
 
-    variables: tuple[Variable, ...]
-    parents: dict[str, tuple[str, ...]]
-    table: ValueTable = field(repr=False)
-    positions: dict[str, int] = field(repr=False)
+    __slots__ = ("variables", "parents", "table", "positions")
+
+    def __init__(
+        self,
+        variables: tuple[Variable, ...],
+        parents: dict[str, tuple[str, ...]],
+        table: ValueTable,
+        positions: dict[str, int],
+    ) -> None:
+        for name, value in zip(Network.__slots__, (variables, parents, table, positions)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Network")
+
+    def __repr__(self) -> str:
+        return f"Network(variables={self.variables!r}, parents={self.parents!r})"
 
     def variable(self, name: str) -> Variable:
         position = self.positions.get(name)

@@ -14,8 +14,7 @@ reduces to the Shannon entropy of the singleton masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     EmptySetMassError,
@@ -38,21 +37,25 @@ def canonical_subset(labels: Iterable[str] | str) -> FocalSet:
     return tuple(sorted(set(labels)))
 
 
-@dataclass(frozen=True)
-class Frame:
+class _FrameFields(NamedTuple):
+    elements: tuple[str, ...]
+
+
+class Frame(_FrameFields):
     """Frame of discernment: an ordered collection of distinct outcome labels.
 
     Args:
         elements: the labels, in declaration order. Must be nonempty and unique.
     """
 
-    elements: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.elements:
+    def __new__(cls, elements: tuple[str, ...]) -> Frame:
+        if not elements:
             raise UnknownElementError("frame must contain at least one element")
-        if len(set(self.elements)) != len(self.elements):
-            raise UnknownElementError(f"frame elements must be unique, got {self.elements}")
+        if len(set(elements)) != len(elements):
+            raise UnknownElementError(f"frame elements must be unique, got {elements}")
+        return _FrameFields.__new__(cls, elements)
 
     def __contains__(self, label: str) -> bool:
         return label in self.elements
@@ -61,8 +64,7 @@ class Frame:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class BeliefAssignment:
+class BeliefAssignment(NamedTuple):
     """A validated BBA: mass per focal set, empty set excluded, total mass 1.
 
     Focal-set keys are canonicalized to sorted label tuples so iteration order
@@ -72,7 +74,7 @@ class BeliefAssignment:
     """
 
     frame: Frame
-    masses: Mapping[FocalSet, float] = field(default_factory=dict)
+    masses: Mapping[FocalSet, float]
 
     def mass(self, labels: Iterable[str] | str) -> float:
         return self.masses.get(canonical_subset(labels), 0.0)
@@ -131,30 +133,36 @@ def validate_bba(
     return BeliefAssignment(frame, ordered)
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """A probability distribution over labeled outcomes.
-
-    Values must lie in [0, 1] and sum to 1 within MASS_SUM_TOL. Lookup is by
-    label; iteration follows the declared label order.
-    """
-
+class _DistributionFields(NamedTuple):
     labels: tuple[str, ...]
     probabilities: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.probabilities):
+
+class DiscreteDistribution(_DistributionFields):
+    """A probability distribution over labeled outcomes.
+
+    Values must lie in [0, 1] and sum to 1 within MASS_SUM_TOL. Lookup is by
+    label; items() follows the declared label order.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, labels: tuple[str, ...], probabilities: tuple[float, ...]
+    ) -> DiscreteDistribution:
+        if len(labels) != len(probabilities):
             raise MassSumMismatchError(
-                f"{len(self.labels)} labels but {len(self.probabilities)} probabilities"
+                f"{len(labels)} labels but {len(probabilities)} probabilities"
             )
-        if len(set(self.labels)) != len(self.labels):
-            raise MassSumMismatchError(f"duplicate labels in {self.labels}")
-        for label, p in zip(self.labels, self.probabilities):
+        if len(set(labels)) != len(labels):
+            raise MassSumMismatchError(f"duplicate labels in {labels}")
+        for label, p in zip(labels, probabilities):
             if not math.isfinite(p) or p < 0.0 or p > 1.0:
                 raise MassOutOfRangeError(f"probability {p!r} for {label!r} is outside [0, 1]")
-        total = math.fsum(self.probabilities)
+        total = math.fsum(probabilities)
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise MassSumMismatchError(f"probabilities sum to {total!r}, expected 1")
+        return _DistributionFields.__new__(cls, labels, probabilities)
 
     def prob(self, label: str) -> float:
         try:

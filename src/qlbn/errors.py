@@ -9,9 +9,8 @@ The command line maps the families to distinct exit codes.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
 
@@ -107,15 +106,21 @@ class GoldenMismatchError(QlbnError):
 # --- input files --------------------------------------------------------------
 
 
-@contextmanager
-def shape_errors(error: type[ValidationError] = ValidationError) -> Iterator[None]:
-    """Turn a missing key or a wrong-typed value met while parsing into error."""
-    try:
-        yield
-    except KeyError as exc:
-        raise error(f"missing key {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise error(f"unexpected structure: {exc}") from None
+class shape_errors:
+    """Context manager that turns a missing key or a wrong-typed value met
+    while parsing into error."""
+
+    def __init__(self, error: type[ValidationError] = ValidationError) -> None:
+        self.error = error
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: object, exc: BaseException | None, traceback: object) -> None:
+        if isinstance(exc, KeyError):
+            raise self.error(f"missing key {exc}") from None
+        if isinstance(exc, (TypeError, AttributeError)):
+            raise self.error(f"unexpected structure: {exc}") from None
 
 
 def parse_number(value: object, error: type[ValidationError]) -> float:

@@ -23,8 +23,7 @@ The degree is shared by every outcome of the query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bayesnet import Assignment
 from .errors import SingularDenominatorError, UnsupportedStructureError
@@ -34,8 +33,7 @@ from .quantum import AmplitudeNetwork, completion_magnitudes
 SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OutcomeVectorPair:
+class OutcomeVectorPair(NamedTuple):
     """Amplitude products for one query outcome across the unobserved variable's states.
 
     alpha belongs to the unobserved variable's first declared outcome and beta
@@ -96,8 +94,7 @@ def belief_distance(alpha: float, beta: float) -> float:
     return abs(alpha + (alpha - beta) / denominator)
 
 
-@dataclass(frozen=True)
-class BeliefDegree:
+class BeliefDegree(NamedTuple):
     """An interference degree: raw entropy sum plus the value clamped to [-1, 1]."""
 
     value: float

@@ -18,8 +18,7 @@ unnormalized mass.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bayesnet import (
     Assignment,
@@ -37,8 +36,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class AmplitudeNetwork:
+class AmplitudeNetwork(NamedTuple):
     """A binary network plus one nonnegative amplitude table per variable.
 
     amplitudes is a value table (see bayesnet) of square roots: one factor per
@@ -91,8 +89,7 @@ def interference_sum(magnitudes: Sequence[float], degree: float) -> float:
     return 2.0 * degree * math.fsum(terms) + 0.0
 
 
-@dataclass(frozen=True)
-class OutcomeMass:
+class OutcomeMass(NamedTuple):
     """Per-outcome pieces of a quantum-like posterior.
 
     unnormalized is classical_part + interference_part exactly; clamped marks
@@ -107,8 +104,7 @@ class OutcomeMass:
     probability: float
 
 
-@dataclass(frozen=True)
-class QuantumInferenceResult:
+class QuantumInferenceResult(NamedTuple):
     """Posterior for one query: per-outcome masses plus the normalizer 1/total."""
 
     query: str
@@ -132,7 +128,7 @@ class QuantumInferenceResult:
         return {
             "query": self.query,
             "normalizer": self.normalizer,
-            "outcomes": [asdict(om) for om in self.outcomes],
+            "outcomes": [om._asdict() for om in self.outcomes],
         }
 
 
@@ -183,7 +179,7 @@ def quantum_infer(
         )
     normalizer = 1.0 / total
     final = tuple(
-        replace(om, probability=0.0 if om.clamped else om.unnormalized * normalizer)
+        om._replace(probability=0.0 if om.clamped else om.unnormalized * normalizer)
         for om in masses
     )
     return QuantumInferenceResult(query, final, normalizer)

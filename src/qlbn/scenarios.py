@@ -19,10 +19,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Network, infer, network_from_dict
 from .errors import ValidationError, ZeroObservedError, parse_number, read_json
@@ -47,10 +46,7 @@ _MODEL_TITLES = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One game condition: conditionals, prior, and the observed unknown-move rate."""
-
+class _ScenarioFields(NamedTuple):
     name: str
     p_defect_given_defect: float
     p_defect_given_cooperate: float
@@ -58,7 +54,15 @@ class Scenario:
     prior_defect: float = 0.5
     payoff_note: str | None = None
 
-    def __post_init__(self) -> None:
+
+class Scenario(_ScenarioFields):
+    """One game condition: conditionals, prior, and the observed unknown-move rate."""
+
+    __slots__ = ()
+
+    # Takes the fields' own arguments, so their defaults are declared once.
+    def __new__(cls, *args, **kwargs) -> Scenario:
+        self = _ScenarioFields.__new__(cls, *args, **kwargs)
         for label, value in [
             ("p_defect_given_defect", self.p_defect_given_defect),
             ("p_defect_given_cooperate", self.p_defect_given_cooperate),
@@ -67,6 +71,7 @@ class Scenario:
         ]:
             if not math.isfinite(value) or value < 0.0 or value > 1.0:
                 raise ValidationError(f"{self.name!r}: {label} = {value!r} is outside [0, 1]")
+        return self
 
 
 def scenario_to_network(scenario: Scenario) -> Network:
@@ -105,8 +110,7 @@ def fit_error(predicted: float, observed: float) -> float:
     return abs(predicted - observed) / observed
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """Everything one scenario produced, plus optional published model columns."""
 
     scenario: Scenario
@@ -139,14 +143,13 @@ def predict_unknown(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Per-scenario records plus arithmetic-mean fit errors per model column."""
 
     records: tuple[PredictionRecord, ...]
     average_fit_classical: float
     average_fit_quantum: float
-    average_fit_literature: dict[str, float] = field(default_factory=dict)
+    average_fit_literature: dict[str, float]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -241,8 +244,7 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 # --- built-in dataset --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table3Row:
+class Table3Row(NamedTuple):
     """One published comparison-table row: the earlier models' printed columns
     plus this model's prediction. The built-in dataset holds the printed
     prediction (basis 'published'); run_reproduction recomputes it for the rows
@@ -257,8 +259,7 @@ class Table3Row:
     scenario_name: str | None
 
 
-@dataclass(frozen=True)
-class BuiltinDataset:
+class BuiltinDataset(NamedTuple):
     """The bundled published tables, parsed once by load_builtin. The reported_*
     maps are keyed by scenario name, or by model for the mean fit errors."""
 
@@ -313,8 +314,7 @@ def load_builtin() -> BuiltinDataset:
 # --- reproduction -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
+class GoldenCheck(NamedTuple):
     """One published value the pipeline must land on within tolerance."""
 
     label: str
@@ -327,8 +327,7 @@ class GoldenCheck:
         return abs(self.actual - self.expected) <= self.tolerance
 
 
-@dataclass(frozen=True)
-class ReproductionResult:
+class ReproductionResult(NamedTuple):
     comparison: ComparisonReport
     table3: tuple[Table3Row, ...]
     goldens: tuple[GoldenCheck, ...]
@@ -384,8 +383,7 @@ def run_reproduction() -> ReproductionResult:
                     TOL_COMPARISON,
                 )
             )
-            row = replace(
-                row,
+            row = row._replace(
                 prediction=record.quantum_prediction,
                 prediction_fit=record.fit_error_quantum,
                 basis="computed",
@@ -401,8 +399,7 @@ def run_reproduction() -> ReproductionResult:
 Cell = float | str | None
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """The one model every text table and CSV series renders from.
 
     columns holds (csv key, text title) pairs; mean, when present, maps csv
@@ -561,7 +558,7 @@ def render_table3(result: ReproductionResult) -> str:
 
 def render_table3_csv(result: ReproductionResult) -> str:
     """CSV of the published-models comparison; unlike the text table, no mean row."""
-    return render_csv(replace(_table3(result), mean=None))
+    return render_csv(_table3(result)._replace(mean=None))
 
 
 def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
@@ -602,7 +599,7 @@ def render_reproduction(result: ReproductionResult, fmt: str) -> str:
                     }
                     for row in result.table3
                 ],
-                "goldens": [{**asdict(g), "passed": g.passed} for g in result.goldens],
+                "goldens": [{**g._asdict(), "passed": g.passed} for g in result.goldens],
             },
             indent=2,
         ) + "\n"

@@ -61,6 +61,16 @@ def test_sweep_bytes_are_pinned(tmp_path: Path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_81_DIGEST
 
 
+def test_unwritable_out_path_exits_one(tmp_path: Path):
+    out = tmp_path / "missing" / "sweep.csv"
+    result = run_sweep("--steps", "3", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert not out.parent.exists()
+
+
 def test_cancelled_mass_leaves_empty_cells(tmp_path: Path):
     """The fully ignorant condition cancels all mass at degree -1, which is
     also the degree the heuristic picks."""
