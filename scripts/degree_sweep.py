@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from qlbn.errors import NegativeUnnormalizedMassError
-from qlbn.heuristic import degree_for_query
-from qlbn.quantum import amplitudes_from_network, quantum_infer
+from qlbn.heuristic import outcome_pairs, pair_degree
+from qlbn.quantum import amplitudes_from_network, completion_magnitudes, posterior
 from qlbn.scenarios import (
     DEFECT,
     PLAYER_TWO,
@@ -55,13 +55,12 @@ def main() -> int:
     scenario = by_name[args.name]
 
     anet = amplitudes_from_network(scenario_to_network(scenario))
-    auto = degree_for_query(anet, PLAYER_TWO)
+    magnitudes = completion_magnitudes(anet, PLAYER_TWO, {})
+    auto = pair_degree(outcome_pairs(magnitudes))
 
     def evaluate(degree: float) -> tuple[float | None, float | None]:
         try:
-            prediction = quantum_infer(
-                anet, PLAYER_TWO, {}, degree
-            ).probability(DEFECT)
+            prediction = posterior(PLAYER_TWO, magnitudes, degree).probability(DEFECT)
         except NegativeUnnormalizedMassError:
             return None, None
         return prediction, fit_error(prediction, scenario.observed_unknown)

@@ -107,9 +107,6 @@ class Network:
     def outcomes(self, name: str) -> tuple[str, ...]:
         return self.variable(name).outcomes
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.positions)
-
 
 def table_product(table: ValueTable, labels: Sequence[str]) -> float:
     """Product in declared variable order of the table values for one outcome
@@ -156,6 +153,17 @@ def completions(
         yield full
 
 
+def unobserved(net: Network, query: str, evidence: Assignment) -> tuple[list, int, list[int]]:
+    """After checking the query and the evidence, the evidence as positional labels, the
+    query's position and the positions left unobserved: what every query enumerates."""
+    if query in evidence:
+        raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
+    net.variable(query)
+    labels = _positional_labels(net, evidence)
+    at_query = net.positions[query]
+    return labels, at_query, [i for i, lb in enumerate(labels) if lb is None and i != at_query]
+
+
 def completion_products(
     net: Network, table: ValueTable, query: str, evidence: Assignment
 ) -> dict[str, list[float]]:
@@ -165,15 +173,10 @@ def completion_products(
     evidence are checked once, up front. Lists follow declared outcome orders,
     and completions run as `completions` yields them.
     """
-    if query in evidence:
-        raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
-    query_outcomes = net.outcomes(query)
-    labels = _positional_labels(net, evidence)
-    at_query = net.positions[query]
-    free = [i for i, label in enumerate(labels) if label is None and i != at_query]
+    labels, at_query, free = unobserved(net, query, evidence)
     domains = [net.variables[i].outcomes for i in free]
     products: dict[str, list[float]] = {}
-    for outcome in query_outcomes:
+    for outcome in net.outcomes(query):
         labels[at_query] = outcome
         row = products[outcome] = []
         for combo in itertools.product(*domains):

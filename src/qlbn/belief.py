@@ -63,6 +63,10 @@ class Frame(_FrameFields):
     def __len__(self) -> int:
         return len(self.elements)
 
+    @classmethod
+    def _make(cls, iterable) -> Frame:  # the stock one checks len(), which counts labels
+        return cls(*iterable)
+
 
 class BeliefAssignment(NamedTuple):
     """A validated BBA: mass per focal set, empty set excluded, total mass 1.

@@ -29,13 +29,12 @@ from .errors import (
     InferenceError,
     QlbnError,
     SingularDenominatorError,
-    UnsupportedStructureError,
     ValidationError,
     parse_number,
     read_json,
 )
-from .heuristic import belief_distance, degree_for_query, extract_outcome_vectors
-from .quantum import amplitudes_from_network, quantum_infer
+from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
+from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 from .scenarios import (
     Table,
     load_builtin,
@@ -185,29 +184,22 @@ def cmd_infer(args: argparse.Namespace) -> int:
         _print_distribution(dist.items(), args.format, args.query)
         return 0
 
-    anet = amplitudes_from_network(net)
-    unobserved = [n for n in net.names() if n != args.query and n not in evidence]
-    if fixed is not None:
-        degree_value = degree_raw = fixed
-    elif not unobserved:
-        # no completions to interfere, so the heuristic has nothing to weigh
-        degree_value = degree_raw = 0.0
-    else:
-        degree = degree_for_query(anet, args.query, evidence)
-        degree_value, degree_raw = degree.value, degree.raw
+    enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
+    magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
+    pairs = outcome_pairs(magnitudes)
+    degree_value, degree_raw = pair_degree(pairs) if fixed is None else (fixed, fixed)
     if args.verbose:
-        try:
-            for pair in extract_outcome_vectors(anet, args.query, evidence):
-                try:
-                    distance = f"{belief_distance(pair.alpha, pair.beta):.5f}"
-                except SingularDenominatorError:
-                    distance = "singular"  # a fixed degree does not depend on it
-                print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
-                      f"beta={pair.beta:.5f} distance={distance}")
-        except UnsupportedStructureError:
+        if not pairs:
             print("vectors: unavailable for this structure")
+        for pair in pairs:
+            try:
+                distance = f"{belief_distance(pair.alpha, pair.beta):.5f}"
+            except SingularDenominatorError:
+                distance = "singular"  # a fixed degree does not depend on it
+            print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
+                  f"beta={pair.beta:.5f} distance={distance}")
         print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})")
-    result = quantum_infer(anet, args.query, evidence, degree_value)
+    result = posterior(args.query, magnitudes, degree_value)
     if args.verbose:
         for om in result.outcomes:
             clamp = " (clamped to 0)" if om.clamped else ""

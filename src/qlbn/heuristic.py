@@ -23,9 +23,9 @@ The degree is shared by every outcome of the query.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .bayesnet import Assignment
+from .bayesnet import Assignment, unobserved
 from .errors import SingularDenominatorError, UnsupportedStructureError
 from .quantum import AmplitudeNetwork, completion_magnitudes
 
@@ -46,6 +46,27 @@ class OutcomeVectorPair(NamedTuple):
     beta: float
 
 
+def _unsupported(query: str, free: list[str]) -> UnsupportedStructureError:
+    message = f"query {query!r} leaves {len(free)} unobserved variables {free}; "
+    return UnsupportedStructureError(message + "the degree heuristic needs exactly one")
+
+
+def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignment) -> dict:
+    """completion_magnitudes, refused with UnsupportedStructureError before anything is
+    enumerated when the query leaves more than one unobserved variable."""
+    _, _, free = unobserved(anet.net, query, evidence)
+    if len(free) > 1:
+        raise _unsupported(query, [anet.net.variables[i].name for i in free])
+    return completion_magnitudes(anet, query, evidence)
+
+
+def outcome_pairs(magnitudes: Mapping[str, Sequence[float]]) -> list[OutcomeVectorPair]:
+    """One (alpha, beta) pair per query outcome when each has two amplitude products,
+    which on a binary network means one unobserved variable; otherwise none."""
+    return [OutcomeVectorPair(outcome, *mags) for outcome, mags in magnitudes.items()
+            if len(mags) == 2]
+
+
 def extract_outcome_vectors(
     anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
 ) -> list[OutcomeVectorPair]:
@@ -55,20 +76,10 @@ def extract_outcome_vectors(
     raises UnsupportedStructureError because the distance construction is
     defined on pairs only.
     """
-    evidence = evidence or {}
-    net = anet.net
-    net.variable(query)  # an unknown query is reported as such, not as a count
-    free = [n for n in net.names() if n != query and n not in evidence]
-    if len(free) != 1:
-        raise UnsupportedStructureError(
-            f"query {query!r} leaves {len(free)} unobserved variables {free}; "
-            "the degree heuristic needs exactly one"
-        )
-    magnitudes = completion_magnitudes(anet, query, evidence)
-    return [
-        OutcomeVectorPair(outcome, mags[0], mags[1])
-        for outcome, mags in magnitudes.items()
-    ]
+    pairs = outcome_pairs(weighable_magnitudes(anet, query, evidence or {}))
+    if not pairs:
+        raise _unsupported(query, [])
+    return pairs
 
 
 def belief_distance(alpha: float, beta: float) -> float:
@@ -119,10 +130,15 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
     return BeliefDegree(min(1.0, max(-1.0, raw)), raw)
 
 
+def pair_degree(pairs: Sequence[OutcomeVectorPair]) -> BeliefDegree:
+    """Outcome vectors -> distances -> degree, shared by all outcomes; 0 without pairs."""
+    if not pairs:
+        return BeliefDegree(0.0, 0.0)
+    return belief_degree([belief_distance(p.alpha, p.beta) for p in pairs])
+
+
 def degree_for_query(
     anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
 ) -> BeliefDegree:
     """The full chain: outcome vectors -> distances -> degree, shared by all outcomes."""
-    pairs = extract_outcome_vectors(anet, query, evidence)
-    distances = [belief_distance(p.alpha, p.beta) for p in pairs]
-    return belief_degree(distances)
+    return pair_degree(extract_outcome_vectors(anet, query, evidence))

@@ -18,7 +18,7 @@ unnormalized mass.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import (
     Assignment,
@@ -145,23 +145,22 @@ def quantum_infer(
     evidence: Assignment,
     degree: float,
 ) -> QuantumInferenceResult:
-    """Interference-aware posterior of `query` given `evidence`.
+    """Interference-aware posterior of the binary `query` given `evidence`, which
+    must not include the query: the posterior over its completion_magnitudes. With
+    no unobserved variables there are no interference pairs, so the result is the
+    classical one regardless of the degree; with degree 0 it matches classical
+    enumeration."""
+    return posterior(query, completion_magnitudes(anet, query, evidence), degree)
 
-    Args:
-        anet: the amplitude network.
-        query: name of the (binary) query variable.
-        evidence: observed variable -> outcome; must not include the query.
-        degree: the interference degree shared by every query outcome,
-            expected in [-1, 1]; values outside that range model nothing and
-            tend to end in NegativeUnnormalizedMassError.
 
-    With degree 0 the posterior matches classical enumeration; with no
-    unobserved variables there are no interference pairs at all, so the result
-    is the classical one regardless of the degree. Negative unnormalized
-    masses are floored to zero and flagged; if that leaves no mass anywhere,
-    NegativeUnnormalizedMassError is raised.
-    """
-    magnitudes = completion_magnitudes(anet, query, evidence)
+def posterior(
+    query: str, magnitudes: Mapping[str, Sequence[float]], degree: float
+) -> QuantumInferenceResult:
+    """The posterior of `query` from its amplitude products per outcome, as
+    completion_magnitudes returns them, at one degree in [-1, 1] for every outcome.
+    Negative unnormalized masses are floored to zero and flagged; if that leaves no
+    mass anywhere, as a degree outside [-1, 1] tends to do,
+    NegativeUnnormalizedMassError is raised."""
     masses: list[OutcomeMass] = []
     for outcome, mags in magnitudes.items():
         classical = math.fsum(m * m for m in mags)

@@ -25,8 +25,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Network, infer, network_from_dict
 from .errors import ValidationError, ZeroObservedError, parse_number, read_json
-from .heuristic import BeliefDegree, degree_for_query
-from .quantum import amplitudes_from_network, quantum_infer
+from .heuristic import BeliefDegree, outcome_pairs, pair_degree
+from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 
 PLAYER_ONE = "P1"
 PLAYER_TWO = "P2"
@@ -129,9 +129,9 @@ def predict_unknown(
     """Classical and quantum-like defection predictions for the unknown-move round."""
     net = scenario_to_network(scenario)
     classical = infer(net, PLAYER_TWO, {}).prob(DEFECT)
-    anet = amplitudes_from_network(net)
-    degree = degree_for_query(anet, PLAYER_TWO, {})
-    quantum = quantum_infer(anet, PLAYER_TWO, {}, degree.value).probability(DEFECT)
+    magnitudes = completion_magnitudes(amplitudes_from_network(net), PLAYER_TWO, {})
+    degree = pair_degree(outcome_pairs(magnitudes))
+    quantum = posterior(PLAYER_TWO, magnitudes, degree.value).probability(DEFECT)
     return PredictionRecord(
         scenario=scenario,
         classical_prediction=classical,

@@ -1,15 +1,22 @@
-"""Shared fixtures: sample networks and a random-network strategy."""
+"""Shared fixtures: sample networks, a random-network strategy, a subprocess
+environment and an enumeration counter."""
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from qlbn import bayesnet
 from qlbn.bayesnet import Network, network_from_dict
 from qlbn.quantum import AmplitudeNetwork, amplitudes_from_network
+
+ROOT = Path(__file__).resolve().parent.parent
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -58,7 +65,7 @@ def binary_net_docs(draw: st.DrawFn) -> dict:
 def table_entry(net: Network, name: str, *family: str) -> float:
     """The classical table's entry for `name` at its family labels: the
     parents' outcomes in declared parent order, then its own."""
-    _, values = net.table[net.names().index(name)]
+    _, values = net.table[net.positions[name]]
     return values[family if len(family) > 1 else family[0]]
 
 
@@ -124,3 +131,62 @@ def game_amps(game_net: Network) -> AmplitudeNetwork:
 @pytest.fixture
 def servers_net() -> Network:
     return network_from_dict(SERVERS_DOC)
+
+
+def chain_doc(names: list[str]) -> dict:
+    """A binary chain names[0] -> names[1] -> ... with T-first outcomes."""
+    cpts = {names[0]: [{"given": {}, "dist": {"T": 0.6, "F": 0.4}}]}
+    for parent, child in zip(names, names[1:]):
+        cpts[child] = [
+            {"given": {parent: "T"}, "dist": {"T": 0.7, "F": 0.3}},
+            {"given": {parent: "F"}, "dist": {"T": 0.2, "F": 0.8}},
+        ]
+    return {
+        "variables": [{"name": name, "outcomes": ["T", "F"]} for name in names],
+        "edges": [list(edge) for edge in zip(names, names[1:])],
+        "cpts": cpts,
+    }
+
+
+def src_env() -> dict[str, str]:
+    """This process's environment with the checkout's src/ first on PYTHONPATH, so
+    a subprocess imports the qlbn under test."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def rebind_completion_products(monkeypatch: pytest.MonkeyPatch, replacement) -> None:
+    """Put `replacement` at every loaded qlbn module attribute that holds
+    completion_products, as the benchmark's tracer rebinds names, so calls made
+    inside the package reach it too."""
+    original = bayesnet.completion_products
+    for name, module in list(sys.modules.items()):
+        if name == "qlbn" or name.startswith("qlbn."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.fixture
+def amplitude_enumerations(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """The query of each completion_products call over an amplitude table, in call
+    order; classical enumerations, over the network's own table, are not listed."""
+    original, queries = bayesnet.completion_products, []
+
+    def counted(net, table, query, evidence):
+        if table is not net.table:
+            queries.append(query)
+        return original(net, table, query, evidence)
+
+    rebind_completion_products(monkeypatch, counted)
+    return queries
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Fail at once, instead of running, when anything starts an enumeration."""
+
+    def refused(net, table, query, evidence):
+        raise AssertionError(f"enumerated the completions of {query!r}")
+
+    rebind_completion_products(monkeypatch, refused)

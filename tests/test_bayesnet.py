@@ -271,7 +271,7 @@ class TestFullJoint:
     def test_sums_to_one(self, servers_net: Network):
         total = math.fsum(
             full_joint(servers_net, a)
-            for a in completions(servers_net, {}, servers_net.names())
+            for a in completions(servers_net, {}, tuple(servers_net.positions))
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -341,7 +341,7 @@ class TestInfer:
     def test_matches_enumeration_oracle(self, doc: dict, data: st.DataObject):
         """Posterior equals raw-dictionary enumeration on random small networks."""
         net = network_from_dict(doc)
-        query, evidence = draw_query_and_evidence(list(net.names()), data)
+        query, evidence = draw_query_and_evidence(list(net.positions), data)
         dist = infer(net, query, evidence)
         expected = _oracle_posterior(doc, query, evidence)
         for outcome, p in expected.items():
@@ -351,8 +351,8 @@ class TestInfer:
     def test_completion_products_equal_full_joint(self, doc: dict, data: st.DataObject):
         """The shared enumeration gives the validated reference's floats exactly."""
         net = network_from_dict(doc)
-        query, evidence = draw_query_and_evidence(list(net.names()), data)
-        free = tuple(n for n in net.names() if n != query and n not in evidence)
+        query, evidence = draw_query_and_evidence(list(net.positions), data)
+        free = tuple(n for n in net.positions if n != query and n not in evidence)
         products = completion_products(net, net.table, query, evidence)
         assert list(products) == list(net.outcomes(query))
         for outcome, joints in products.items():
@@ -386,7 +386,7 @@ class TestInfer:
         }
         net = network_from_dict(doc)
         assert net.parents["C"] == ("B", "A")
-        names = net.names()
+        names = tuple(net.positions)
         for query in names:
             others = [n for n in names if n != query]
             for observed in itertools.chain.from_iterable(
@@ -409,7 +409,7 @@ class TestInfer:
     def test_joint_normalizes_on_random_networks(self, doc: dict):
         net = network_from_dict(doc)
         total = math.fsum(
-            full_joint(net, a) for a in completions(net, {}, net.names())
+            full_joint(net, a) for a in completions(net, {}, tuple(net.positions))
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -425,7 +425,7 @@ class TestNetworkFiles:
         root = Path(__file__).resolve().parent.parent
         for name in ["data_servers.json", "prisoners_average.json"]:
             net = load_network(root / "data" / "networks" / name)
-            assert len(net.names()) == 2
+            assert len(net.positions) == 2
 
     def test_decimal_string_probabilities(self, tmp_path: Path):
         doc = json.loads(json.dumps(SERVERS_DOC))
@@ -476,5 +476,5 @@ class TestNetworkFiles:
 
     def test_game_doc_matches_fixture(self, game_net: Network):
         net = network_from_dict(GAME_DOC)
-        assert net.names() == game_net.names()
+        assert tuple(net.positions) == tuple(game_net.positions)
         assert table_entry(net, "P2", "Defect", "Defect") == 0.87

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import chain_doc, src_env
 from qlbn.cli import main
 from qlbn.scenarios import GoldenCheck, ReproductionResult, load_builtin, run_reproduction
 
@@ -392,6 +393,69 @@ class TestInferQuantum:
         assert "exactly one" in err
 
 
+class TestInferChecksAndEnumeration:
+    """Bad input is named before the structure is weighed, the structure before
+    anything is enumerated, and each query enumerates its amplitude products once."""
+
+    @pytest.mark.parametrize("evidence, message", [
+        ("B=T", "query 'B' already appears in the evidence"),
+        ("Z=T", "no variable named 'Z'"),
+    ])
+    @pytest.mark.parametrize("degree", ["auto", "fixed:0.3"])
+    def test_bad_evidence_is_a_validation_error(self, capsys, tmp_path, evidence, message,
+                                                 degree):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(["A", "B", "C"])))
+        result = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "B", "--evidence", evidence,
+            "--mode", "quantum", "--degree", degree,
+        )
+        assert result == (1, "", f"error: {message}\n")
+
+    def test_auto_degree_refuses_many_unobserved_before_enumerating(
+        self, capsys, tmp_path, no_enumeration
+    ):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc([f"X{i}" for i in range(40)])))
+        code, out, err = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "X0", "--mode", "quantum",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: query 'X0' leaves 39 unobserved variables ['X1', ")
+
+    @pytest.mark.parametrize("extra", [
+        (), ("--verbose",), ("--degree", "fixed:0.3", "--verbose"),
+    ])
+    def test_quantum_infer_enumerates_once(self, capsys, amplitude_enumerations, extra):
+        code, _, _ = run_cli(
+            capsys, "infer", "--network", GAME_NET, "--query", "P2", "--mode", "quantum", *extra,
+        )
+        assert code == 0
+        assert amplitude_enumerations == ["P2"]
+
+    def test_singular_auto_degree_prints_nothing(self, capsys, tmp_path, amplitude_enumerations):
+        # P2=Defect's outcome vector is (0.3, 0.7): alpha + beta = 1, a singular distance.
+        doc = json.loads(Path(GAME_NET).read_text())
+        doc["cpts"]["P2"] = [
+            {"given": {"P1": "Cooperate"}, "dist": {"Defect": 0.18, "Cooperate": 0.82}},
+            {"given": {"P1": "Defect"}, "dist": {"Defect": 0.98, "Cooperate": 0.02}},
+        ]
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "P2", "--mode", "quantum",
+            "--verbose",
+        )
+        assert (code, out) == (2, "")
+        assert "|alpha + beta - 1|" in err
+        assert amplitude_enumerations == ["P2"]
+
+    def test_reproduce_enumerates_once_per_scenario(self, capsys, amplitude_enumerations):
+        code, _, _ = run_cli(capsys, "reproduce")
+        assert code == 0
+        assert amplitude_enumerations == ["P2"] * 5
+
+
 class TestInferCsvQuoting:
     LABELS = ["yes, surely", 'no "way"']
 
@@ -542,7 +606,7 @@ class TestModuleInvocation:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "qlbn", "reproduce"],
-                capture_output=True, cwd=ROOT,
+                capture_output=True, cwd=ROOT, env=src_env(),
             )
             for _ in range(2)
         ]
@@ -552,7 +616,8 @@ class TestModuleInvocation:
 
     def test_usage_error_exits_one(self):
         result = subprocess.run(
-            [sys.executable, "-m", "qlbn", "infer"], capture_output=True, cwd=ROOT
+            [sys.executable, "-m", "qlbn", "infer"],
+            capture_output=True, cwd=ROOT, env=src_env(),
         )
         assert result.returncode == 1
         assert b"error:" in result.stderr
@@ -560,13 +625,14 @@ class TestModuleInvocation:
     def test_unknown_command_exits_one(self):
         result = subprocess.run(
             [sys.executable, "-m", "qlbn", "transmogrify"],
-            capture_output=True, cwd=ROOT,
+            capture_output=True, cwd=ROOT, env=src_env(),
         )
         assert result.returncode == 1
 
     def test_help_exits_zero(self):
         result = subprocess.run(
-            [sys.executable, "-m", "qlbn", "--help"], capture_output=True, cwd=ROOT
+            [sys.executable, "-m", "qlbn", "--help"],
+            capture_output=True, cwd=ROOT, env=src_env(),
         )
         assert result.returncode == 0
         assert b"reproduce" in result.stdout

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
+from conftest import ROOT, src_env
 from qlbn.scenarios import load_builtin, predict_unknown
 
-ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "degree_sweep.py"
 
 # SHA-256 of the default 81-step sweep over the built-in Average scenario;
@@ -21,10 +21,9 @@ SWEEP_81_DIGEST = "22af86d4ae31ef57bb67d7bc56e851b4fa1a0d4842fa65b4e2a643ad06f54
 
 
 def run_sweep(*args: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(SCRIPT), *args],
-        capture_output=True, text=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, cwd=ROOT, env=src_env(),
     )
 
 
@@ -88,3 +87,14 @@ def test_cancelled_mass_leaves_empty_cells(tmp_path: Path):
         "1.0,0.5,0.0,sweep\n"
         "-1.0,,,heuristic\n"
     )
+
+
+def test_sweep_enumerates_once(amplitude_enumerations, capsys, monkeypatch):
+    """All 81 sweep degrees and the heuristic's pick share one set of products."""
+    spec = importlib.util.spec_from_file_location("degree_sweep", SCRIPT)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--steps", "81"])
+    assert sweep.main() == 0
+    assert amplitude_enumerations == ["P2"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SWEEP_81_DIGEST

@@ -9,7 +9,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qlbn.bayesnet import network_from_dict
-from qlbn.errors import SingularDenominatorError, UnsupportedStructureError
+from qlbn.errors import (
+    QueryInEvidenceError,
+    SingularDenominatorError,
+    UnknownVariableError,
+    UnsupportedStructureError,
+)
 from qlbn.heuristic import (
     SINGULAR_TOL,
     belief_degree,
@@ -19,7 +24,7 @@ from qlbn.heuristic import (
 )
 from qlbn.quantum import AmplitudeNetwork, amplitudes_from_network
 
-from conftest import SERVERS_DOC
+from conftest import SERVERS_DOC, chain_doc
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -89,6 +94,32 @@ class TestExtractOutcomeVectors:
     def test_zero_unobserved_is_unsupported(self, game_amps: AmplitudeNetwork):
         with pytest.raises(UnsupportedStructureError, match="0 unobserved"):
             extract_outcome_vectors(game_amps, "P2", {"P1": "Defect"})
+
+
+@pytest.mark.parametrize("entry", [extract_outcome_vectors, degree_for_query])
+class TestChecksComeFirst:
+    """The query and the evidence are checked before the unobserved variables are
+    counted, and the count before anything is enumerated."""
+
+    def test_query_in_evidence(self, entry):
+        anet = amplitudes_from_network(network_from_dict(chain_doc(["A", "B", "C"])))
+        with pytest.raises(QueryInEvidenceError, match="query 'B' already appears"):
+            entry(anet, "B", {"B": "T"})
+
+    def test_unknown_evidence_variable(self, entry):
+        anet = amplitudes_from_network(network_from_dict(chain_doc(["A", "B", "C"])))
+        with pytest.raises(UnknownVariableError, match="no variable named 'Z'"):
+            entry(anet, "B", {"Z": "T"})
+
+    def test_many_unobserved_are_refused_before_enumerating(self, entry, no_enumeration):
+        names = [f"X{i}" for i in range(40)]
+        anet = amplitudes_from_network(network_from_dict(chain_doc(names)))
+        with pytest.raises(UnsupportedStructureError, match="39 unobserved"):
+            entry(anet, "X0")
+        evidence = {name: "T" for name in names[2:-1]}
+        two = r"2 unobserved variables \['X1', 'X39'\]"
+        with pytest.raises(UnsupportedStructureError, match=two):
+            entry(anet, "X0", evidence)
 
 
 class TestBeliefDistance:

@@ -92,7 +92,7 @@ class TestAmplitudes:
     def test_squared_product_matches_joint_everywhere(self, doc: dict):
         net = network_from_dict(doc)
         anet = amplitudes_from_network(net)
-        names = net.names()
+        names = tuple(net.positions)
         for combo in itertools.product(*(net.outcomes(nm) for nm in names)):
             assignment = dict(zip(names, combo))
             assert amplitude_product(anet, assignment) ** 2 == pytest.approx(
@@ -173,8 +173,8 @@ class TestCompletionMagnitudes:
         """The shared enumeration gives the validated reference's floats exactly."""
         net = network_from_dict(doc)
         anet = amplitudes_from_network(net)
-        query, evidence = draw_query_and_evidence(list(net.names()), data)
-        free = tuple(n for n in net.names() if n != query and n not in evidence)
+        query, evidence = draw_query_and_evidence(list(net.positions), data)
+        free = tuple(n for n in net.positions if n != query and n not in evidence)
         mags = completion_magnitudes(anet, query, evidence)
         for outcome in net.outcomes(query):
             fixed = {**evidence, query: outcome}
@@ -220,7 +220,7 @@ class TestQuantumInfer:
     ):
         net = network_from_dict(doc)
         anet = amplitudes_from_network(net)
-        query, evidence = draw_query_and_evidence(list(net.names()), data)
+        query, evidence = draw_query_and_evidence(list(net.positions), data)
         result = quantum_infer(anet, query, evidence, 0.0)
         classical = infer(net, query, evidence)
         for outcome in net.outcomes(query):
@@ -235,7 +235,7 @@ class TestQuantumInfer:
         """At degree +1 the unnormalized mass collapses to (sum of magnitudes)^2."""
         net = network_from_dict(doc)
         anet = amplitudes_from_network(net)
-        query = data.draw(st.sampled_from(list(net.names())))
+        query = data.draw(st.sampled_from(list(net.positions)))
         mags = completion_magnitudes(anet, query, {})
         result = quantum_infer(anet, query, {}, 1.0)
         for om in result.outcomes:
@@ -246,7 +246,7 @@ class TestQuantumInfer:
     def test_distribution_normalizes(self, doc: dict, data: st.DataObject):
         net = network_from_dict(doc)
         anet = amplitudes_from_network(net)
-        query = data.draw(st.sampled_from(list(net.names())))
+        query = data.draw(st.sampled_from(list(net.positions)))
         degree = data.draw(st.sampled_from([-0.5, 0.0, 0.3, 1.0]))
         try:
             result = quantum_infer(anet, query, {}, degree)

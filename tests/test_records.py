@@ -8,6 +8,7 @@ import pytest
 from conftest import SERVERS_DOC
 from qlbn.bayesnet import Network, Variable, infer, network_from_dict
 from qlbn.belief import Frame, validate_bba
+from qlbn.errors import UnknownElementError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
 from qlbn.scenarios import Table, load_builtin, run_reproduction
@@ -66,3 +67,16 @@ def test_networks_compare_by_identity_and_their_results_by_value():
     assert first.variables[0] is not second.variables[0]
     assert infer(first, "S2", {}) == infer(second, "S2", {})
     assert Variable("S1", ("T", "F")) == first.variables[0]
+
+
+def test_frame_replace_and_make_build_checked_frames():
+    frame = Frame(("a", "b"))
+    changed = frame._replace(elements=("c", "d", "e"))
+    assert type(changed) is Frame
+    assert changed == Frame(("c", "d", "e"))
+    assert len(changed) == 3
+    assert Frame._make([("x",)]) == Frame(("x",))
+    with pytest.raises(UnknownElementError, match="unique"):
+        frame._replace(elements=("c", "c"))
+    with pytest.raises(UnknownElementError, match="at least one"):
+        Frame._make([()])

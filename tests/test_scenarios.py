@@ -127,6 +127,10 @@ class TestPredictUnknown:
         anet = amplitudes_from_network(scenario_to_network(AVERAGE))
         assert record.degree == degree_for_query(anet, PLAYER_TWO)
 
+    def test_degree_and_posterior_share_one_enumeration(self, amplitude_enumerations):
+        predict_unknown(AVERAGE)
+        assert amplitude_enumerations == [PLAYER_TWO]
+
     def test_literature_carried_through(self):
         record = predict_unknown(AVERAGE, {"qpdt": (0.62, 0.05)})
         assert record.literature_comparisons == {"qpdt": (0.62, 0.05)}
