@@ -6,6 +6,7 @@ Commands:
     predict    evaluate scenarios from a file.
     compare    scenarios plus published model columns and mean fit errors.
     reproduce  run the built-in dataset and verify every published value.
+    sweep      one condition's prediction at fixed degrees across [-1, 1], as CSV.
 
 Exit codes: 0 success, 1 validation error, 2 inference error, 3 a
 reproduction check missed its published value.
@@ -27,6 +28,7 @@ from .belief import Frame, shannon_entropy, deng_entropy, validate_bba
 from .errors import (
     GoldenMismatchError,
     InferenceError,
+    NegativeUnnormalizedMassError,
     QlbnError,
     SingularDenominatorError,
     ValidationError,
@@ -36,7 +38,10 @@ from .errors import (
 from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
 from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 from .scenarios import (
+    DEFECT,
+    PLAYER_TWO,
     Table,
+    fit_error,
     load_builtin,
     load_scenarios,
     render_csv,
@@ -46,6 +51,7 @@ from .scenarios import (
     report_to_dict,
     run_comparison,
     run_reproduction,
+    scenario_to_network,
     write_reproduction,
 )
 
@@ -97,6 +103,15 @@ def _build_parser() -> _Parser:
     )
     p_repro.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_repro.add_argument("--out", help="directory for the report and CSV series")
+
+    p_sweep = sub.add_parser("sweep", help="one condition at fixed degrees across [-1, 1]")
+    p_sweep.add_argument("--scenario", help="scenario JSON file (default: built-in dataset)")
+    p_sweep.add_argument(
+        "--name", default="Average", help="scenario name to sweep (default: Average)"
+    )
+    p_sweep.add_argument("--steps", type=int, default=81,
+                         help="number of sweep points (default: 81)")
+    p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
     return parser
 
 
@@ -159,8 +174,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_csv(keys: tuple[str, ...], rows) -> None:
-    print(render_csv(Table(tuple((key, key) for key in keys), tuple(rows))), end="")
+def _csv(keys: tuple[str, ...], rows) -> str:
+    return render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
 
 
 def _print_distribution(items, fmt: str, query: str) -> None:
@@ -170,7 +185,7 @@ def _print_distribution(items, fmt: str, query: str) -> None:
         for lb, p in items:
             print(f"{lb.ljust(width)}  {p:.5f}")
     elif fmt == "csv":
-        _print_csv(("outcome", "probability"), items)
+        print(_csv(("outcome", "probability"), items), end="")
     else:
         print(json.dumps({"query": query, "distribution": dict(items)}, indent=2))
 
@@ -210,12 +225,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     elif args.format == "csv":
-        _print_csv(
+        print(_csv(
             ("outcome", "classical_part", "interference_part", "unnormalized",
              "clamped", "probability"),
             ((om.outcome, om.classical_part, om.interference_part, om.unnormalized,
               str(om.clamped), om.probability) for om in result.outcomes),
-        )
+        ), end="")
     else:
         _print_distribution(
             [(om.outcome, om.probability) for om in result.outcomes], "table", args.query
@@ -254,12 +269,48 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_sweep(args: argparse.Namespace) -> int:
+    # Cancelled mass leaves a row's prediction and fit error empty.
+    scenarios = load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
+    by_name = {s.name: s for s in scenarios}
+    if args.name not in by_name:
+        raise ValidationError(f"no scenario named {args.name!r}; available: {sorted(by_name)}")
+    if args.steps < 2:
+        raise ValidationError("--steps must be at least 2")
+    scenario = by_name[args.name]
+    anet = amplitudes_from_network(scenario_to_network(scenario))
+    magnitudes = completion_magnitudes(anet, PLAYER_TWO, {})
+    auto = pair_degree(outcome_pairs(magnitudes))
+
+    def row(degree: float, source: str) -> tuple:
+        try:
+            prediction = posterior(PLAYER_TWO, magnitudes, degree).probability(DEFECT)
+        except NegativeUnnormalizedMassError:
+            return degree, None, None, source
+        return degree, prediction, fit_error(prediction, scenario.observed_unknown), source
+
+    degrees = [-1.0 + 2.0 * i / (args.steps - 1) for i in range(args.steps)]
+    rows = [row(degree, "sweep") for degree in degrees] + [row(auto.value, "heuristic")]
+    text = _csv(("degree", "prediction", "fit_error", "source"), rows)
+    if not args.out:
+        print(text, end="")
+        return 0
+    try:
+        with open(args.out, "w", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from None
+    print(f"wrote {args.out} ({args.steps} sweep rows plus the heuristic row)")
+    return 0
+
+
 _COMMANDS = {
     "entropy": cmd_entropy,
     "infer": cmd_infer,
     "predict": cmd_predict,
     "compare": cmd_compare,
     "reproduce": cmd_reproduce,
+    "sweep": cmd_sweep,
 }
 
 

@@ -54,8 +54,9 @@ def _unsupported(query: str, free: list[str]) -> UnsupportedStructureError:
 def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignment) -> dict:
     """completion_magnitudes, refused with UnsupportedStructureError before anything is
     enumerated when the query leaves more than one unobserved variable."""
-    _, _, free = unobserved(anet.net, query, evidence)
-    if len(free) > 1:
+    if len(anet.net.variables) - len(evidence) > 2:
+        # More than one unobserved variable, unless unobserved rejects the evidence.
+        _, _, free = unobserved(anet.net, query, evidence)
         raise _unsupported(query, [anet.net.variables[i].name for i in free])
     return completion_magnitudes(anet, query, evidence)
 

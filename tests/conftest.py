@@ -1,5 +1,5 @@
 """Shared fixtures: sample networks, a random-network strategy, a subprocess
-environment and an enumeration counter."""
+environment and call counters."""
 
 from __future__ import annotations
 
@@ -155,11 +155,10 @@ def src_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def rebind_completion_products(monkeypatch: pytest.MonkeyPatch, replacement) -> None:
-    """Put `replacement` at every loaded qlbn module attribute that holds
-    completion_products, as the benchmark's tracer rebinds names, so calls made
-    inside the package reach it too."""
-    original = bayesnet.completion_products
+def rebind(monkeypatch: pytest.MonkeyPatch, original, replacement) -> None:
+    """Put `replacement` at every loaded qlbn module attribute that holds `original`,
+    as the benchmark's tracer rebinds names, so calls made inside the package reach
+    it too."""
     for name, module in list(sys.modules.items()):
         if name == "qlbn" or name.startswith("qlbn."):
             for attr, value in list(vars(module).items()):
@@ -178,7 +177,7 @@ def amplitude_enumerations(monkeypatch: pytest.MonkeyPatch) -> list[str]:
             queries.append(query)
         return original(net, table, query, evidence)
 
-    rebind_completion_products(monkeypatch, counted)
+    rebind(monkeypatch, original, counted)
     return queries
 
 
@@ -189,4 +188,17 @@ def no_enumeration(monkeypatch: pytest.MonkeyPatch) -> None:
     def refused(net, table, query, evidence):
         raise AssertionError(f"enumerated the completions of {query!r}")
 
-    rebind_completion_products(monkeypatch, refused)
+    rebind(monkeypatch, bayesnet.completion_products, refused)
+
+
+@pytest.fixture
+def unobserved_checks(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """The query of each bayesnet.unobserved call, in call order."""
+    original, queries = bayesnet.unobserved, []
+
+    def counted(net, query, evidence):
+        queries.append(query)
+        return original(net, query, evidence)
+
+    rebind(monkeypatch, original, counted)
+    return queries

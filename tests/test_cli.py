@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import chain_doc, src_env
+from qlbn import cli
 from qlbn.cli import main
 from qlbn.scenarios import GoldenCheck, ReproductionResult, load_builtin, run_reproduction
 
@@ -615,12 +616,13 @@ class TestModuleInvocation:
         assert runs[0].stdout  # nonempty
 
     def test_usage_error_exits_one(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "qlbn", "infer"],
-            capture_output=True, cwd=ROOT, env=src_env(),
-        )
-        assert result.returncode == 1
-        assert b"error:" in result.stderr
+        for args in (["infer"], ["sweep", "--steps", "abc"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "qlbn", *args],
+                capture_output=True, cwd=ROOT, env=src_env(),
+            )
+            assert result.returncode == 1, args
+            assert b"error:" in result.stderr
 
     def test_unknown_command_exits_one(self):
         result = subprocess.run(
@@ -632,10 +634,15 @@ class TestModuleInvocation:
     def test_help_exits_zero(self):
         result = subprocess.run(
             [sys.executable, "-m", "qlbn", "--help"],
-            capture_output=True, cwd=ROOT, env=src_env(),
+            capture_output=True, text=True, cwd=ROOT, env=src_env(),
         )
         assert result.returncode == 0
-        assert b"reproduce" in result.stdout
+        assert "reproduce" in result.stdout
+        block = cli.__doc__.split("Commands:\n", 1)[1].split("\n\n", 1)[0]
+        documented = [line.split()[0] for line in block.splitlines()]
+        for command in cli._COMMANDS:
+            assert command in result.stdout, command
+            assert command in documented, command
 
 
 # SHA-256 of every rendered output, recorded before the renderers were merged

@@ -1,19 +1,17 @@
-"""scripts/degree_sweep.py run as a script, over the built-in dataset."""
+"""`qlbn sweep`, run as `python -m qlbn sweep` and in process, over the built-in dataset."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 from conftest import ROOT, src_env
+from qlbn import cli
 from qlbn.scenarios import load_builtin, predict_unknown
-
-SCRIPT = ROOT / "scripts" / "degree_sweep.py"
 
 # SHA-256 of the default 81-step sweep over the built-in Average scenario;
 # stdout and the --out file hold the same bytes.
@@ -22,7 +20,7 @@ SWEEP_81_DIGEST = "22af86d4ae31ef57bb67d7bc56e851b4fa1a0d4842fa65b4e2a643ad06f54
 
 def run_sweep(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
+        [sys.executable, "-m", "qlbn", "sweep", *args],
         capture_output=True, text=True, cwd=ROOT, env=src_env(),
     )
 
@@ -46,6 +44,13 @@ def test_unknown_scenario_name_exits_one():
     result = run_sweep("--name", "Nope")
     assert result.returncode == 1
     assert "no scenario named 'Nope'" in result.stderr
+    assert result.stdout == ""
+
+
+def test_bad_steps_exit_one():
+    result = run_sweep("--steps", "1")
+    assert result.returncode == 1
+    assert result.stderr == "error: --steps must be at least 2\n"
     assert result.stdout == ""
 
 
@@ -89,12 +94,23 @@ def test_cancelled_mass_leaves_empty_cells(tmp_path: Path):
     )
 
 
-def test_sweep_enumerates_once(amplitude_enumerations, capsys, monkeypatch):
+def test_sweep_enumerates_once(amplitude_enumerations, capsys):
     """All 81 sweep degrees and the heuristic's pick share one set of products."""
-    spec = importlib.util.spec_from_file_location("degree_sweep", SCRIPT)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--steps", "81"])
-    assert sweep.main() == 0
+    assert cli.main(["sweep", "--steps", "81"]) == 0
     assert amplitude_enumerations == ["P2"]
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SWEEP_81_DIGEST
+
+
+def test_singular_pair_is_an_inference_error(tmp_path: Path):
+    """Alpha + beta = 1 for P2=Defect leaves the heuristic's degree undefined: an
+    `error:` line and exit 2, as `qlbn predict` reports it, and no rows."""
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps([{
+        "name": "Singular", "p_defect_given_defect": 0.98,
+        "p_defect_given_cooperate": 0.18, "observed_unknown": 0.5,
+    }]))
+    result = run_sweep("--scenario", str(path), "--name", "Singular", "--steps", "3")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: |alpha + beta - 1|")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""

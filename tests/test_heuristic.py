@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qlbn.bayesnet import network_from_dict
+from qlbn.bayesnet import load_network, network_from_dict
 from qlbn.errors import (
     QueryInEvidenceError,
     SingularDenominatorError,
@@ -24,7 +24,7 @@ from qlbn.heuristic import (
 )
 from qlbn.quantum import AmplitudeNetwork, amplitudes_from_network
 
-from conftest import SERVERS_DOC, chain_doc
+from conftest import ROOT, SERVERS_DOC, chain_doc
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -243,3 +243,8 @@ class TestDegreeForQuery:
     def test_requires_exactly_one_unobserved(self, game_amps: AmplitudeNetwork):
         with pytest.raises(UnsupportedStructureError):
             degree_for_query(game_amps, "P2", {"P1": "Defect"})
+
+    def test_checks_query_and_evidence_once(self, unobserved_checks):
+        net = load_network(ROOT / "data" / "networks" / "prisoners_average.json")
+        degree_for_query(amplitudes_from_network(net), "P2")
+        assert unobserved_checks == ["P2"]
