@@ -19,7 +19,7 @@ import itertools
 import math
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .belief import MASS_SUM_TOL, DiscreteDistribution
 from .errors import (
@@ -142,17 +142,6 @@ def full_joint(net: Network, assignment: Assignment) -> float:
     return table_product(net.table, check_complete(net, assignment))
 
 
-def completions(
-    net: Network, fixed: Assignment, free: tuple[str, ...]
-) -> Iterator[dict[str, str]]:
-    """All full assignments extending `fixed` over the `free` variables, in declared order."""
-    domains = [net.outcomes(name) for name in free]
-    for combo in itertools.product(*domains):
-        full = dict(fixed)
-        full.update(zip(free, combo))
-        yield full
-
-
 def unobserved(net: Network, query: str, evidence: Assignment) -> tuple[list, int, list[int]]:
     """After checking the query and the evidence, the evidence as positional labels, the
     query's position and the positions left unobserved: what every query enumerates."""
@@ -170,8 +159,8 @@ def completion_products(
     """Table products per query outcome, one per completion of the unobserved variables.
 
     The one enumeration behind classical and quantum-like inference; query and
-    evidence are checked once, up front. Lists follow declared outcome orders,
-    and completions run as `completions` yields them.
+    evidence are checked once, up front. Lists follow declared outcome orders, and
+    completions run as itertools.product yields the unobserved variables' outcomes.
     """
     labels, at_query, free = unobserved(net, query, evidence)
     domains = [net.variables[i].outcomes for i in free]

@@ -80,9 +80,6 @@ class BeliefAssignment(NamedTuple):
     frame: Frame
     masses: Mapping[FocalSet, float]
 
-    def mass(self, labels: Iterable[str] | str) -> float:
-        return self.masses.get(canonical_subset(labels), 0.0)
-
     def is_bayesian(self) -> bool:
         """True when every focal set is a singleton."""
         return all(len(a) == 1 for a in self.masses)

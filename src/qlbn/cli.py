@@ -36,7 +36,7 @@ from .errors import (
     read_json,
 )
 from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
-from .quantum import amplitudes_from_network, completion_magnitudes, posterior
+from .quantum import OutcomeMass, amplitudes_from_network, completion_magnitudes, posterior
 from .scenarios import (
     DEFECT,
     PLAYER_TWO,
@@ -225,12 +225,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2))
     elif args.format == "csv":
-        print(_csv(
-            ("outcome", "classical_part", "interference_part", "unnormalized",
-             "clamped", "probability"),
-            ((om.outcome, om.classical_part, om.interference_part, om.unnormalized,
-              str(om.clamped), om.probability) for om in result.outcomes),
-        ), end="")
+        rows = (om._replace(clamped=str(om.clamped)) for om in result.outcomes)
+        print(_csv(OutcomeMass._fields, rows), end="")
     else:
         _print_distribution(
             [(om.outcome, om.probability) for om in result.outcomes], "table", args.query

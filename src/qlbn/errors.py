@@ -81,7 +81,7 @@ class NegativeUnnormalizedMassError(InferenceError):
 
 
 class UnsupportedStructureError(InferenceError):
-    """The interference heuristic needs exactly one unobserved non-query variable."""
+    """The interference heuristic takes at most one unobserved non-query variable."""
 
 
 class SingularDenominatorError(InferenceError):

@@ -17,7 +17,10 @@ then act like masses whose negated Deng entropy is the Belief Degree
 
 with n the number of unobserved variables, clamped into [-1, 1]. The distance
 is defined on pairs only, so n = 1, 2^n - 1 = 1 and each term is B * log2(B).
-The degree is shared by every outcome of the query.
+The degree is shared by every outcome of the query. A query with nothing
+unobserved has no pairs, so its degree is 0: with one completion per outcome,
+every degree gives the same posterior. More than one unobserved variable is
+refused with UnsupportedStructureError.
 """
 
 from __future__ import annotations
@@ -46,18 +49,17 @@ class OutcomeVectorPair(NamedTuple):
     beta: float
 
 
-def _unsupported(query: str, free: list[str]) -> UnsupportedStructureError:
-    message = f"query {query!r} leaves {len(free)} unobserved variables {free}; "
-    return UnsupportedStructureError(message + "the degree heuristic needs exactly one")
-
-
 def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignment) -> dict:
     """completion_magnitudes, refused with UnsupportedStructureError before anything is
     enumerated when the query leaves more than one unobserved variable."""
     if len(anet.net.variables) - len(evidence) > 2:
         # More than one unobserved variable, unless unobserved rejects the evidence.
         _, _, free = unobserved(anet.net, query, evidence)
-        raise _unsupported(query, [anet.net.variables[i].name for i in free])
+        names = [anet.net.variables[i].name for i in free]
+        raise UnsupportedStructureError(
+            f"query {query!r} leaves {len(names)} unobserved variables {names}; "
+            "the degree heuristic needs exactly one"
+        )
     return completion_magnitudes(anet, query, evidence)
 
 
@@ -73,14 +75,11 @@ def extract_outcome_vectors(
 ) -> list[OutcomeVectorPair]:
     """One (alpha, beta) pair per query outcome, in the query's declared outcome order.
 
-    Requires exactly one unobserved variable besides the query; anything else
-    raises UnsupportedStructureError because the distance construction is
-    defined on pairs only.
+    With no unobserved variable besides the query there are no pairs, and the
+    list is empty. More than one raises UnsupportedStructureError, because the
+    distance construction is defined on pairs only.
     """
-    pairs = outcome_pairs(weighable_magnitudes(anet, query, evidence or {}))
-    if not pairs:
-        raise _unsupported(query, [])
-    return pairs
+    return outcome_pairs(weighable_magnitudes(anet, query, evidence or {}))
 
 
 def belief_distance(alpha: float, beta: float) -> float:

@@ -28,7 +28,6 @@ from .bayesnet import (
     completion_products,
     table_product,
 )
-from .belief import DiscreteDistribution
 from .errors import (
     NegativeUnnormalizedMassError,
     NonBinaryVariableError,
@@ -116,12 +115,6 @@ class QuantumInferenceResult(NamedTuple):
             if om.outcome == outcome:
                 return om.probability
         raise UnknownVariableError(f"{outcome!r} is not an outcome of {self.query!r}")
-
-    def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution(
-            tuple(om.outcome for om in self.outcomes),
-            tuple(om.probability for om in self.outcomes),
-        )
 
     def to_dict(self) -> dict:
         """Plain-data form carrying every field, for JSON output and reports."""

@@ -47,12 +47,16 @@ _MODEL_TITLES = {
 
 
 class _ScenarioFields(NamedTuple):
+    # name comes first and payoff_note last; every field between is a probability.
     name: str
     p_defect_given_defect: float
     p_defect_given_cooperate: float
     observed_unknown: float
     prior_defect: float = 0.5
     payoff_note: str | None = None
+
+
+_NUMBER_KEYS = _ScenarioFields._fields[1:-1]
 
 
 class Scenario(_ScenarioFields):
@@ -63,12 +67,8 @@ class Scenario(_ScenarioFields):
     # Takes the fields' own arguments, so their defaults are declared once.
     def __new__(cls, *args, **kwargs) -> Scenario:
         self = _ScenarioFields.__new__(cls, *args, **kwargs)
-        for label, value in [
-            ("p_defect_given_defect", self.p_defect_given_defect),
-            ("p_defect_given_cooperate", self.p_defect_given_cooperate),
-            ("observed_unknown", self.observed_unknown),
-            ("prior_defect", self.prior_defect),
-        ]:
+        for label in _NUMBER_KEYS:
+            value = getattr(self, label)
             if not math.isfinite(value) or value < 0.0 or value > 1.0:
                 raise ValidationError(f"{self.name!r}: {label} = {value!r} is outside [0, 1]")
         return self
@@ -192,21 +192,8 @@ def run_comparison(
 # optional prior_defect and payoff_note. Probabilities may be numbers or
 # decimal strings.
 
-_REQUIRED_KEYS = {
-    "name",
-    "p_defect_given_defect",
-    "p_defect_given_cooperate",
-    "observed_unknown",
-}
-_OPTIONAL_KEYS = {"prior_defect", "payoff_note"}
-
-
-_NUMBER_KEYS = (
-    "p_defect_given_defect",
-    "p_defect_given_cooperate",
-    "observed_unknown",
-    "prior_defect",
-)
+_OPTIONAL_KEYS = set(_ScenarioFields._field_defaults)
+_REQUIRED_KEYS = set(_ScenarioFields._fields) - _OPTIONAL_KEYS
 
 
 def scenarios_from_json(doc: object) -> list[Scenario]:
@@ -465,31 +452,23 @@ def _model_columns(models: Sequence[str]) -> list[tuple[str, str]]:
 
 
 def _report_table(report: ComparisonReport) -> Table:
+    # report_to_dict's record fields but the raw degree, then the published columns;
+    # a column's mean is the dict's mean_<column> where there is one
+    doc = report_to_dict(report)
     # the models with published columns, in the order records first name them
-    models = list(report.average_fit_literature)
-    rows = []
-    for r in report.records:
-        row: list[Cell] = [
-            r.scenario.name,
-            r.scenario.observed_unknown,
-            r.classical_prediction,
-            r.quantum_prediction,
-            r.degree.value,
-            r.fit_error_classical,
-            r.fit_error_quantum,
-        ]
-        for model in models:
-            row += (r.literature_comparisons or {}).get(model, (None, None))
-        rows.append(tuple(row))
-    keys = ["scenario", "observed", "classical", "quantum", "degree",
-            "fit_classical", "fit_quantum"]
+    models = list(doc["mean_fit_literature"])
+    keys = [key for key in doc["records"][0] if key not in ("degree_raw", "literature")]
+    blank = {"prediction": None, "fit": None}
     return Table(
         tuple((key, key) for key in keys) + tuple(_model_columns(models)),
-        tuple(rows),
+        tuple(
+            (*(rec[key] for key in keys),
+             *(v for m in models for v in rec["literature"].get(m, blank).values()))
+            for rec in doc["records"]
+        ),
         {
-            "fit_classical": report.average_fit_classical,
-            "fit_quantum": report.average_fit_quantum,
-            **{f"{m}_fit": fit for m, fit in report.average_fit_literature.items()},
+            **{key: doc[f"mean_{key}"] for key in keys if f"mean_{key}" in doc},
+            **{f"{m}_fit": fit for m, fit in doc["mean_fit_literature"].items()},
         },
     )
 

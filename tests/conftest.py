@@ -7,6 +7,7 @@ import itertools
 import os
 import sys
 from pathlib import Path
+from typing import Iterator, Mapping
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -60,6 +61,17 @@ def binary_net_docs(draw: st.DrawFn) -> dict:
         "edges": edges,
         "cpts": cpts,
     }
+
+
+def completions(
+    net: Network, fixed: Mapping[str, str], free: tuple[str, ...]
+) -> Iterator[dict[str, str]]:
+    """All full assignments extending `fixed` over the `free` variables, in declared order."""
+    domains = [net.outcomes(name) for name in free]
+    for combo in itertools.product(*domains):
+        full = dict(fixed)
+        full.update(zip(free, combo))
+        yield full
 
 
 def table_entry(net: Network, name: str, *family: str) -> float:

@@ -15,7 +15,6 @@ from qlbn.bayesnet import (
     Network,
     Variable,
     completion_products,
-    completions,
     full_joint,
     infer,
     load_network,
@@ -33,6 +32,7 @@ from conftest import (
     GAME_DOC,
     SERVERS_DOC,
     binary_net_docs,
+    completions,
     draw_query_and_evidence,
     table_entry,
 )

@@ -99,12 +99,12 @@ class TestValidateBBA:
     def test_accepts_split_assignment(self):
         bba = validate_bba({"a": 0.5, ("b", "c"): 0.5}, ABC)
         assert tuple(bba.masses) == (("a",), ("b", "c"))
-        assert bba.mass("a") == 0.5
-        assert bba.mass(("c", "b")) == 0.5
+        assert bba.masses[("a",)] == 0.5
+        assert bba.masses[("b", "c")] == 0.5
 
     def test_merges_duplicate_subsets(self):
         bba = validate_bba({("b", "c"): 0.3, ("c", "b"): 0.2, "a": 0.5}, ABC)
-        assert bba.mass(("b", "c")) == pytest.approx(0.5)
+        assert bba.masses[("b", "c")] == pytest.approx(0.5)
 
     def test_drops_zero_masses(self):
         sparse = validate_bba({"a": 1.0}, ABC)

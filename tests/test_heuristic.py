@@ -17,6 +17,7 @@ from qlbn.errors import (
 )
 from qlbn.heuristic import (
     SINGULAR_TOL,
+    BeliefDegree,
     belief_degree,
     belief_distance,
     degree_for_query,
@@ -91,9 +92,8 @@ class TestExtractOutcomeVectors:
         pairs = extract_outcome_vectors(anet, "A", {"C": "T"})
         assert [p.outcome for p in pairs] == ["T", "F"]
 
-    def test_zero_unobserved_is_unsupported(self, game_amps: AmplitudeNetwork):
-        with pytest.raises(UnsupportedStructureError, match="0 unobserved"):
-            extract_outcome_vectors(game_amps, "P2", {"P1": "Defect"})
+    def test_zero_unobserved_gives_no_pairs(self, game_amps: AmplitudeNetwork):
+        assert extract_outcome_vectors(game_amps, "P2", {"P1": "Defect"}) == []
 
 
 @pytest.mark.parametrize("entry", [extract_outcome_vectors, degree_for_query])
@@ -240,9 +240,8 @@ class TestDegreeForQuery:
         degree = degree_for_query(anet, "S2")
         assert -1.0 <= degree.value <= 1.0
 
-    def test_requires_exactly_one_unobserved(self, game_amps: AmplitudeNetwork):
-        with pytest.raises(UnsupportedStructureError):
-            degree_for_query(game_amps, "P2", {"P1": "Defect"})
+    def test_zero_unobserved_gives_degree_zero(self, game_amps: AmplitudeNetwork):
+        assert degree_for_query(game_amps, "P2", {"P1": "Defect"}) == BeliefDegree(0.0, 0.0)
 
     def test_checks_query_and_evidence_once(self, unobserved_checks):
         net = load_network(ROOT / "data" / "networks" / "prisoners_average.json")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbn.bayesnet import Network, completions, full_joint, infer, network_from_dict
+from qlbn.bayesnet import Network, full_joint, infer, network_from_dict
 from qlbn.errors import (
     IncompleteAssignmentError,
     NegativeUnnormalizedMassError,
@@ -28,7 +28,7 @@ from qlbn.quantum import (
     quantum_infer,
 )
 
-from conftest import binary_net_docs, draw_query_and_evidence
+from conftest import binary_net_docs, completions, draw_query_and_evidence
 
 # Three independent coins: leaves two unobserved variables when one is
 # queried, so each query outcome has four completions to interfere.
@@ -254,9 +254,6 @@ class TestQuantumInfer:
             return  # strong destructive interference; covered by its own tests
         total = math.fsum(om.probability for om in result.outcomes)
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert result.distribution().prob(net.outcomes(query)[0]) == pytest.approx(
-            result.outcomes[0].probability, abs=0.0
-        )
 
     def test_evidence_removes_interference(self, game_amps: AmplitudeNetwork):
         """One completion per outcome means no pairs, whatever the degree."""

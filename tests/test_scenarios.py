@@ -253,12 +253,21 @@ class TestScenarioFiles:
                         "p_defect_given_defect": 0.87,
                         "p_defect_given_cooperate": "0.74",
                         "observed_unknown": 0.64,
-                    }
+                    },
+                    {
+                        "name": "Skewed",
+                        "p_defect_given_defect": 0.9,
+                        "p_defect_given_cooperate": 0.6,
+                        "observed_unknown": 0.7,
+                        "prior_defect": "0.25",
+                        "payoff_note": "T > R > P > S",
+                    },
                 ]
             )
         )
         loaded = load_scenarios(path)
-        assert loaded == [AVERAGE]
+        skewed = Scenario("Skewed", 0.9, 0.6, 0.7, prior_defect=0.25, payoff_note="T > R > P > S")
+        assert loaded == [AVERAGE, skewed]
 
     def test_shipped_sample_has_five_rows(self):
         root = Path(__file__).resolve().parent.parent
@@ -379,6 +388,38 @@ class TestRendering:
         by_name = {row[0]: row for row in body}
         value = float(by_name["Average"][quantum_col])
         assert value == report.records[-1].quantum_prediction
+
+    def test_csv_cells_are_the_report_dict_values(self, report: ComparisonReport):
+        """Each cell is the repr of its report_to_dict value; a record without a
+        model's published columns leaves them empty."""
+        payload = report_to_dict(report)
+        reader = csv.DictReader(io.StringIO(render_report_csv(report)))
+        models = ["qpdt", "dynamic_heuristic"]
+        assert reader.fieldnames == [
+            "scenario", "observed", "classical", "quantum", "degree",
+            "fit_classical", "fit_quantum",
+            *(f"{m}_{part}" for m in models for part in ("prediction", "fit")),
+        ]
+        *body, mean = list(reader)
+        assert len(body) == len(payload["records"]) == 5
+        published = 0
+        for row, record in zip(body, payload["records"]):
+            assert row["scenario"] == record["scenario"]
+            for key in reader.fieldnames[1:7]:
+                assert row[key] == repr(record[key])
+            published += bool(record["literature"])
+            for m in models:
+                columns = record["literature"].get(m)
+                for part in ("prediction", "fit"):
+                    cell = repr(columns[part]) if columns else ""
+                    assert row[f"{m}_{part}"] == cell
+        assert published == 2
+        assert mean["scenario"] == "mean_fit_error"
+        assert mean["fit_classical"] == repr(payload["mean_fit_classical"])
+        assert mean["fit_quantum"] == repr(payload["mean_fit_quantum"])
+        for m in models:
+            assert mean[f"{m}_fit"] == repr(payload["mean_fit_literature"][m])
+            assert mean[f"{m}_prediction"] == ""
 
     def test_report_dict_carries_raw_degree(self, report: ComparisonReport):
         payload = report_to_dict(report)
