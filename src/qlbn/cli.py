@@ -27,7 +27,6 @@ from .bayesnet import infer, load_network
 from .belief import Frame, shannon_entropy, deng_entropy, validate_bba
 from .errors import (
     GoldenMismatchError,
-    InferenceError,
     NegativeUnnormalizedMassError,
     QlbnError,
     SingularDenominatorError,
@@ -164,14 +163,13 @@ def _bba_from_json(doc: object):
     return validate_bba(raw, frame)
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
+def cmd_entropy(args: argparse.Namespace) -> None:
     bba = read_json(args.bba, _bba_from_json)
     parts = []
     if bba.is_bayesian():
         parts.append(f"shannon={shannon_entropy(bba.singleton_distribution()):.5f}")
     parts.append(f"deng={deng_entropy(bba):.5f}")
     print(" ".join(parts))
-    return 0
 
 
 def _csv(keys: tuple[str, ...], rows) -> str:
@@ -190,14 +188,14 @@ def _print_distribution(items, fmt: str, query: str) -> None:
         print(json.dumps({"query": query, "distribution": dict(items)}, indent=2))
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
+def cmd_infer(args: argparse.Namespace) -> None:
     evidence = _parse_evidence(args.evidence)
     fixed = _parse_degree(args.degree)
     net = load_network(args.network)
     if args.mode == "classical":
         dist = infer(net, args.query, evidence)
         _print_distribution(dist.items(), args.format, args.query)
-        return 0
+        return
 
     enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
     magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
@@ -231,7 +229,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
         _print_distribution(
             [(om.outcome, om.probability) for om in result.outcomes], "table", args.query
         )
-    return 0
 
 
 def _emit_report(report, fmt: str) -> None:
@@ -243,29 +240,26 @@ def _emit_report(report, fmt: str) -> None:
         print(json.dumps(report_to_dict(report), indent=2))
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> None:
     _emit_report(run_comparison(load_scenarios(args.scenario)), args.format)
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     data = load_builtin()
     scenarios = load_scenarios(args.scenario) if args.scenario else data.scenarios
     _emit_report(run_comparison(scenarios, data.literature()), args.format)
-    return 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> None:
     result = run_reproduction()
     print(render_reproduction(result, args.format), end="")
     if args.out:
         write_reproduction(result, args.out)
-    if not result.all_passed():
-        raise GoldenMismatchError(result.failures())
-    return 0
+    if failures := result.failures():
+        raise GoldenMismatchError(failures)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     # Cancelled mass leaves a row's prediction and fit error empty.
     scenarios = load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
     by_name = {s.name: s for s in scenarios}
@@ -290,14 +284,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     text = _csv(("degree", "prediction", "fit_error", "source"), rows)
     if not args.out:
         print(text, end="")
-        return 0
+        return
     try:
         with open(args.out, "w", newline="") as f:
             f.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.out} ({args.steps} sweep rows plus the heuristic row)")
-    return 0
 
 
 _COMMANDS = {
@@ -314,16 +307,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except GoldenMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InferenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _COMMANDS[args.command](args)
     except QlbnError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Two families matter to callers: ValidationError for rejected inputs
 (bad masses, malformed networks, unusable arguments) and InferenceError
 for failures that surface while computing on inputs that validated fine.
-The command line maps the families to distinct exit codes.
+Each family carries the exit code the command line returns for it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ _T = TypeVar("_T")
 class QlbnError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 1
+
 
 class ValidationError(QlbnError):
     """An input violates its contract."""
@@ -25,6 +27,8 @@ class ValidationError(QlbnError):
 
 class InferenceError(QlbnError):
     """A computation on valid inputs cannot produce a result."""
+
+    exit_code = 2
 
 
 # --- belief assignments and entropy ---------------------------------------
@@ -98,9 +102,10 @@ class ZeroObservedError(ValidationError):
 class GoldenMismatchError(QlbnError):
     """One or more reproduction checks exceeded tolerance."""
 
+    exit_code = 3
+
     def __init__(self, failures: list[str]):
-        self.failures = list(failures)
-        super().__init__("golden check failed: " + "; ".join(self.failures))
+        super().__init__("golden check failed: " + "; ".join(failures))
 
 
 # --- input files --------------------------------------------------------------

@@ -58,7 +58,7 @@ def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignmen
         names = [anet.net.variables[i].name for i in free]
         raise UnsupportedStructureError(
             f"query {query!r} leaves {len(names)} unobserved variables {names}; "
-            "the degree heuristic needs exactly one"
+            "the degree heuristic needs at most one"
         )
     return completion_magnitudes(anet, query, evidence)
 

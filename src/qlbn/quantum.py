@@ -29,9 +29,11 @@ from .bayesnet import (
     table_product,
 )
 from .errors import (
+    InconsistentEvidenceError,
     NegativeUnnormalizedMassError,
     NonBinaryVariableError,
     UnknownVariableError,
+    ValidationError,
 )
 
 
@@ -150,10 +152,13 @@ def posterior(
     query: str, magnitudes: Mapping[str, Sequence[float]], degree: float
 ) -> QuantumInferenceResult:
     """The posterior of `query` from its amplitude products per outcome, as
-    completion_magnitudes returns them, at one degree in [-1, 1] for every outcome.
-    Negative unnormalized masses are floored to zero and flagged; if that leaves no
-    mass anywhere, as a degree outside [-1, 1] tends to do,
-    NegativeUnnormalizedMassError is raised."""
+    completion_magnitudes returns them, at one degree in [-1, 1] for every outcome;
+    any other degree, NaN included, raises ValidationError. Negative unnormalized
+    masses are floored to zero and flagged; if that leaves no mass anywhere,
+    NegativeUnnormalizedMassError is raised, or InconsistentEvidenceError when
+    every classical part is zero, because then the evidence has probability zero."""
+    if not -1.0 <= degree <= 1.0:
+        raise ValidationError(f"degree {degree!r} is outside [-1, 1]")
     masses: list[OutcomeMass] = []
     for outcome, mags in magnitudes.items():
         classical = math.fsum(m * m for m in mags)
@@ -165,6 +170,10 @@ def posterior(
         )
     total = math.fsum(0.0 if om.clamped else om.unnormalized for om in masses)
     if total <= 0.0:
+        if not any(om.classical_part for om in masses):
+            raise InconsistentEvidenceError(
+                f"the evidence has probability zero, so query {query!r} has no posterior"
+            )
         raise NegativeUnnormalizedMassError(
             f"interference cancelled all mass for query {query!r} "
             f"(unnormalized {[om.unnormalized for om in masses]})"

@@ -39,6 +39,14 @@ TOL_PREDICTION = 5e-4
 TOL_FIT = 1e-3
 TOL_COMPARISON = 5e-3
 
+# The published scenario columns, checked column by column before the comparison
+# rows: (literature.json key, golden label, PredictionRecord field, tolerance).
+_PUBLISHED_COLUMNS = (
+    ("reported_classical", "classical prediction", "classical_prediction", TOL_CLASSICAL),
+    ("reported_prediction", "quantum prediction", "quantum_prediction", TOL_PREDICTION),
+    ("reported_fit_error", "fit error", "fit_error_quantum", TOL_FIT),
+)
+
 _MODEL_TITLES = {
     "qpdt": "QPDT",
     "dynamic_heuristic": "dynamic heuristic",
@@ -246,13 +254,23 @@ class Table3Row(NamedTuple):
     scenario_name: str | None
 
 
+class PublishedValue(NamedTuple):
+    """One printed number the reproduction must land on: the PredictionRecord
+    field it checks for the named scenario, and the check's tolerance."""
+
+    label: str
+    scenario: str
+    field: str
+    value: float
+    tolerance: float
+
+
 class BuiltinDataset(NamedTuple):
-    """The bundled published tables, parsed once by load_builtin. The reported_*
-    maps are keyed by scenario name, or by model for the mean fit errors."""
+    """The bundled published tables, parsed once by load_builtin: published lists
+    what run_reproduction checks, in order; the mean fit errors are keyed by model."""
 
     scenarios: tuple[Scenario, ...]
-    reported_classical: dict[str, float]
-    reported_predictions: dict[str, tuple[float, float]]
+    published: tuple[PublishedValue, ...]
     comparison_rows: tuple[Table3Row, ...]
     reported_average_fit_errors: dict[str, float]
 
@@ -267,33 +285,34 @@ def load_builtin() -> BuiltinDataset:
     doc = json.loads(text)
     note = doc.get("payoff_note")
     rows = doc["scenarios"]
+    comparison_rows = tuple(
+        Table3Row(
+            name=row["name"],
+            observed=row["observed"],
+            models={m: (v[0], v[1]) for m, v in row["models"].items()},
+            prediction=row["reported_prediction"],
+            prediction_fit=row["reported_fit_error"],
+            basis="published",
+            scenario_name=row["scenario"],
+        )
+        for row in doc["comparison_rows"]
+    )
     return BuiltinDataset(
         scenarios=tuple(
             Scenario(**{key: row[key] for key in _REQUIRED_KEYS}, payoff_note=note)
             for row in rows
         ),
-        reported_classical={
-            row["name"]: row["reported_classical"]
-            for row in rows
-            if "reported_classical" in row
-        },
-        reported_predictions={
-            row["name"]: (row["reported_prediction"], row["reported_fit_error"])
-            for row in rows
-            if "reported_prediction" in row
-        },
-        comparison_rows=tuple(
-            Table3Row(
-                name=row["name"],
-                observed=row["observed"],
-                models={m: (v[0], v[1]) for m, v in row["models"].items()},
-                prediction=row["reported_prediction"],
-                prediction_fit=row["reported_fit_error"],
-                basis="published",
-                scenario_name=row["scenario"],
-            )
-            for row in doc["comparison_rows"]
+        published=(
+            *(PublishedValue(f"{label} ({row['name']})", row["name"], field, row[key], tolerance)
+              for key, label, field, tolerance in _PUBLISHED_COLUMNS
+              for row in rows
+              if key in row),
+            *(PublishedValue(f"comparison prediction ({row.name})", row.scenario_name,
+                             "quantum_prediction", row.prediction, TOL_COMPARISON)
+              for row in comparison_rows
+              if row.scenario_name),
         ),
+        comparison_rows=comparison_rows,
         reported_average_fit_errors=dict(doc["reported_average_fit_errors"]),
     )
 
@@ -319,9 +338,6 @@ class ReproductionResult(NamedTuple):
     table3: tuple[Table3Row, ...]
     goldens: tuple[GoldenCheck, ...]
 
-    def all_passed(self) -> bool:
-        return all(g.passed for g in self.goldens)
-
     def failures(self) -> list[str]:
         return [
             f"{g.label}: expected {g.expected} +- {g.tolerance}, got {g.actual!r}"
@@ -331,52 +347,26 @@ class ReproductionResult(NamedTuple):
 
 
 def run_reproduction() -> ReproductionResult:
-    """Evaluate the built-in dataset and check every published golden value."""
+    """Evaluate the built-in dataset, check every published value, and put the
+    computed prediction into each comparison row that links a scenario."""
     data = load_builtin()
     comparison = run_comparison(data.scenarios, data.literature())
     by_name = {rec.scenario.name: rec for rec in comparison.records}
-
-    goldens: list[GoldenCheck] = []
-    for name, expected in data.reported_classical.items():
-        goldens.append(
-            GoldenCheck(
-                f"classical prediction ({name})",
-                expected,
-                by_name[name].classical_prediction,
-                TOL_CLASSICAL,
-            )
-        )
-    for name, (pred, err) in data.reported_predictions.items():
-        goldens.append(
-            GoldenCheck(
-                f"quantum prediction ({name})", pred, by_name[name].quantum_prediction,
-                TOL_PREDICTION,
-            )
-        )
-        goldens.append(
-            GoldenCheck(
-                f"fit error ({name})", err, by_name[name].fit_error_quantum, TOL_FIT
-            )
-        )
+    goldens = tuple(
+        GoldenCheck(p.label, p.value, getattr(by_name[p.scenario], p.field), p.tolerance)
+        for p in data.published
+    )
     table3: list[Table3Row] = []
     for row in data.comparison_rows:
         if row.scenario_name:
             record = by_name[row.scenario_name]
-            goldens.append(
-                GoldenCheck(
-                    f"comparison prediction ({row.name})",
-                    row.prediction,
-                    record.quantum_prediction,
-                    TOL_COMPARISON,
-                )
-            )
             row = row._replace(
                 prediction=record.quantum_prediction,
                 prediction_fit=record.fit_error_quantum,
                 basis="computed",
             )
         table3.append(row)
-    return ReproductionResult(comparison, tuple(table3), tuple(goldens))
+    return ReproductionResult(comparison, tuple(table3), goldens)
 
 
 # --- rendering ----------------------------------------------------------------

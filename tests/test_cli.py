@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,21 @@ class TestInferQuantum:
         assert code == 1
         assert "two-outcome" in err
 
+    @pytest.mark.parametrize("degree", ["zero", "auto", "fixed:0.3"])
+    def test_zero_probability_evidence_is_not_blamed_on_interference(
+        self, capsys, tmp_path, degree
+    ):
+        doc = chain_doc(["A", "B", "C"])
+        doc["cpts"]["A"][0]["dist"] = {"T": 0.0, "F": 1.0}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "C", "--evidence", "A=T",
+            "--mode", "quantum", "--degree", degree,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the evidence has probability zero, so query 'C' has no posterior\n"
+
     def test_auto_degree_with_two_unobserved_is_an_inference_error(
         self, capsys, tmp_path
     ):
@@ -391,7 +407,7 @@ class TestInferQuantum:
             "--mode", "quantum",
         )
         assert code == 2
-        assert "exactly one" in err
+        assert "at most one" in err
 
 
 class TestInferChecksAndEnumeration:
@@ -721,6 +737,13 @@ OUT_FILE_DIGESTS = {
 }
 
 
+# The benchmark's cli workload runs these commands from the repository root and
+# checks each stdout against its recorded digest; run_path reads gen.py without
+# writing bytecode next to it.
+BENCH_COMMANDS = runpy.run_path(str(ROOT / "perfbench" / "gen.py"))["CLI_COMMANDS"]
+BENCH_DIGESTS = json.loads((ROOT / "perfbench" / "cli_digests.json").read_text())
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -732,6 +755,13 @@ class TestByteIdentity:
         code, out, _ = run_cli(capsys, *DIGEST_COMMANDS[label], "--format", fmt)
         assert code == 0
         assert sha256(out.encode()) == STDOUT_DIGESTS[key]
+
+    @pytest.mark.parametrize("label, argv", BENCH_COMMANDS, ids=[c[0] for c in BENCH_COMMANDS])
+    def test_benchmark_cli_digest(self, capsys, monkeypatch, label, argv):
+        monkeypatch.chdir(ROOT)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sha256(out.encode()) == BENCH_DIGESTS[label]
 
     def test_out_files_digest_and_report_matches_stdout(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "reproduce", "--out", str(tmp_path))

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from qlbn.bayesnet import Network, full_joint, infer, network_from_dict
 from qlbn.errors import (
     IncompleteAssignmentError,
+    InconsistentEvidenceError,
     NegativeUnnormalizedMassError,
     NonBinaryVariableError,
     QueryInEvidenceError,
     UnknownVariableError,
+    ValidationError,
 )
 from qlbn.quantum import (
     AmplitudeNetwork,
@@ -28,7 +30,7 @@ from qlbn.quantum import (
     quantum_infer,
 )
 
-from conftest import binary_net_docs, completions, draw_query_and_evidence
+from conftest import binary_net_docs, chain_doc, completions, draw_query_and_evidence
 
 # Three independent coins: leaves two unobserved variables when one is
 # queried, so each query outcome has four completions to interfere.
@@ -313,6 +315,28 @@ class TestQuantumInfer:
         anet = amplitudes_from_network(network_from_dict(doc))
         with pytest.raises(NegativeUnnormalizedMassError):
             quantum_infer(anet, "Y", {}, -1.0)
+
+    @pytest.mark.parametrize("degree", [0.0, 0.3, -1.0])
+    def test_impossible_evidence_is_not_blamed_on_interference(self, degree: float):
+        """All mass is gone before any interference: the evidence has probability
+        zero, whatever the degree, as in classical inference."""
+        doc = chain_doc(["A", "B", "C"])
+        doc["cpts"]["A"][0]["dist"] = {"T": 0.0, "F": 1.0}
+        anet = amplitudes_from_network(network_from_dict(doc))
+        with pytest.raises(InconsistentEvidenceError, match="probability zero"):
+            quantum_infer(anet, "C", {"A": "T"}, degree)
+
+    @pytest.mark.parametrize("degree", [math.nan, 1.5, -1.5])
+    def test_degree_outside_unit_interval_rejected(
+        self, game_amps: AmplitudeNetwork, degree: float
+    ):
+        with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+            quantum_infer(game_amps, "P2", {}, degree)
+
+    @pytest.mark.parametrize("degree", [-1.0, 1.0])
+    def test_degree_bounds_accepted(self, game_amps: AmplitudeNetwork, degree: float):
+        result = quantum_infer(game_amps, "P2", {}, degree)
+        assert math.fsum(om.probability for om in result.outcomes) == pytest.approx(1.0)
 
     def test_unknown_outcome_lookup(self, game_amps: AmplitudeNetwork):
         result = quantum_infer(game_amps, "P2", {}, 0.0)

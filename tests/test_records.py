@@ -40,6 +40,7 @@ def _records() -> dict[str, object]:
         "ComparisonReport": comparison,
         "Table3Row": reproduction.table3[0],
         "BuiltinDataset": load_builtin(),
+        "PublishedValue": load_builtin().published[0],
         "GoldenCheck": reproduction.goldens[0],
         "ReproductionResult": reproduction,
         "Table": Table((("x", "x"),), ((1.0,),)),
