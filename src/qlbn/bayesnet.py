@@ -54,7 +54,7 @@ class Variable(_VariableFields):
             )
         if len(set(outcomes)) != len(outcomes):
             raise NetworkDefinitionError(f"variable {name!r} has duplicate outcomes {outcomes}")
-        return _VariableFields.__new__(cls, name, outcomes)
+        return tuple.__new__(cls, (name, outcomes))
 
 
 # A value table holds one factor per variable, in declared variable order. A
@@ -98,14 +98,11 @@ class Network:
     def __repr__(self) -> str:
         return f"Network(variables={self.variables!r}, parents={self.parents!r})"
 
-    def variable(self, name: str) -> Variable:
+    def outcomes(self, name: str) -> tuple[str, ...]:
         position = self.positions.get(name)
         if position is None:
             raise UnknownVariableError(f"no variable named {name!r}")
-        return self.variables[position]
-
-    def outcomes(self, name: str) -> tuple[str, ...]:
-        return self.variable(name).outcomes
+        return self.variables[position].outcomes
 
 
 def table_product(table: ValueTable, labels: Sequence[str]) -> float:
@@ -121,10 +118,13 @@ def _positional_labels(net: Network, assignment: Assignment) -> list[str | None]
     """Each variable's assigned outcome in declared order, None where unassigned."""
     labels: list[str | None] = [None] * len(net.variables)
     for name, outcome in assignment.items():
-        outcomes = net.outcomes(name)
+        position = net.positions.get(name)
+        if position is None:
+            raise UnknownVariableError(f"no variable named {name!r}")
+        outcomes = net.variables[position].outcomes
         if outcome not in outcomes:
             raise UnknownVariableError(f"{outcome!r} is not an outcome of {name!r} {outcomes}")
-        labels[net.positions[name]] = outcome
+        labels[position] = outcome
     return labels
 
 
@@ -147,7 +147,7 @@ def unobserved(net: Network, query: str, evidence: Assignment) -> tuple[list, in
     query's position and the positions left unobserved: what every query enumerates."""
     if query in evidence:
         raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
-    net.variable(query)
+    net.outcomes(query)  # raises for an unknown query
     labels = _positional_labels(net, evidence)
     at_query = net.positions[query]
     return labels, at_query, [i for i, lb in enumerate(labels) if lb is None and i != at_query]
@@ -165,7 +165,7 @@ def completion_products(
     labels, at_query, free = unobserved(net, query, evidence)
     domains = [net.variables[i].outcomes for i in free]
     products: dict[str, list[float]] = {}
-    for outcome in net.outcomes(query):
+    for outcome in net.variables[at_query].outcomes:
         labels[at_query] = outcome
         row = products[outcome] = []
         for combo in itertools.product(*domains):
@@ -187,7 +187,7 @@ def infer(net: Network, query: str, evidence: Assignment) -> DiscreteDistributio
     normalizer = math.fsum(totals)
     if normalizer <= 0.0:
         raise InconsistentEvidenceError(f"evidence {dict(evidence)!r} has probability zero")
-    return DiscreteDistribution(tuple(products), tuple(t / normalizer for t in totals))
+    return DiscreteDistribution(tuple(products), tuple([t / normalizer for t in totals]))
 
 
 # --- network files ----------------------------------------------------------
@@ -250,9 +250,10 @@ def network_from_dict(doc: Mapping) -> Network:
             if rows is None:
                 raise NetworkDefinitionError(f"variable {v.name!r} has no CPT")
             parent_names = parents[v.name]
-            domains = [variables[positions[p]].outcomes for p in parent_names]
+            combos = set(itertools.product(*[variables[positions[p]].outcomes
+                                             for p in parent_names]))
             getter = itemgetter(*[positions[p] for p in parent_names], position)
-            table.append((getter, _compile_cpt(v, parent_names, domains, rows)))
+            table.append((getter, _compile_cpt(v, parent_names, combos, rows)))
     return Network(tuple(variables), parents, tuple(table), positions)
 
 
@@ -279,11 +280,12 @@ def _row_key(given: Mapping, parent_names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple([str(given[p]) for p in parent_names if p in given])
 
 
-def _compile_cpt(v: Variable, parent_names: tuple[str, ...], domains: list, rows) -> dict:
+def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) -> dict:
     """The CPT rows of v as its classical-table values, keyed by family labels.
 
-    Each row is checked once. Rows are counted against the parent outcome
-    combinations; a repeated row shows as a table that did not grow.
+    Each row is checked once, its key against combos, the set of parent outcome
+    combinations. Rows are counted against combos; a repeated row shows as a
+    table that did not grow.
     """
     outcomes = set(v.outcomes)
     width = len(v.outcomes)
@@ -295,11 +297,13 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], domains: list, rows
             raise NetworkDefinitionError(
                 f"CPT row for {v.name!r} conditions on non-parents: {sorted(given)}"
             )
-        if len(key) != len(domains) or not all(map(tuple.__contains__, domains, key)):
-            raise _row_mismatch(v.name, parent_names, domains, rows)
+        if key not in combos:
+            raise _row_mismatch(v.name, parent_names, combos, rows)
         dist = row["dist"]
         try:
-            entries = [parse_number(dist[lb], NetworkDefinitionError) for lb in dist]
+            # Indexing by label, unlike dist.values(), keeps a list dist's TypeError.
+            entries = [p if p.__class__ is float else parse_number(p, NetworkDefinitionError)
+                       for p in map(dist.__getitem__, dist)]
             for label, p in zip(dist, entries):
                 if not 0.0 <= p <= 1.0:
                     raise NetworkDefinitionError(
@@ -323,17 +327,16 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], domains: list, rows
             raise NetworkDefinitionError(
                 f"CPT for {v.name!r} lists the row given {dict(given)!r} twice"
             )
-    if len(values) != width * math.prod(map(len, domains)):
-        raise _row_mismatch(v.name, parent_names, domains, rows)
+    if len(values) != width * len(combos):
+        raise _row_mismatch(v.name, parent_names, combos, rows)
     return values
 
 
-def _row_mismatch(name: str, parent_names: tuple, domains: list, rows) -> NetworkDefinitionError:
+def _row_mismatch(name: str, parent_names: tuple, combos: set, rows) -> NetworkDefinitionError:
     keys = {_row_key(row.get("given", {}), parent_names) for row in rows}
-    expected = set(itertools.product(*domains))
     return NetworkDefinitionError(
-        f"CPT for {name!r} mismatches its parents: missing rows {sorted(expected - keys)}, "
-        f"unexpected rows {sorted(keys - expected)}"
+        f"CPT for {name!r} mismatches its parents: missing rows {sorted(combos - keys)}, "
+        f"unexpected rows {sorted(keys - combos)}"
     )
 
 

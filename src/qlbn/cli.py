@@ -201,6 +201,7 @@ def cmd_infer(args: argparse.Namespace) -> None:
     magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
     pairs = outcome_pairs(magnitudes)
     degree_value, degree_raw = pair_degree(pairs) if fixed is None else (fixed, fixed)
+    result = posterior(args.query, magnitudes, degree_value)
     if args.verbose:
         if not pairs:
             print("vectors: unavailable for this structure")
@@ -212,8 +213,6 @@ def cmd_infer(args: argparse.Namespace) -> None:
             print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
                   f"beta={pair.beta:.5f} distance={distance}")
         print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})")
-    result = posterior(args.query, magnitudes, degree_value)
-    if args.verbose:
         for om in result.outcomes:
             clamp = " (clamped to 0)" if om.clamped else ""
             print(f"mass {om.outcome}: classical={om.classical_part:.5f} "

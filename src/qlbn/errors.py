@@ -9,6 +9,7 @@ Each family carries the exit code the command line returns for it.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -154,7 +155,8 @@ def read_json(
     shape_errors).
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from None
     try:

@@ -126,7 +126,7 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
     """
     if not distances:
         raise ValueError("at least one distance is required")
-    raw = math.fsum(b * math.log2(b) for b in distances if b > 0.0)
+    raw = math.fsum([b * math.log2(b) for b in distances if b > 0.0])
     return BeliefDegree(min(1.0, max(-1.0, raw)), raw)
 
 

@@ -64,9 +64,9 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
                 f"variable {v.name!r} has {len(v.outcomes)} outcomes; amplitude "
                 "networks answer only two-outcome questions"
             )
-    amplitudes = tuple(
+    amplitudes = tuple([
         (get, dict(zip(values, map(math.sqrt, values.values())))) for get, values in net.table
-    )
+    ])
     return AmplitudeNetwork(net, amplitudes)
 
 
@@ -155,32 +155,36 @@ def posterior(
     completion_magnitudes returns them, at one degree in [-1, 1] for every outcome;
     any other degree, NaN included, raises ValidationError. Negative unnormalized
     masses are floored to zero and flagged; if that leaves no mass anywhere,
-    NegativeUnnormalizedMassError is raised, or InconsistentEvidenceError when
-    every classical part is zero, because then the evidence has probability zero."""
+    NegativeUnnormalizedMassError is raised, naming the feasible bound: the largest
+    -q / (2ꞏs2) over the outcomes, with q the sum of squared products and s2 the sum
+    of their pairwise products. When every classical part is zero,
+    InconsistentEvidenceError is raised instead: the evidence has probability zero."""
     if not -1.0 <= degree <= 1.0:
         raise ValidationError(f"degree {degree!r} is outside [-1, 1]")
-    masses: list[OutcomeMass] = []
+    parts = []
     for outcome, mags in magnitudes.items():
-        classical = math.fsum(m * m for m in mags)
+        classical = math.fsum([m * m for m in mags])
         interference = interference_sum(mags, degree)
-        unnormalized = classical + interference
-        clamped = unnormalized < 0.0
-        masses.append(
-            OutcomeMass(outcome, classical, interference, unnormalized, clamped, math.nan)
-        )
-    total = math.fsum(0.0 if om.clamped else om.unnormalized for om in masses)
+        parts.append((outcome, classical, interference, classical + interference))
+    total = math.fsum([0.0 if u < 0.0 else u for _, _, _, u in parts])
     if total <= 0.0:
-        if not any(om.classical_part for om in masses):
+        if not any([c for _, c, _, _ in parts]):
             raise InconsistentEvidenceError(
                 f"the evidence has probability zero, so query {query!r} has no posterior"
             )
+        # An outcome with classical mass lost it to negative interference, so it has
+        # a pair sum s2 > 0; interference_sum at degree 1/2 is s2 itself.
+        bound = max([
+            -c / (2.0 * s2)
+            for (_, c, _, _), mags in zip(parts, magnitudes.values())
+            if (s2 := interference_sum(mags, 0.5)) > 0.0
+        ])
         raise NegativeUnnormalizedMassError(
             f"interference cancelled all mass for query {query!r} "
-            f"(unnormalized {[om.unnormalized for om in masses]})"
+            f"(unnormalized {[u for _, _, _, u in parts]}); "
+            f"the degree's feasible bound is {bound!r}"
         )
     normalizer = 1.0 / total
-    final = tuple(
-        om._replace(probability=0.0 if om.clamped else om.unnormalized * normalizer)
-        for om in masses
-    )
-    return QuantumInferenceResult(query, final, normalizer)
+    masses = tuple([OutcomeMass(o, c, i, u, u < 0.0, 0.0 if u < 0.0 else u * normalizer)
+                    for o, c, i, u in parts])
+    return QuantumInferenceResult(query, masses, normalizer)

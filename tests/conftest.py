@@ -160,6 +160,15 @@ def chain_doc(names: list[str]) -> dict:
     }
 
 
+def uniform_chain_doc(names: list[str]) -> dict:
+    """chain_doc with every CPT row at one half."""
+    doc = chain_doc(names)
+    for rows in doc["cpts"].values():
+        for row in rows:
+            row["dist"] = {"T": 0.5, "F": 0.5}
+    return doc
+
+
 def src_env() -> dict[str, str]:
     """This process's environment with the checkout's src/ first on PYTHONPATH, so
     a subprocess imports the qlbn under test."""

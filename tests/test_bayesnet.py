@@ -157,6 +157,18 @@ SINGLE_FAULTS = {
         _edit(("cpts", "S2", 1, "dist"), {"T": "0.3x", "F": 0.7}),
         "CPT row for 'S2' given {'S1': 'F'} is invalid: cannot parse number '0.3x'",
     ),
+    "NaN entry": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": math.nan, "F": 0.5}),
+        "CPT row for 'S1' given {} is invalid: probability nan for 'T' is outside [0, 1]",
+    ),
+    "Infinity entry": (
+        _edit(("cpts", "S2", 0, "dist"), {"T": 0.5, "F": math.inf}),
+        "CPT row for 'S2' given {'S1': 'T'} is invalid: probability inf for 'F' is outside [0, 1]",
+    ),
+    "unparsable and out-of-range entries": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": 1.5, "F": "x"}),
+        "CPT row for 'S1' given {} is invalid: cannot parse number 'x'",
+    ),
     "duplicate variable name": (
         _edit(("variables",), append={"name": "S1", "outcomes": ["T", "F"]}),
         "duplicate variable names in ['S1', 'S2', 'S1']",
@@ -438,6 +450,25 @@ class TestNetworkFiles:
 
     def test_unparsable_probability_rejected(self, tmp_path: Path):
         assert_single_fault("unparsable string", tmp_path)
+
+    @pytest.mark.parametrize("fault", ["NaN entry", "Infinity entry"])
+    def test_non_finite_probability_rejected(self, fault: str, tmp_path: Path):
+        """json.loads reads the NaN and Infinity literals; the range check refuses both."""
+        assert_single_fault(fault, tmp_path)
+
+    def test_parse_error_outranks_range_error(self, tmp_path: Path):
+        """Every entry of a row is parsed before any is range-checked."""
+        assert_single_fault("unparsable and out-of-range entries", tmp_path)
+
+    def test_integer_and_string_entries_equal_their_floats(self):
+        doc = json.loads(json.dumps(SERVERS_DOC))
+        doc["cpts"]["S1"][0]["dist"] = {"T": 0, "F": 1}
+        doc["cpts"]["S2"][0]["dist"] = {"T": "0.25", "F": "0.75"}
+        net = network_from_dict(doc)
+        entries = [table_entry(net, "S1", "T"), table_entry(net, "S1", "F"),
+                   table_entry(net, "S2", "T", "T"), table_entry(net, "S2", "T", "F")]
+        assert all(type(p) is float for p in entries)
+        assert [p.hex() for p in entries] == [float(v).hex() for v in (0, 1, "0.25", "0.75")]
 
     def test_malformed_json_reports_line(self, tmp_path: Path):
         path = tmp_path / "broken.json"

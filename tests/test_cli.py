@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import chain_doc, src_env
+from conftest import chain_doc, src_env, uniform_chain_doc
 from qlbn import cli
 from qlbn.cli import main
 from qlbn.scenarios import GoldenCheck, ReproductionResult, load_builtin, run_reproduction
@@ -369,20 +369,35 @@ class TestInferQuantum:
         assert code == 1
         assert "two-outcome" in err
 
-    @pytest.mark.parametrize("degree", ["zero", "auto", "fixed:0.3"])
+    @pytest.mark.parametrize(
+        "options",
+        ["zero", "auto", "fixed:0.3", "zero --verbose", "auto --verbose", "fixed:0.3 --verbose"],
+    )
     def test_zero_probability_evidence_is_not_blamed_on_interference(
-        self, capsys, tmp_path, degree
+        self, capsys, tmp_path, options
     ):
+        """Nothing reaches stdout, not even the --verbose trace, before the error."""
         doc = chain_doc(["A", "B", "C"])
         doc["cpts"]["A"][0]["dist"] = {"T": 0.0, "F": 1.0}
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(
             capsys, "infer", "--network", str(path), "--query", "C", "--evidence", "A=T",
-            "--mode", "quantum", "--degree", degree,
+            "--mode", "quantum", "--degree", *options.split(),
         )
         assert (code, out) == (2, "")
         assert err == "error: the evidence has probability zero, so query 'C' has no posterior\n"
+
+    def test_cancelled_mass_names_the_feasible_bound(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(uniform_chain_doc(list("ABCD"))))
+        code, out, err = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "A",
+            "--mode", "quantum", "--degree", "fixed:-0.5", "--verbose",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: interference cancelled all mass for query 'A'")
+        assert err.endswith("; the degree's feasible bound is -0.14285714285714288\n")
 
     def test_auto_degree_with_two_unobserved_is_an_inference_error(
         self, capsys, tmp_path

@@ -30,7 +30,13 @@ from qlbn.quantum import (
     quantum_infer,
 )
 
-from conftest import binary_net_docs, chain_doc, completions, draw_query_and_evidence
+from conftest import (
+    binary_net_docs,
+    chain_doc,
+    completions,
+    draw_query_and_evidence,
+    uniform_chain_doc,
+)
 
 # Three independent coins: leaves two unobserved variables when one is
 # queried, so each query outcome has four completions to interfere.
@@ -295,6 +301,20 @@ class TestQuantumInfer:
         anet = _coins()
         with pytest.raises(NegativeUnnormalizedMassError, match="cancelled"):
             quantum_infer(anet, "A", {}, -1.0)
+
+    def test_cancelled_mass_names_the_feasible_bound(self):
+        """A uniform 4-node chain has 8 products of 0.25 per outcome: q = 0.5 and
+        s2 = 28 / 16 = 1.75, so the feasible bound is -q / (2ꞏs2) = -1/7."""
+        anet = amplitudes_from_network(network_from_dict(uniform_chain_doc(list("ABCD"))))
+        with pytest.raises(NegativeUnnormalizedMassError) as caught:
+            quantum_infer(anet, "A", {}, -0.5)
+        message = str(caught.value)
+        assert message.startswith("interference cancelled all mass for query 'A' (unnormalized")
+        head, bound = message.rsplit(" ", 1)
+        assert head.endswith("; the degree's feasible bound is")
+        assert float(bound) == pytest.approx(-1 / 7, rel=1e-12)
+        above = quantum_infer(anet, "A", {}, float(bound) + 1e-9)
+        assert [om.clamped for om in above.outcomes] == [False, False]
 
     def test_exact_cancellation_raises(self):
         """A uniform chain at degree -1 drives every mass to exactly zero."""

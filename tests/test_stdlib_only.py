@@ -36,6 +36,12 @@ def test_imports_only_stdlib_and_qlbn(path: Path):
     assert not foreign, f"{path.name} imports {foreign}"
 
 
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_parses_as_declared_minimum_python(path: Path):
+    """pyproject.toml declares requires-python >= 3.10: no later syntax."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_package_does_not_import_dataclasses():
     importers = [path.name for path in PACKAGE if "dataclasses" in _absolute_imports(path)]
     assert not importers, f"{importers} import dataclasses"
