@@ -23,11 +23,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .belief import MASS_SUM_TOL, DiscreteDistribution
 from .errors import (
-    IncompleteAssignmentError,
     InconsistentEvidenceError,
-    NetworkDefinitionError,
-    QueryInEvidenceError,
-    UnknownVariableError,
+    ValidationError,
     parse_number,
     read_json,
     shape_errors,
@@ -49,11 +46,11 @@ class Variable(_VariableFields):
 
     def __new__(cls, name: str, outcomes: tuple[str, ...]) -> Variable:
         if len(outcomes) < 2:
-            raise NetworkDefinitionError(
+            raise ValidationError(
                 f"variable {name!r} needs at least two outcomes, got {outcomes}"
             )
         if len(set(outcomes)) != len(outcomes):
-            raise NetworkDefinitionError(f"variable {name!r} has duplicate outcomes {outcomes}")
+            raise ValidationError(f"variable {name!r} has duplicate outcomes {outcomes}")
         return tuple.__new__(cls, (name, outcomes))
 
 
@@ -101,7 +98,7 @@ class Network:
     def outcomes(self, name: str) -> tuple[str, ...]:
         position = self.positions.get(name)
         if position is None:
-            raise UnknownVariableError(f"no variable named {name!r}")
+            raise ValidationError(f"no variable named {name!r}")
         return self.variables[position].outcomes
 
 
@@ -120,10 +117,10 @@ def _positional_labels(net: Network, assignment: Assignment) -> list[str | None]
     for name, outcome in assignment.items():
         position = net.positions.get(name)
         if position is None:
-            raise UnknownVariableError(f"no variable named {name!r}")
+            raise ValidationError(f"no variable named {name!r}")
         outcomes = net.variables[position].outcomes
         if outcome not in outcomes:
-            raise UnknownVariableError(f"{outcome!r} is not an outcome of {name!r} {outcomes}")
+            raise ValidationError(f"{outcome!r} is not an outcome of {name!r} {outcomes}")
         labels[position] = outcome
     return labels
 
@@ -133,7 +130,7 @@ def check_complete(net: Network, assignment: Assignment) -> list[str]:
     labels = _positional_labels(net, assignment)
     missing = [v.name for v, label in zip(net.variables, labels) if label is None]
     if missing:
-        raise IncompleteAssignmentError(f"assignment misses variables {missing}")
+        raise ValidationError(f"assignment misses variables {missing}")
     return labels
 
 
@@ -146,7 +143,7 @@ def unobserved(net: Network, query: str, evidence: Assignment) -> tuple[list, in
     """After checking the query and the evidence, the evidence as positional labels, the
     query's position and the positions left unobserved: what every query enumerates."""
     if query in evidence:
-        raise QueryInEvidenceError(f"query {query!r} already appears in the evidence")
+        raise ValidationError(f"query {query!r} already appears in the evidence")
     net.outcomes(query)  # raises for an unknown query
     labels = _positional_labels(net, evidence)
     at_query = net.positions[query]
@@ -207,48 +204,48 @@ def network_from_dict(doc: Mapping) -> Network:
     """Build a Network from the parsed JSON structure described above.
 
     One validating pass compiles each CPT row straight into the classical
-    table. Content of the wrong shape raises NetworkDefinitionError, as bad values do.
+    table. Content of the wrong shape raises ValidationError, as bad values do.
     """
     try:
         raw_vars = doc["variables"]
         raw_cpts = doc["cpts"]
     except (KeyError, TypeError):
-        raise NetworkDefinitionError("network definition needs 'variables' and 'cpts'") from None
-    with shape_errors(NetworkDefinitionError):
+        raise ValidationError("network definition needs 'variables' and 'cpts'") from None
+    with shape_errors():
         variables = []
         for raw in raw_vars:
             name, outcomes = str(raw["name"]), raw["outcomes"]
             if not isinstance(outcomes, list):
-                raise NetworkDefinitionError(
+                raise ValidationError(
                     f"variable {name!r} needs a list of outcomes, got {outcomes!r}"
                 )
             variables.append(Variable(name, tuple(map(str, outcomes))))
         positions = {v.name: i for i, v in enumerate(variables)}
         if len(positions) != len(variables):
-            raise NetworkDefinitionError(
+            raise ValidationError(
                 f"duplicate variable names in {[v.name for v in variables]}"
             )
         parents: dict[str, tuple[str, ...]] = {name: () for name in positions}
         for edge in doc.get("edges", []):
             if len(edge) != 2:
-                raise NetworkDefinitionError(f"edge {edge!r} must be a [parent, child] pair")
+                raise ValidationError(f"edge {edge!r} must be a [parent, child] pair")
             parent, child = str(edge[0]), str(edge[1])
             if child not in parents:
-                raise NetworkDefinitionError(f"edge child {child!r} is not a declared variable")
+                raise ValidationError(f"edge child {child!r} is not a declared variable")
             if parent not in parents:
-                raise NetworkDefinitionError(f"edge parent {parent!r} is not a declared variable")
+                raise ValidationError(f"edge parent {parent!r} is not a declared variable")
             if parent in parents[child]:
-                raise NetworkDefinitionError(f"variable {child!r} lists a parent twice")
+                raise ValidationError(f"variable {child!r} lists a parent twice")
             parents[child] += (parent,)
         _check_acyclic(parents)
         for name in raw_cpts.keys():
             if name not in positions:
-                raise NetworkDefinitionError(f"CPT variable {name!r} is not a declared variable")
+                raise ValidationError(f"CPT variable {name!r} is not a declared variable")
         table = []
         for position, v in enumerate(variables):
             rows = raw_cpts.get(v.name)
             if rows is None:
-                raise NetworkDefinitionError(f"variable {v.name!r} has no CPT")
+                raise ValidationError(f"variable {v.name!r} has no CPT")
             parent_names = parents[v.name]
             combos = set(itertools.product(*[variables[positions[p]].outcomes
                                              for p in parent_names]))
@@ -273,7 +270,7 @@ def _check_acyclic(parents: Mapping[str, tuple[str, ...]]) -> None:
             if unplaced[child] == 0:
                 ready.append(child)
     if unplaced:
-        raise NetworkDefinitionError(f"the network contains a cycle through {sorted(unplaced)}")
+        raise ValidationError(f"the network contains a cycle through {sorted(unplaced)}")
 
 
 def _row_key(given: Mapping, parent_names: tuple[str, ...]) -> tuple[str, ...]:
@@ -294,7 +291,7 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
         given = row.get("given", {})
         key = _row_key(given, parent_names)
         if len(key) != len(given):
-            raise NetworkDefinitionError(
+            raise ValidationError(
                 f"CPT row for {v.name!r} conditions on non-parents: {sorted(given)}"
             )
         if key not in combos:
@@ -302,29 +299,29 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
         dist = row["dist"]
         try:
             # Indexing by label, unlike dist.values(), keeps a list dist's TypeError.
-            entries = [p if p.__class__ is float else parse_number(p, NetworkDefinitionError)
+            entries = [p if p.__class__ is float else parse_number(p)
                        for p in map(dist.__getitem__, dist)]
             for label, p in zip(dist, entries):
                 if not 0.0 <= p <= 1.0:
-                    raise NetworkDefinitionError(
+                    raise ValidationError(
                         f"probability {p!r} for {str(label)!r} is outside [0, 1]"
                     )
                 values[(*key, str(label)) if key else str(label)] = p
             total = math.fsum(entries)
             if abs(total - 1.0) > MASS_SUM_TOL:
-                raise NetworkDefinitionError(f"probabilities sum to {total!r}, expected 1")
-        except NetworkDefinitionError as exc:
-            raise NetworkDefinitionError(
+                raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+        except ValidationError as exc:
+            raise ValidationError(
                 f"CPT row for {v.name!r} given {dict(given)!r} is invalid: {exc}"
             ) from None
         if dist.keys() != outcomes:
             labels = tuple(map(str, dist))
             if sorted(labels) != sorted(v.outcomes):
-                raise NetworkDefinitionError(
+                raise ValidationError(
                     f"CPT row {v.name!r}|{key} covers {labels}, expected {v.outcomes}"
                 )
         if len(values) != count * width:
-            raise NetworkDefinitionError(
+            raise ValidationError(
                 f"CPT for {v.name!r} lists the row given {dict(given)!r} twice"
             )
     if len(values) != width * len(combos):
@@ -332,14 +329,14 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
     return values
 
 
-def _row_mismatch(name: str, parent_names: tuple, combos: set, rows) -> NetworkDefinitionError:
+def _row_mismatch(name: str, parent_names: tuple, combos: set, rows) -> ValidationError:
     keys = {_row_key(row.get("given", {}), parent_names) for row in rows}
-    return NetworkDefinitionError(
+    return ValidationError(
         f"CPT for {name!r} mismatches its parents: missing rows {sorted(combos - keys)}, "
         f"unexpected rows {sorted(keys - combos)}"
     )
 
 
 def load_network(path: str | Path) -> Network:
-    """Read a network definition file; malformed content raises NetworkDefinitionError."""
-    return read_json(path, network_from_dict, NetworkDefinitionError)
+    """Read a network definition file; malformed content raises ValidationError."""
+    return read_json(path, network_from_dict)

@@ -16,12 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (
-    EmptySetMassError,
-    MassOutOfRangeError,
-    MassSumMismatchError,
-    UnknownElementError,
-)
+from .errors import ValidationError
 
 # Tolerance for "masses sum to one" checks throughout the package.
 MASS_SUM_TOL = 1e-9
@@ -52,9 +47,9 @@ class Frame(_FrameFields):
 
     def __new__(cls, elements: tuple[str, ...]) -> Frame:
         if not elements:
-            raise UnknownElementError("frame must contain at least one element")
+            raise ValidationError("frame must contain at least one element")
         if len(set(elements)) != len(elements):
-            raise UnknownElementError(f"frame elements must be unique, got {elements}")
+            raise ValidationError(f"frame elements must be unique, got {elements}")
         return _FrameFields.__new__(cls, elements)
 
     def __contains__(self, label: str) -> bool:
@@ -87,7 +82,7 @@ class BeliefAssignment(NamedTuple):
     def singleton_distribution(self) -> "DiscreteDistribution":
         """The masses as a plain distribution; only defined for all-singleton BBAs."""
         if not self.is_bayesian():
-            raise MassOutOfRangeError(
+            raise ValidationError(
                 "only an all-singleton assignment maps to a discrete distribution"
             )
         pairs = {a[0]: m for a, m in self.masses.items()}
@@ -100,10 +95,9 @@ def validate_bba(
 ) -> BeliefAssignment:
     """Check a raw mass map against the BBA axioms and canonicalize it.
 
-    Rejections: any element outside the frame (UnknownElementError), nonzero
-    mass on the empty set (EmptySetMassError), a mass outside [0, 1]
-    (MassOutOfRangeError), and a total differing from 1 by more than
-    MASS_SUM_TOL (MassSumMismatchError).
+    Rejections, each a ValidationError: any element outside the frame, nonzero
+    mass on the empty set, a mass outside [0, 1], and a total differing from 1
+    by more than MASS_SUM_TOL.
 
     Args:
         raw: subset spec -> mass. A bare string key means a singleton.
@@ -117,19 +111,19 @@ def validate_bba(
         subset = canonical_subset(labels)
         for element in subset:
             if element not in frame:
-                raise UnknownElementError(
+                raise ValidationError(
                     f"element {element!r} is not in the frame {frame.elements}"
                 )
-        if not math.isfinite(mass) or mass < 0.0 or mass > 1.0:
-            raise MassOutOfRangeError(f"mass {mass!r} for {subset} is outside [0, 1]")
+        if not 0.0 <= mass <= 1.0:
+            raise ValidationError(f"mass {mass!r} for {subset} is outside [0, 1]")
         if not subset:
             if mass != 0.0:
-                raise EmptySetMassError(f"the empty set carries mass {mass!r}")
+                raise ValidationError(f"the empty set carries mass {mass!r}")
             continue
         canonical[subset] = canonical.get(subset, 0.0) + mass
     total = math.fsum(canonical.values())
     if abs(total - 1.0) > MASS_SUM_TOL:
-        raise MassSumMismatchError(f"masses sum to {total!r}, expected 1")
+        raise ValidationError(f"masses sum to {total!r}, expected 1")
     ordered = {a: m for a, m in sorted(canonical.items()) if m > 0.0}
     return BeliefAssignment(frame, ordered)
 
@@ -152,24 +146,24 @@ class DiscreteDistribution(_DistributionFields):
         cls, labels: tuple[str, ...], probabilities: tuple[float, ...]
     ) -> DiscreteDistribution:
         if len(labels) != len(probabilities):
-            raise MassSumMismatchError(
+            raise ValidationError(
                 f"{len(labels)} labels but {len(probabilities)} probabilities"
             )
         if len(set(labels)) != len(labels):
-            raise MassSumMismatchError(f"duplicate labels in {labels}")
+            raise ValidationError(f"duplicate labels in {labels}")
         for label, p in zip(labels, probabilities):
-            if not math.isfinite(p) or p < 0.0 or p > 1.0:
-                raise MassOutOfRangeError(f"probability {p!r} for {label!r} is outside [0, 1]")
+            if not 0.0 <= p <= 1.0:
+                raise ValidationError(f"probability {p!r} for {label!r} is outside [0, 1]")
         total = math.fsum(probabilities)
         if abs(total - 1.0) > MASS_SUM_TOL:
-            raise MassSumMismatchError(f"probabilities sum to {total!r}, expected 1")
+            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         return _DistributionFields.__new__(cls, labels, probabilities)
 
     def prob(self, label: str) -> float:
         try:
             return self.probabilities[self.labels.index(label)]
         except ValueError:
-            raise UnknownElementError(f"label {label!r} not in {self.labels}") from None
+            raise ValidationError(f"label {label!r} not in {self.labels}") from None
 
     def items(self) -> tuple[tuple[str, float], ...]:
         return tuple(zip(self.labels, self.probabilities))

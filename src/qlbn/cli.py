@@ -156,7 +156,7 @@ def _bba_from_json(doc: object):
     for key, value in doc["masses"].items():
         labels = tuple(part.strip() for part in str(key).split(",") if part.strip())
         try:
-            mass = parse_number(value, ValidationError)
+            mass = parse_number(value)
         except ValidationError:
             raise ValidationError(f"mass {value!r} for {key!r} is not a number") from None
         raw[labels] = raw.get(labels, 0.0) + mass

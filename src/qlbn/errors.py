@@ -32,42 +32,7 @@ class InferenceError(QlbnError):
     exit_code = 2
 
 
-# --- belief assignments and entropy ---------------------------------------
-
-
-class EmptySetMassError(ValidationError):
-    """The empty set carries nonzero mass."""
-
-
-class MassOutOfRangeError(ValidationError):
-    """A mass or probability lies outside [0, 1]."""
-
-
-class MassSumMismatchError(ValidationError):
-    """Masses or probabilities do not sum to 1 within tolerance."""
-
-
-class UnknownElementError(ValidationError):
-    """A focal set mentions an element missing from the frame."""
-
-
 # --- networks and classical inference --------------------------------------
-
-
-class NetworkDefinitionError(ValidationError):
-    """A network description is structurally invalid."""
-
-
-class UnknownVariableError(ValidationError):
-    """A query, evidence item, or assignment names no declared variable."""
-
-
-class IncompleteAssignmentError(ValidationError):
-    """A joint-probability request leaves some variable unassigned."""
-
-
-class QueryInEvidenceError(ValidationError):
-    """The query variable also appears in the evidence."""
 
 
 class InconsistentEvidenceError(InferenceError):
@@ -75,10 +40,6 @@ class InconsistentEvidenceError(InferenceError):
 
 
 # --- quantum-like inference -------------------------------------------------
-
-
-class NonBinaryVariableError(ValidationError):
-    """Amplitude networks require every variable to be binary."""
 
 
 class NegativeUnnormalizedMassError(InferenceError):
@@ -96,10 +57,6 @@ class SingularDenominatorError(InferenceError):
 # --- scenarios and reporting ------------------------------------------------
 
 
-class ZeroObservedError(ValidationError):
-    """Relative fit error is undefined for an observed value of zero."""
-
-
 class GoldenMismatchError(QlbnError):
     """One or more reproduction checks exceeded tolerance."""
 
@@ -114,42 +71,35 @@ class GoldenMismatchError(QlbnError):
 
 class shape_errors:
     """Context manager that turns a missing key or a wrong-typed value met
-    while parsing into error."""
-
-    def __init__(self, error: type[ValidationError] = ValidationError) -> None:
-        self.error = error
+    while parsing into ValidationError."""
 
     def __enter__(self) -> None:
         pass
 
     def __exit__(self, kind: object, exc: BaseException | None, traceback: object) -> None:
         if isinstance(exc, KeyError):
-            raise self.error(f"missing key {exc}") from None
+            raise ValidationError(f"missing key {exc}") from None
         if isinstance(exc, (TypeError, AttributeError)):
-            raise self.error(f"unexpected structure: {exc}") from None
+            raise ValidationError(f"unexpected structure: {exc}") from None
 
 
-def parse_number(value: object, error: type[ValidationError]) -> float:
+def parse_number(value: object) -> float:
     """A JSON number or decimal string as a float; anything else, bool included,
-    raises error. The message names only the value; callers add the context."""
+    raises ValidationError. The message names only the value; callers add the context."""
     if value.__class__ is float:  # the common case needs no checks or conversion
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise error(f"expected a number, got {value!r}")
+        raise ValidationError(f"expected a number, got {value!r}")
     try:
         return float(value)
     except ValueError:
-        raise error(f"cannot parse number {value!r}") from None
+        raise ValidationError(f"cannot parse number {value!r}") from None
 
 
-def read_json(
-    path: str | Path,
-    parse: Callable[[object], _T],
-    error: type[ValidationError] = ValidationError,
-) -> _T:
+def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
     """Read the JSON file at path and build a value from it with parse.
 
-    Every way the file can fail raises error with a message that names the
+    Every way the file can fail raises ValidationError with a message that names the
     path: it cannot be read, it is not JSON, parse rejects it with a
     ValidationError, or its content has the wrong shape for parse (see
     shape_errors).
@@ -158,11 +108,11 @@ def read_json(
         with open(os.fspath(path), encoding="utf-8") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from None
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
-        with shape_errors(error):
+        with shape_errors():
             return parse(json.loads(text))
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except ValidationError as exc:
-        raise error(f"{path}: {exc}") from None
+        raise ValidationError(f"{path}: {exc}") from None

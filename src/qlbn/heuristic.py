@@ -91,7 +91,7 @@ def belief_distance(alpha: float, beta: float) -> float:
     vanishes and SingularDenominatorError is raised. Results can exceed 1.
     """
     for value in (alpha, beta):
-        if not math.isfinite(value) or value < 0.0 or value > 1.0:
+        if not 0.0 <= value <= 1.0:
             raise ValueError(f"amplitude products must lie in [0, 1], got {value!r}")
     if abs(alpha - 0.5) > abs(beta - 0.5):
         alpha, beta = beta, alpha

@@ -31,8 +31,6 @@ from .bayesnet import (
 from .errors import (
     InconsistentEvidenceError,
     NegativeUnnormalizedMassError,
-    NonBinaryVariableError,
-    UnknownVariableError,
     ValidationError,
 )
 
@@ -55,12 +53,12 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
 
     Phases are deliberately not represented: amplitudes are the nonnegative
     roots, and interference enters only through the degree passed to
-    quantum_infer. Raises NonBinaryVariableError unless every variable has
+    quantum_infer. Raises ValidationError unless every variable has
     exactly two outcomes.
     """
     for v in net.variables:
         if len(v.outcomes) != 2:
-            raise NonBinaryVariableError(
+            raise ValidationError(
                 f"variable {v.name!r} has {len(v.outcomes)} outcomes; amplitude "
                 "networks answer only two-outcome questions"
             )
@@ -116,7 +114,7 @@ class QuantumInferenceResult(NamedTuple):
         for om in self.outcomes:
             if om.outcome == outcome:
                 return om.probability
-        raise UnknownVariableError(f"{outcome!r} is not an outcome of {self.query!r}")
+        raise ValidationError(f"{outcome!r} is not an outcome of {self.query!r}")
 
     def to_dict(self) -> dict:
         """Plain-data form carrying every field, for JSON output and reports."""

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Network, infer, network_from_dict
-from .errors import ValidationError, ZeroObservedError, parse_number, read_json
+from .errors import ValidationError, parse_number, read_json
 from .heuristic import BeliefDegree, outcome_pairs, pair_degree
 from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 
@@ -77,7 +77,7 @@ class Scenario(_ScenarioFields):
         self = _ScenarioFields.__new__(cls, *args, **kwargs)
         for label in _NUMBER_KEYS:
             value = getattr(self, label)
-            if not math.isfinite(value) or value < 0.0 or value > 1.0:
+            if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{self.name!r}: {label} = {value!r} is outside [0, 1]")
         return self
 
@@ -114,7 +114,7 @@ def scenario_to_network(scenario: Scenario) -> Network:
 def fit_error(predicted: float, observed: float) -> float:
     """Relative error |predicted - observed| / observed; observed must be positive."""
     if observed <= 0.0:
-        raise ZeroObservedError(f"relative fit error undefined for observed {observed!r}")
+        raise ValidationError(f"relative fit error undefined for observed {observed!r}")
     return abs(predicted - observed) / observed
 
 
@@ -222,7 +222,7 @@ def scenarios_from_json(doc: object) -> list[Scenario]:
             )
         try:
             numbers = {
-                key: parse_number(row[key], ValidationError) for key in _NUMBER_KEYS if key in row
+                key: parse_number(row[key]) for key in _NUMBER_KEYS if key in row
             }
         except ValidationError as exc:
             raise ValidationError(f"scenario {i}: {exc}") from None

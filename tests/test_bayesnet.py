@@ -20,13 +20,7 @@ from qlbn.bayesnet import (
     load_network,
     network_from_dict,
 )
-from qlbn.errors import (
-    IncompleteAssignmentError,
-    InconsistentEvidenceError,
-    NetworkDefinitionError,
-    QueryInEvidenceError,
-    UnknownVariableError,
-)
+from qlbn.errors import InconsistentEvidenceError, ValidationError
 
 from conftest import (
     GAME_DOC,
@@ -71,11 +65,11 @@ def _oracle_posterior(doc: dict, query: str, evidence: dict[str, str]) -> dict[s
 
 class TestVariable:
     def test_rejects_single_outcome(self):
-        with pytest.raises(NetworkDefinitionError, match="at least two"):
+        with pytest.raises(ValidationError, match="at least two"):
             Variable("X", ("only",))
 
     def test_rejects_duplicate_outcomes(self):
-        with pytest.raises(NetworkDefinitionError, match="duplicate"):
+        with pytest.raises(ValidationError, match="duplicate"):
             Variable("X", ("a", "a"))
 
 
@@ -198,12 +192,12 @@ def assert_single_fault(fault: str, tmp_path: Path) -> None:
     edit, message = SINGLE_FAULTS[fault]
     doc = json.loads(json.dumps(SERVERS_DOC))
     edit(doc)
-    with pytest.raises(NetworkDefinitionError) as direct:
+    with pytest.raises(ValidationError) as direct:
         network_from_dict(doc)
     assert str(direct.value) == message
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(NetworkDefinitionError) as from_file:
+    with pytest.raises(ValidationError) as from_file:
         load_network(path)
     assert str(from_file.value) == f"{path}: {message}"
 
@@ -233,7 +227,7 @@ class TestNetworkValidation:
                 "C": [{"given": {"B": b}, "dist": half} for b in "TF"],
             },
         }
-        with pytest.raises(NetworkDefinitionError) as caught:
+        with pytest.raises(ValidationError) as caught:
             network_from_dict(doc)
         assert str(caught.value) == "the network contains a cycle through ['A', 'B', 'C']"
 
@@ -306,15 +300,15 @@ class TestFullJoint:
             assert full_joint(net, assignment) == product
 
     def test_rejects_incomplete_assignment(self, servers_net: Network):
-        with pytest.raises(IncompleteAssignmentError, match="S2"):
+        with pytest.raises(ValidationError, match="S2"):
             full_joint(servers_net, {"S1": "T"})
 
     def test_rejects_unknown_variable(self, servers_net: Network):
-        with pytest.raises(UnknownVariableError, match="'S9'"):
+        with pytest.raises(ValidationError, match="'S9'"):
             full_joint(servers_net, {"S1": "T", "S2": "F", "S9": "T"})
 
     def test_rejects_unknown_outcome(self, servers_net: Network):
-        with pytest.raises(UnknownVariableError, match="'Maybe'"):
+        with pytest.raises(ValidationError, match="'Maybe'"):
             full_joint(servers_net, {"S1": "Maybe", "S2": "F"})
 
 
@@ -335,11 +329,11 @@ class TestInfer:
         assert infer(game_net, "P2", {}).labels == ("Defect", "Cooperate")
 
     def test_rejects_query_in_evidence(self, servers_net: Network):
-        with pytest.raises(QueryInEvidenceError, match="'S1'"):
+        with pytest.raises(ValidationError, match="'S1'"):
             infer(servers_net, "S1", {"S1": "T"})
 
     def test_rejects_unknown_query(self, servers_net: Network):
-        with pytest.raises(UnknownVariableError, match="'S9'"):
+        with pytest.raises(ValidationError, match="'S9'"):
             infer(servers_net, "S9", {})
 
     def test_zero_probability_evidence(self):
@@ -473,11 +467,11 @@ class TestNetworkFiles:
     def test_malformed_json_reports_line(self, tmp_path: Path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "variables": [\n')
-        with pytest.raises(NetworkDefinitionError, match="line 3"):
+        with pytest.raises(ValidationError, match="line 3"):
             load_network(path)
 
     def test_missing_sections(self, tmp_path: Path):
-        with pytest.raises(NetworkDefinitionError, match="'variables' and 'cpts'"):
+        with pytest.raises(ValidationError, match="'variables' and 'cpts'"):
             network_from_dict({"variables": []})
         nameless = json.loads(json.dumps(SERVERS_DOC))
         del nameless["variables"][0]["name"]
@@ -494,11 +488,11 @@ class TestNetworkFiles:
             (listed_dist, "unexpected structure: list indices must be integers"),
             (object_cpt, "unexpected structure: 'str' object has no attribute 'get'"),
         ):
-            with pytest.raises(NetworkDefinitionError) as direct:
+            with pytest.raises(ValidationError) as direct:
                 network_from_dict(doc)
             assert str(direct.value).startswith(message)
             path.write_text(json.dumps(doc))
-            with pytest.raises(NetworkDefinitionError) as from_file:
+            with pytest.raises(ValidationError) as from_file:
                 load_network(path)
             assert str(from_file.value) == f"{path}: {direct.value}"
 

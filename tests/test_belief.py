@@ -19,12 +19,7 @@ from qlbn.belief import (
     shannon_entropy,
     validate_bba,
 )
-from qlbn.errors import (
-    EmptySetMassError,
-    MassOutOfRangeError,
-    MassSumMismatchError,
-    UnknownElementError,
-)
+from qlbn.errors import ValidationError
 
 ABC = Frame(("a", "b", "c"))
 BBA_DIR = Path(__file__).resolve().parent.parent / "data" / "bba"
@@ -87,11 +82,11 @@ class TestFrame:
         assert len(ABC) == 3
 
     def test_rejects_duplicates(self):
-        with pytest.raises(UnknownElementError, match="unique"):
+        with pytest.raises(ValidationError, match="unique"):
             Frame(("a", "a"))
 
     def test_rejects_empty(self):
-        with pytest.raises(UnknownElementError, match="at least one"):
+        with pytest.raises(ValidationError, match="at least one"):
             Frame(())
 
 
@@ -116,28 +111,33 @@ class TestValidateBBA:
         assert tuple(bba.masses) == (("a",),)
 
     def test_rejects_mass_on_empty_set(self):
-        with pytest.raises(EmptySetMassError, match="empty set"):
+        with pytest.raises(ValidationError, match="empty set"):
             validate_bba({(): 0.1, "a": 0.9}, ABC)
 
     def test_rejects_unknown_element(self):
-        with pytest.raises(UnknownElementError, match="'d'"):
+        with pytest.raises(ValidationError, match="'d'"):
             validate_bba({("a", "d"): 1.0}, ABC)
 
     def test_rejects_negative_mass(self):
-        with pytest.raises(MassOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"mass -0.1 for \('a',\) is outside"):
             validate_bba({"a": -0.1, "b": 1.1}, ABC)
 
     def test_rejects_mass_above_one(self):
-        with pytest.raises(MassOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"mass 1.2 for \('a',\) is outside \[0, 1\]"):
             validate_bba({"a": 1.2}, ABC)
 
     def test_rejects_bad_total(self):
-        with pytest.raises(MassSumMismatchError, match="sum to"):
+        with pytest.raises(ValidationError, match="sum to"):
             validate_bba({"a": 0.5, "b": 0.4}, ABC)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf], ids=str)
+    def test_rejects_non_finite_mass(self, mass: float):
+        with pytest.raises(ValidationError, match=rf"mass {mass!r} for \('a',\) is outside"):
+            validate_bba({"a": mass}, ABC)
 
     def test_total_tolerance_boundary(self):
         validate_bba({"a": 0.5, "b": 0.5 + 5e-10}, ABC)
-        with pytest.raises(MassSumMismatchError):
+        with pytest.raises(ValidationError, match="masses sum to"):
             validate_bba({"a": 0.5, "b": 0.5 + 2e-9}, ABC)
 
     def test_is_bayesian(self):
@@ -150,7 +150,7 @@ class TestValidateBBA:
 
     def test_singleton_distribution_requires_bayesian(self):
         bba = validate_bba({("a", "b"): 1.0}, ABC)
-        with pytest.raises(MassOutOfRangeError, match="all-singleton"):
+        with pytest.raises(ValidationError, match="all-singleton"):
             bba.singleton_distribution()
 
 
@@ -162,23 +162,28 @@ class TestDiscreteDistribution:
 
     def test_unknown_label(self):
         dist = DiscreteDistribution(("x", "y"), (0.25, 0.75))
-        with pytest.raises(UnknownElementError, match="'z'"):
+        with pytest.raises(ValidationError, match="'z'"):
             dist.prob("z")
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(MassSumMismatchError, match="labels"):
+        with pytest.raises(ValidationError, match="labels"):
             DiscreteDistribution(("x", "y"), (1.0,))
 
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(MassSumMismatchError, match="duplicate"):
+        with pytest.raises(ValidationError, match="duplicate"):
             DiscreteDistribution(("x", "x"), (0.5, 0.5))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(MassOutOfRangeError):
+        with pytest.raises(ValidationError, match="probability -0.1 for 'x' is outside"):
             DiscreteDistribution(("x", "y"), (-0.1, 1.1))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf], ids=str)
+    def test_rejects_non_finite(self, p: float):
+        with pytest.raises(ValidationError, match=f"probability {p!r} for 'x' is outside"):
+            DiscreteDistribution(("x", "y"), (p, 0.5))
+
     def test_rejects_bad_total(self):
-        with pytest.raises(MassSumMismatchError, match="sum to"):
+        with pytest.raises(ValidationError, match="sum to"):
             DiscreteDistribution(("x", "y"), (0.5, 0.4))
 
 

@@ -103,8 +103,11 @@ class TestEntropy:
              "mass 'half' for 'a' is not a number"),
             ({"frame": ["a", "b"], "masses": {"a": None, "b": 1}},
              "mass None for 'a' is not a number"),
+            # json.dumps writes the JSON literal Infinity, which json.loads reads back
+            ({"frame": ["a", "b"], "masses": {"a": float("inf")}},
+             "mass inf for ('a',) is outside [0, 1]"),
         ],
-        ids=["bool mass", "string frame", "word mass", "null mass"],
+        ids=["bool mass", "string frame", "word mass", "null mass", "infinite mass"],
     )
     def test_rejected_values(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bba.json"
@@ -546,6 +549,22 @@ class TestPredictAndCompare:
         code, _, err = run_cli(capsys, "predict", "--scenario", str(path))
         assert code == 1
         assert "no scenarios" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
+             ' "observed_unknown": NaN}]', "'X': observed_unknown = nan is outside [0, 1]"),
+            ("[1]", "scenario 0: expected an object, got 1"),
+        ],
+        ids=["nan observed", "row not an object"],
+    )
+    def test_predict_rejected_files(self, capsys, tmp_path, content, message):
+        path = tmp_path / "scenarios.json"
+        path.write_text(content)
+        code, out, err = run_cli(capsys, "predict", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {message}\n"
 
     def test_compare_defaults_to_builtin_dataset(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--format", "json")

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from qlbn.bayesnet import load_network, network_from_dict
 from qlbn.errors import (
-    QueryInEvidenceError,
     SingularDenominatorError,
-    UnknownVariableError,
     UnsupportedStructureError,
+    ValidationError,
 )
 from qlbn.heuristic import (
     SINGULAR_TOL,
@@ -103,12 +102,12 @@ class TestChecksComeFirst:
 
     def test_query_in_evidence(self, entry):
         anet = amplitudes_from_network(network_from_dict(chain_doc(["A", "B", "C"])))
-        with pytest.raises(QueryInEvidenceError, match="query 'B' already appears"):
+        with pytest.raises(ValidationError, match="query 'B' already appears"):
             entry(anet, "B", {"B": "T"})
 
     def test_unknown_evidence_variable(self, entry):
         anet = amplitudes_from_network(network_from_dict(chain_doc(["A", "B", "C"])))
-        with pytest.raises(UnknownVariableError, match="no variable named 'Z'"):
+        with pytest.raises(ValidationError, match="no variable named 'Z'"):
             entry(anet, "B", {"Z": "T"})
 
     def test_many_unobserved_are_refused_before_enumerating(self, entry, no_enumeration):
@@ -165,6 +164,12 @@ class TestBeliefDistance:
             belief_distance(1.2, 0.3)
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             belief_distance(0.3, -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    def test_rejects_non_finite(self, value: float):
+        for pair in ((value, 0.3), (0.3, value)):
+            with pytest.raises(ValueError, match=rf"\[0, 1\], got {value!r}"):
+                belief_distance(*pair)
 
     @given(unit_floats, unit_floats)
     def test_symmetric_in_arguments(self, a: float, b: float):

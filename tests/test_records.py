@@ -8,7 +8,7 @@ import pytest
 from conftest import SERVERS_DOC
 from qlbn.bayesnet import Network, Variable, infer, network_from_dict
 from qlbn.belief import Frame, validate_bba
-from qlbn.errors import UnknownElementError
+from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
 from qlbn.scenarios import Table, load_builtin, run_reproduction
@@ -70,6 +70,16 @@ def test_networks_compare_by_identity_and_their_results_by_value():
     assert Variable("S1", ("T", "F")) == first.variables[0]
 
 
+def test_network_repr_shows_variables_and_parents():
+    net = network_from_dict({
+        "variables": [{"name": "A", "outcomes": ["T", "F"]}],
+        "cpts": {"A": [{"dist": {"T": 0.5, "F": 0.5}}]},
+    })
+    assert repr(net) == (
+        "Network(variables=(Variable(name='A', outcomes=('T', 'F')),), parents={'A': ()})"
+    )
+
+
 def test_frame_replace_and_make_build_checked_frames():
     frame = Frame(("a", "b"))
     changed = frame._replace(elements=("c", "d", "e"))
@@ -77,7 +87,7 @@ def test_frame_replace_and_make_build_checked_frames():
     assert changed == Frame(("c", "d", "e"))
     assert len(changed) == 3
     assert Frame._make([("x",)]) == Frame(("x",))
-    with pytest.raises(UnknownElementError, match="unique"):
+    with pytest.raises(ValidationError, match="unique"):
         frame._replace(elements=("c", "c"))
-    with pytest.raises(UnknownElementError, match="at least one"):
+    with pytest.raises(ValidationError, match="at least one"):
         Frame._make([()])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qlbn.errors import ValidationError, ZeroObservedError
+from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query
 from qlbn.quantum import amplitudes_from_network
 from qlbn.scenarios import (
@@ -72,6 +72,14 @@ class TestScenario:
         with pytest.raises(ValidationError, match="prior_defect"):
             Scenario("bad", 0.5, 0.5, 0.5, prior_defect=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    def test_rejects_non_finite_probability(self, value: float):
+        fields = ("p_defect_given_defect", "p_defect_given_cooperate", "observed_unknown",
+                  "prior_defect")
+        for field in fields:
+            with pytest.raises(ValidationError, match=f"'bad': {field} = {value!r} is outside"):
+                Scenario("bad", **{**dict.fromkeys(fields, 0.5), field: value})
+
 
 class TestScenarioToNetwork:
     def test_declared_outcome_orders(self):
@@ -100,11 +108,11 @@ class TestFitError:
         assert fit_error(0.5, 0.5) == 0.0
 
     def test_rejects_zero_observed(self):
-        with pytest.raises(ZeroObservedError, match="observed"):
+        with pytest.raises(ValidationError, match="observed"):
             fit_error(0.5, 0.0)
 
     def test_rejects_negative_observed(self):
-        with pytest.raises(ZeroObservedError):
+        with pytest.raises(ValidationError, match="undefined for observed -0.2"):
             fit_error(0.5, -0.2)
 
 
