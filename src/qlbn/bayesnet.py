@@ -73,8 +73,9 @@ class Network:
         positions: variable name -> declared position.
 
     Build through network_from_dict, which validates the definition and
-    compiles it. Fields cannot be reassigned, and the dicts must be treated as
-    immutable. Networks compare by identity.
+    compiles it, or bind new values into a built network's structure, as
+    scenario_to_network does. Fields cannot be reassigned, and the dicts must be
+    treated as immutable. Networks compare by identity.
     """
 
     __slots__ = ("variables", "parents", "table", "positions")

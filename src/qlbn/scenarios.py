@@ -82,6 +82,17 @@ class Scenario(_ScenarioFields):
         return self
 
 
+# The game's structure, checked and compiled once; each CPT row lists Defect, then Cooperate.
+_GAME = network_from_dict({
+    "variables": [{"name": PLAYER_ONE, "outcomes": [COOPERATE, DEFECT]},
+                  {"name": PLAYER_TWO, "outcomes": [DEFECT, COOPERATE]}],
+    "edges": [[PLAYER_ONE, PLAYER_TWO]],
+    "cpts": {PLAYER_ONE: [{"given": {}, "dist": {DEFECT: 0.5, COOPERATE: 0.5}}],
+             PLAYER_TWO: [{"given": {PLAYER_ONE: move}, "dist": {DEFECT: 0.5, COOPERATE: 0.5}}
+                          for move in (COOPERATE, DEFECT)]},
+})
+
+
 def scenario_to_network(scenario: Scenario) -> Network:
     """Two-node network P1 -> P2 for one scenario.
 
@@ -89,31 +100,18 @@ def scenario_to_network(scenario: Scenario) -> Network:
     (cooperating opponent, defecting opponent); P2 declares Defect first, the
     outcome every report leads with.
     """
-
-    def row(given: dict[str, str], defect: float) -> dict:
-        return {"given": given, "dist": {DEFECT: defect, COOPERATE: 1.0 - defect}}
-
-    return network_from_dict(
-        {
-            "variables": [
-                {"name": PLAYER_ONE, "outcomes": [COOPERATE, DEFECT]},
-                {"name": PLAYER_TWO, "outcomes": [DEFECT, COOPERATE]},
-            ],
-            "edges": [[PLAYER_ONE, PLAYER_TWO]],
-            "cpts": {
-                PLAYER_ONE: [row({}, scenario.prior_defect)],
-                PLAYER_TWO: [
-                    row({PLAYER_ONE: COOPERATE}, scenario.p_defect_given_cooperate),
-                    row({PLAYER_ONE: DEFECT}, scenario.p_defect_given_defect),
-                ],
-            },
-        }
-    )
+    s = Scenario(*scenario)  # checks a copy made by _replace, which skips the checks
+    rows = ((s.prior_defect,), (s.p_defect_given_cooperate, s.p_defect_given_defect))
+    table = tuple([
+        (get, dict(zip(keys, [p for d in map(parse_number, row) for p in (d, 1.0 - d)])))
+        for (get, keys), row in zip(_GAME.table, rows)
+    ])
+    return Network(_GAME.variables, _GAME.parents, table, _GAME.positions)
 
 
 def fit_error(predicted: float, observed: float) -> float:
-    """Relative error |predicted - observed| / observed; observed must be positive."""
-    if observed <= 0.0:
+    """Relative error |predicted - observed| / observed; observed must be in (0, 1]."""
+    if not 0.0 < observed <= 1.0:
         raise ValidationError(f"relative fit error undefined for observed {observed!r}")
     return abs(predicted - observed) / observed
 

@@ -113,6 +113,30 @@ GAME_DOC = {
     },
 }
 
+
+def scenario_doc(scenario) -> dict:
+    """The network document of one game scenario, as the file parse reads it: the
+    reference that scenario_to_network's compiled game is checked against."""
+
+    def row(given: dict[str, str], defect: float) -> dict:
+        return {"given": given, "dist": {"Defect": defect, "Cooperate": 1.0 - defect}}
+
+    return {
+        "variables": [
+            {"name": "P1", "outcomes": ["Cooperate", "Defect"]},
+            {"name": "P2", "outcomes": ["Defect", "Cooperate"]},
+        ],
+        "edges": [["P1", "P2"]],
+        "cpts": {
+            "P1": [row({}, scenario.prior_defect)],
+            "P2": [
+                row({"P1": "Cooperate"}, scenario.p_defect_given_cooperate),
+                row({"P1": "Defect"}, scenario.p_defect_given_defect),
+            ],
+        },
+    }
+
+
 # Two data servers, the second mirroring the first imperfectly.
 SERVERS_DOC = {
     "variables": [
@@ -223,3 +247,13 @@ def unobserved_checks(monkeypatch: pytest.MonkeyPatch) -> list[str]:
 
     rebind(monkeypatch, original, counted)
     return queries
+
+
+@pytest.fixture
+def no_network_parse(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Fail at once, instead of parsing, when anything builds a network from a document."""
+
+    def refused(doc):
+        raise AssertionError("parsed a network document")
+
+    rebind(monkeypatch, bayesnet.network_from_dict, refused)

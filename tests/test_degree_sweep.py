@@ -114,3 +114,8 @@ def test_singular_pair_is_an_inference_error(tmp_path: Path):
     assert result.stderr.startswith("error: |alpha + beta - 1|")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_sweep_parses_no_network_document(capsys, no_network_parse):
+    assert cli.main(["sweep", "--steps", "81"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SWEEP_81_DIGEST

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from qlbn.bayesnet import Network, network_from_dict
 from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query
 from qlbn.quantum import amplitudes_from_network
@@ -41,7 +43,7 @@ from qlbn.scenarios import (
     scenarios_from_json,
 )
 
-from conftest import table_entry
+from conftest import scenario_doc, table_entry
 
 AVERAGE = Scenario(
     name="Average",
@@ -98,6 +100,52 @@ class TestScenarioToNetwork:
         assert table_entry(net, PLAYER_ONE, DEFECT) == pytest.approx(0.3)
         assert table_entry(net, PLAYER_ONE, COOPERATE) == pytest.approx(0.7)
 
+    @staticmethod
+    def assert_parsed_alike(net: Network, reference: Network) -> None:
+        assert net.variables == reference.variables
+        assert net.parents == reference.parents
+        assert net.positions == reference.positions
+        labels = list(itertools.product(*(v.outcomes for v in reference.variables)))
+        for (get, values), (ref_get, ref_values) in zip(net.table, reference.table, strict=True):
+            # float.hex pins the type and every bit; the list pins the key order
+            assert [(k, v.hex()) for k, v in values.items()] == [
+                (k, v.hex()) for k, v in ref_values.items()
+            ]
+            assert [get(pair) for pair in labels] == [ref_get(pair) for pair in labels]
+
+    def test_binds_what_the_parse_builds(self):
+        grid = [i / 20 for i in range(21)]
+        for prior, cooperate, defect in itertools.product([0.1, 0.5, 0.9], grid, grid):
+            scenario = Scenario("grid", defect, cooperate, 0.5, prior_defect=prior)
+            self.assert_parsed_alike(
+                scenario_to_network(scenario), network_from_dict(scenario_doc(scenario))
+            )
+
+    def test_binds_ints_as_floats(self):
+        scenario = Scenario("ints", 1, 0, 0.5, prior_defect=1)
+        self.assert_parsed_alike(
+            scenario_to_network(scenario), network_from_dict(scenario_doc(scenario))
+        )
+
+    @pytest.mark.parametrize("field", ["p_defect_given_defect", "p_defect_given_cooperate",
+                                       "prior_defect"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_probability(self, field: str, value: bool):
+        scenario = Scenario(**{**AVERAGE._asdict(), field: value})
+        with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
+            scenario_to_network(scenario)
+        with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
+            predict_unknown(scenario)
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan], ids=str)
+    def test_checks_a_copy_made_by_replace(self, value: float):
+        with pytest.raises(ValidationError, match=f"'Average': prior_defect = {value!r} is"):
+            scenario_to_network(AVERAGE._replace(prior_defect=value))
+
+    def test_parses_no_network_document(self, no_network_parse):
+        record = predict_unknown(AVERAGE)
+        assert record.quantum_prediction == pytest.approx(0.6924950507292637, abs=1e-9)
+
 
 class TestFitError:
     def test_relative_error(self):
@@ -114,6 +162,12 @@ class TestFitError:
     def test_rejects_negative_observed(self):
         with pytest.raises(ValidationError, match="undefined for observed -0.2"):
             fit_error(0.5, -0.2)
+
+    @pytest.mark.parametrize("observed", [math.nan, math.inf, 1.5], ids=str)
+    def test_rejects_observed_outside_unit_interval(self, observed: float):
+        with pytest.raises(ValidationError,
+                           match=f"relative fit error undefined for observed {observed!r}"):
+            fit_error(0.5, observed)
 
 
 class TestPredictUnknown:
