@@ -63,7 +63,7 @@ Factor = tuple[Callable[[Sequence[str]], object], dict[object, float]]
 ValueTable = tuple[Factor, ...]
 
 
-class Network:
+class Network(NamedTuple):
     """A directed acyclic network of discrete variables with one CPT per variable.
 
     Fields:
@@ -73,25 +73,18 @@ class Network:
         positions: variable name -> declared position.
 
     Build through network_from_dict, which validates the definition and
-    compiles it, or bind new values into a built network's structure, as
-    scenario_to_network does. Fields cannot be reassigned, and the dicts must be
-    treated as immutable. Networks compare by identity.
+    compiles it, or bind new values into a built network with _replace(table=...),
+    as scenario_to_network does. Fields cannot be reassigned, the dicts must be
+    treated as immutable, and networks compare and hash by identity.
     """
 
-    __slots__ = ("variables", "parents", "table", "positions")
+    variables: tuple[Variable, ...]
+    parents: dict[str, tuple[str, ...]]
+    table: ValueTable
+    positions: dict[str, int]
 
-    def __init__(
-        self,
-        variables: tuple[Variable, ...],
-        parents: dict[str, tuple[str, ...]],
-        table: ValueTable,
-        positions: dict[str, int],
-    ) -> None:
-        for name, value in zip(Network.__slots__, (variables, parents, table, positions)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Network")
+    # The table holds itemgetters, and equal values do not make two parses one network.
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __repr__(self) -> str:
         return f"Network(variables={self.variables!r}, parents={self.parents!r})"
@@ -114,12 +107,13 @@ def table_product(table: ValueTable, labels: Sequence[str]) -> float:
 
 def _positional_labels(net: Network, assignment: Assignment) -> list[str | None]:
     """Each variable's assigned outcome in declared order, None where unassigned."""
-    labels: list[str | None] = [None] * len(net.variables)
+    variables, positions = net.variables, net.positions
+    labels: list[str | None] = [None] * len(variables)
     for name, outcome in assignment.items():
-        position = net.positions.get(name)
+        position = positions.get(name)
         if position is None:
             raise ValidationError(f"no variable named {name!r}")
-        outcomes = net.variables[position].outcomes
+        outcomes = variables[position].outcomes
         if outcome not in outcomes:
             raise ValidationError(f"{outcome!r} is not an outcome of {name!r} {outcomes}")
         labels[position] = outcome

@@ -176,58 +176,52 @@ def _csv(keys: tuple[str, ...], rows) -> str:
     return render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
 
 
-def _print_distribution(items, fmt: str, query: str) -> None:
-    """Print (outcome, probability) pairs as an aligned table, csv or json."""
-    if fmt == "table":
-        width = max(len(lb) for lb, _ in items)
-        for lb, p in items:
-            print(f"{lb.ljust(width)}  {p:.5f}")
-    elif fmt == "csv":
-        print(_csv(("outcome", "probability"), items), end="")
-    else:
-        print(json.dumps({"query": query, "distribution": dict(items)}, indent=2))
-
-
 def cmd_infer(args: argparse.Namespace) -> None:
     evidence = _parse_evidence(args.evidence)
     fixed = _parse_degree(args.degree)
     net = load_network(args.network)
     if args.mode == "classical":
-        dist = infer(net, args.query, evidence)
-        _print_distribution(dist.items(), args.format, args.query)
-        return
-
-    enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
-    magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
-    pairs = outcome_pairs(magnitudes)
-    degree_value, degree_raw = pair_degree(pairs) if fixed is None else (fixed, fixed)
-    result = posterior(args.query, magnitudes, degree_value)
-    if args.verbose:
-        if not pairs:
-            print("vectors: unavailable for this structure")
-        for pair in pairs:
-            try:
-                distance = f"{belief_distance(pair.alpha, pair.beta):.5f}"
-            except SingularDenominatorError:
-                distance = "singular"  # a fixed degree does not depend on it
-            print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
-                  f"beta={pair.beta:.5f} distance={distance}")
-        print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})")
-        for om in result.outcomes:
-            clamp = " (clamped to 0)" if om.clamped else ""
-            print(f"mass {om.outcome}: classical={om.classical_part:.5f} "
-                  f"interference={om.interference_part:.5f} "
-                  f"unnormalized={om.unnormalized:.5f}{clamp}")
-        print(f"normalizer={result.normalizer:.5f}")
-    if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
-    elif args.format == "csv":
-        rows = (om._replace(clamped=str(om.clamped)) for om in result.outcomes)
-        print(_csv(OutcomeMass._fields, rows), end="")
+        items = infer(net, args.query, evidence).items()
+        fields, rows = ("outcome", "probability"), items
+        doc = {"query": args.query, "distribution": dict(items)}
     else:
-        _print_distribution(
-            [(om.outcome, om.probability) for om in result.outcomes], "table", args.query
-        )
+        enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
+        magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
+        pairs = outcome_pairs(magnitudes)
+        degree_value, degree_raw = pair_degree(pairs) if fixed is None else (fixed, fixed)
+        result = posterior(args.query, magnitudes, degree_value)
+        if args.verbose:
+            # Only the table shares stdout with the trace, so CSV and JSON stay parseable.
+            trace = sys.stdout if args.format == "table" else sys.stderr
+            if not pairs:
+                print("vectors: unavailable for this structure", file=trace)
+            for pair in pairs:
+                try:
+                    distance = f"{belief_distance(pair.alpha, pair.beta):.5f}"
+                except SingularDenominatorError:
+                    distance = "singular"  # a fixed degree does not depend on it
+                print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
+                      f"beta={pair.beta:.5f} distance={distance}", file=trace)
+            print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})",
+                  file=trace)
+            for om in result.outcomes:
+                clamp = " (clamped to 0)" if om.clamped else ""
+                print(f"mass {om.outcome}: classical={om.classical_part:.5f} "
+                      f"interference={om.interference_part:.5f} "
+                      f"unnormalized={om.unnormalized:.5f}{clamp}", file=trace)
+            print(f"normalizer={result.normalizer:.5f}", file=trace)
+        items = [(om.outcome, om.probability) for om in result.outcomes]
+        fields = OutcomeMass._fields
+        rows = (om._replace(clamped=str(om.clamped)) for om in result.outcomes)
+        doc = result.to_dict()
+    if args.format == "table":
+        width = max(len(lb) for lb, _ in items)
+        for lb, p in items:
+            print(f"{lb.ljust(width)}  {p:.5f}")
+    elif args.format == "csv":
+        print(_csv(fields, rows), end="")
+    else:
+        print(json.dumps(doc, indent=2))
 
 
 def _emit_report(report, fmt: str) -> None:

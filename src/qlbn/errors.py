@@ -22,8 +22,8 @@ class QlbnError(Exception):
     exit_code = 1
 
 
-class ValidationError(QlbnError):
-    """An input violates its contract."""
+class ValidationError(QlbnError, ValueError):
+    """An input violates its contract; a ValueError too, as builtin argument checks are."""
 
 
 class InferenceError(QlbnError):

@@ -29,7 +29,7 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Assignment, unobserved
-from .errors import SingularDenominatorError, UnsupportedStructureError
+from .errors import SingularDenominatorError, UnsupportedStructureError, ValidationError
 from .quantum import AmplitudeNetwork, completion_magnitudes
 
 # Below this, |alpha + beta - 1| counts as zero.
@@ -92,7 +92,7 @@ def belief_distance(alpha: float, beta: float) -> float:
     """
     for value in (alpha, beta):
         if not 0.0 <= value <= 1.0:
-            raise ValueError(f"amplitude products must lie in [0, 1], got {value!r}")
+            raise ValidationError(f"amplitude products must lie in [0, 1], got {value!r}")
     if abs(alpha - 0.5) > abs(beta - 0.5):
         alpha, beta = beta, alpha
     denominator = abs(alpha + beta - 1.0)
@@ -125,7 +125,7 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
     interference under ignorance.
     """
     if not distances:
-        raise ValueError("at least one distance is required")
+        raise ValidationError("at least one distance is required")
     raw = math.fsum([b * math.log2(b) for b in distances if b > 0.0])
     return BeliefDegree(min(1.0, max(-1.0, raw)), raw)
 

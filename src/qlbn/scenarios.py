@@ -106,7 +106,7 @@ def scenario_to_network(scenario: Scenario) -> Network:
         (get, dict(zip(keys, [p for d in map(parse_number, row) for p in (d, 1.0 - d)])))
         for (get, keys), row in zip(_GAME.table, rows)
     ])
-    return Network(_GAME.variables, _GAME.parents, table, _GAME.positions)
+    return _GAME._replace(table=table)
 
 
 def fit_error(predicted: float, observed: float) -> float:

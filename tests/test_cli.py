@@ -313,6 +313,31 @@ class TestInferQuantum:
         assert verbose_err == plain_err
         assert "|alpha + beta - 1|" in plain_err
 
+    @pytest.mark.parametrize("degree", ["auto", "zero", "fixed:0.3"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_verbose_trace_goes_to_stderr_for_csv_and_json(self, capsys, fmt, degree):
+        base = ("infer", "--network", GAME_NET, "--query", "P2", "--mode", "quantum",
+                "--degree", degree)
+        code, plain, _ = run_cli(capsys, *base, "--format", fmt)
+        assert code == 0
+        code, out, err = run_cli(capsys, *base, "--format", fmt, "--verbose")
+        assert code == 0
+        assert out == plain
+        if fmt == "csv":
+            assert next(csv.reader(out.splitlines()))[0] == "outcome"
+        else:
+            assert json.loads(out)["query"] == "P2"
+        prefixes = ["vector Defect: ", "vector Cooperate: ", "degree: raw=",
+                    "mass Defect: ", "mass Cooperate: ", "normalizer="]
+        lines = err.splitlines()
+        assert len(lines) == len(prefixes)
+        assert all(line.startswith(p) for line, p in zip(lines, prefixes))
+        assert f"({degree})" in lines[2]
+        # The table prints the same trace lines to stdout, ahead of the table.
+        _, table, _ = run_cli(capsys, *base)
+        _, table_verbose, _ = run_cli(capsys, *base, "--verbose")
+        assert table_verbose == err + table
+
     def test_negative_degree_without_pairs_prints_positive_zero(self, capsys):
         code, out, _ = run_cli(
             capsys, "infer", "--network", SERVERS_NET, "--query", "S2",
@@ -741,9 +766,9 @@ STDOUT_DIGESTS = {
     "infer-quantum-verbose-table":
         "4d490c510cea8263b0e6928138bb036c6980ff375b486b26ff72ff4a1cc85660",
     "infer-quantum-verbose-csv":
-        "e6f334d256b79bd9aefc76b5d66e19c3f445d2212946e6599da166387eaad598",
+        "67da756edc47cb1c30e5bed9178a5c7366e79b45408101014d7e8410dd57b379",
     "infer-quantum-verbose-json":
-        "98951e13a62e3cda90c1137592ef084d3af0872cf66c0705d8587b29c39331d0",
+        "09eab6d0de52fa2ccc93516b4d195e0283a0096ae1c392210adb3f128b8ab9ae",
     "infer-quantum-zero-table":
         "812891f7575e212cac873bc3f31a7673398ba0c4ad2e6458b9a4a3cad6ca25b9",
     "infer-quantum-zero-csv":

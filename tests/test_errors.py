@@ -3,6 +3,8 @@ exit code per family."""
 
 from __future__ import annotations
 
+import ast
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 from qlbn import errors
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 INFERENCE_CAUSES = {
     "InconsistentEvidenceError",
@@ -29,6 +32,24 @@ BENCH_CAUSES = re.findall(
 
 def test_validation_error_has_no_subclasses():
     assert errors.ValidationError.__subclasses__() == []
+
+
+def test_validation_error_is_a_value_error():
+    assert issubclass(errors.ValidationError, ValueError)
+
+
+def test_no_raise_names_a_builtin_exception_other_than_system_exit():
+    found = []
+    for path in sorted((ROOT / "src" / "qlbn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(raised, type) and issubclass(raised, BaseException) \
+                    and raised is not SystemExit:
+                found.append(f"{path.name}:{node.lineno} {exc.id}")
+    assert found == []
 
 
 def test_inference_error_has_exactly_the_four_causes():

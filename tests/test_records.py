@@ -6,12 +6,13 @@ from __future__ import annotations
 import pytest
 
 from conftest import SERVERS_DOC
+from qlbn import scenarios
 from qlbn.bayesnet import Network, Variable, infer, network_from_dict
 from qlbn.belief import Frame, validate_bba
 from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
-from qlbn.scenarios import Table, load_builtin, run_reproduction
+from qlbn.scenarios import Scenario, Table, load_builtin, run_reproduction, scenario_to_network
 
 NETWORK_FIELDS = ("variables", "parents", "table", "positions")
 
@@ -54,8 +55,7 @@ RECORDS = _records()
 def test_fields_cannot_be_assigned(type_name: str):
     record = RECORDS[type_name]
     assert type(record).__name__ == type_name
-    fields = NETWORK_FIELDS if isinstance(record, Network) else record._fields
-    for name in fields:
+    for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
 
@@ -68,6 +68,26 @@ def test_networks_compare_by_identity_and_their_results_by_value():
     assert first.variables[0] is not second.variables[0]
     assert infer(first, "S2", {}) == infer(second, "S2", {})
     assert Variable("S1", ("T", "F")) == first.variables[0]
+
+
+def test_network_is_a_named_tuple_that_hashes_by_identity():
+    net = network_from_dict(SERVERS_DOC)
+    assert Network._fields == NETWORK_FIELDS
+    assert net in {net}
+    assert network_from_dict(SERVERS_DOC) not in {net}
+    # As the README says: like every record, it unpacks, has len 4, and equals a
+    # plain tuple of its own fields through tuple's reflected ==.
+    variables, parents, table, positions = net
+    assert len(net) == 4
+    assert net == (variables, parents, table, positions)
+
+
+def test_scenario_networks_bind_a_table_into_the_game_structure():
+    net = scenario_to_network(Scenario("Average", 0.87, 0.74, observed_unknown=0.64))
+    assert type(net) is Network
+    for name in ("variables", "parents", "positions"):
+        assert getattr(net, name) is getattr(scenarios._GAME, name)
+    assert net.table is not scenarios._GAME.table
 
 
 def test_network_repr_shows_variables_and_parents():
