@@ -122,10 +122,14 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
     Computes sum of B * log2(B) over the distances (zero distances contribute
     nothing), the Deng form with one unobserved variable, and clamps into
     [-1, 1]. Two distances of 0.5 give exactly -1, total destructive
-    interference under ignorance.
+    interference under ignorance. A distance that is NaN, infinite or negative,
+    which belief_distance never returns, raises ValidationError.
     """
     if not distances:
         raise ValidationError("at least one distance is required")
+    for b in distances:
+        if not 0.0 <= b < math.inf:
+            raise ValidationError(f"a Belief Distance is finite and nonnegative, got {b!r}")
     raw = math.fsum([b * math.log2(b) for b in distances if b > 0.0])
     return BeliefDegree(min(1.0, max(-1.0, raw)), raw)
 

@@ -162,27 +162,25 @@ def posterior(
     parts = []
     for outcome, mags in magnitudes.items():
         classical = math.fsum([m * m for m in mags])
-        interference = interference_sum(mags, degree)
-        parts.append((outcome, classical, interference, classical + interference))
-    total = math.fsum([0.0 if u < 0.0 else u for _, _, _, u in parts])
+        # At degree 1/2 this is s2 itself; 2ꞏdegreeꞏs2 + 0.0 is interference_sum(mags, degree).
+        s2 = interference_sum(mags, 0.5)
+        interference = 2.0 * degree * s2 + 0.0
+        parts.append((outcome, classical, interference, classical + interference, s2))
+    total = math.fsum([0.0 if u < 0.0 else u for _, _, _, u, _ in parts])
     if total <= 0.0:
-        if not any([c for _, c, _, _ in parts]):
+        if not any([c for _, c, _, _, _ in parts]):
             raise InconsistentEvidenceError(
                 f"the evidence has probability zero, so query {query!r} has no posterior"
             )
         # An outcome with classical mass lost it to negative interference, so it has
-        # a pair sum s2 > 0; interference_sum at degree 1/2 is s2 itself.
-        bound = max([
-            -c / (2.0 * s2)
-            for (_, c, _, _), mags in zip(parts, magnitudes.values())
-            if (s2 := interference_sum(mags, 0.5)) > 0.0
-        ])
+        # a pair sum s2 > 0.
+        bound = max([-c / (2.0 * s2) for _, c, _, _, s2 in parts if s2 > 0.0])
         raise NegativeUnnormalizedMassError(
             f"interference cancelled all mass for query {query!r} "
-            f"(unnormalized {[u for _, _, _, u in parts]}); "
+            f"(unnormalized {[u for _, _, _, u, _ in parts]}); "
             f"the degree's feasible bound is {bound!r}"
         )
     normalizer = 1.0 / total
     masses = tuple([OutcomeMass(o, c, i, u, u < 0.0, 0.0 if u < 0.0 else u * normalizer)
-                    for o, c, i, u in parts])
+                    for o, c, i, u, _ in parts])
     return QuantumInferenceResult(query, masses, normalizer)

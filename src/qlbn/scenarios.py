@@ -75,11 +75,11 @@ class Scenario(_ScenarioFields):
     # Takes the fields' own arguments, so their defaults are declared once.
     def __new__(cls, *args, **kwargs) -> Scenario:
         self = _ScenarioFields.__new__(cls, *args, **kwargs)
-        for label in _NUMBER_KEYS:
-            value = getattr(self, label)
+        numbers = [parse_number(getattr(self, label)) for label in _NUMBER_KEYS]
+        for label, value in zip(_NUMBER_KEYS, numbers):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{self.name!r}: {label} = {value!r} is outside [0, 1]")
-        return self
+        return _ScenarioFields.__new__(cls, self.name, *numbers, self.payoff_note)
 
 
 # The game's structure, checked and compiled once; each CPT row lists Defect, then Cooperate.
@@ -100,10 +100,10 @@ def scenario_to_network(scenario: Scenario) -> Network:
     (cooperating opponent, defecting opponent); P2 declares Defect first, the
     outcome every report leads with.
     """
-    s = Scenario(*scenario)  # checks a copy made by _replace, which skips the checks
+    s = Scenario(*scenario)  # parses and checks a copy made by _replace, which skips both
     rows = ((s.prior_defect,), (s.p_defect_given_cooperate, s.p_defect_given_defect))
     table = tuple([
-        (get, dict(zip(keys, [p for d in map(parse_number, row) for p in (d, 1.0 - d)])))
+        (get, dict(zip(keys, [p for d in row for p in (d, 1.0 - d)])))
         for (get, keys), row in zip(_GAME.table, rows)
     ])
     return _GAME._replace(table=table)
@@ -219,14 +219,9 @@ def scenarios_from_json(doc: object) -> list[Scenario]:
                 f"scenario {i}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
             )
         try:
-            numbers = {
-                key: parse_number(row[key]) for key in _NUMBER_KEYS if key in row
-            }
+            out.append(Scenario(**{**row, "name": str(row["name"])}))
         except ValidationError as exc:
             raise ValidationError(f"scenario {i}: {exc}") from None
-        out.append(
-            Scenario(name=str(row["name"]), payoff_note=row.get("payoff_note"), **numbers)
-        )
     return out
 
 

@@ -579,10 +579,15 @@ class TestPredictAndCompare:
         "content, message",
         [
             ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
-             ' "observed_unknown": NaN}]', "'X': observed_unknown = nan is outside [0, 1]"),
+             ' "observed_unknown": NaN}]',
+             "scenario 0: 'X': observed_unknown = nan is outside [0, 1]"),
             ("[1]", "scenario 0: expected an object, got 1"),
+            ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
+             ' "observed_unknown": 0.5}, {"name": "Y", "p_defect_given_defect": "0.8x",'
+             ' "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5}]',
+             "scenario 1: cannot parse number '0.8x'"),
         ],
-        ids=["nan observed", "row not an object"],
+        ids=["nan observed", "row not an object", "bad decimal"],
     )
     def test_predict_rejected_files(self, capsys, tmp_path, content, message):
         path = tmp_path / "scenarios.json"

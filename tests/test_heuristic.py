@@ -224,6 +224,16 @@ class TestBeliefDegree:
         with pytest.raises(ValueError, match="at least one"):
             belief_degree([])
 
+    @pytest.mark.parametrize(
+        "distances, bad",
+        [([math.nan], "nan"), ([-0.5], "-0.5"), ([0.4, -0.1], "-0.1"), ([math.inf], "inf"),
+         ([0.5, -math.inf], "-inf"), ([0.5, 0.5, math.nan], "nan")],
+        ids=["nan", "negative", "negative beside a valid one", "inf", "-inf", "nan last"],
+    )
+    def test_rejects_a_distance_no_pair_has(self, distances: list[float], bad: str):
+        with pytest.raises(ValidationError, match=f"finite and nonnegative, got {bad}$"):
+            belief_degree(distances)
+
     @given(st.lists(st.floats(0.0, 2.0, allow_nan=False), min_size=1, max_size=5))
     def test_value_always_in_range(self, distances: list[float]):
         degree = belief_degree(distances)

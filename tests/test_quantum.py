@@ -23,6 +23,7 @@ from qlbn.quantum import (
     amplitudes_from_network,
     completion_magnitudes,
     interference_sum,
+    posterior,
     quantum_infer,
 )
 
@@ -31,6 +32,7 @@ from conftest import (
     chain_doc,
     completions,
     draw_query_and_evidence,
+    rebind,
     uniform_chain_doc,
 )
 
@@ -311,6 +313,25 @@ class TestQuantumInfer:
         assert float(bound) == pytest.approx(-1 / 7, rel=1e-12)
         above = quantum_infer(anet, "A", {}, float(bound) + 1e-9)
         assert [om.clamped for om in above.outcomes] == [False, False]
+
+    @pytest.mark.parametrize("degree", [0.5, -0.5], ids=["normalised", "cancelled"])
+    def test_sums_each_outcomes_pairs_once(self, monkeypatch, degree: float):
+        """The mass and, when all mass cancels, the feasible bound read one pair sum."""
+        summed = []
+
+        def counted(magnitudes, degree):
+            summed.append(list(magnitudes))
+            return interference_sum(magnitudes, degree)
+
+        rebind(monkeypatch, interference_sum, counted)
+        anet = amplitudes_from_network(network_from_dict(uniform_chain_doc(list("ABCD"))))
+        magnitudes = completion_magnitudes(anet, "A", {})
+        if degree < 0.0:
+            with pytest.raises(NegativeUnnormalizedMassError):
+                posterior("A", magnitudes, degree)
+        else:
+            posterior("A", magnitudes, degree)
+        assert summed == list(magnitudes.values())
 
     def test_exact_cancellation_raises(self):
         """A uniform chain at degree -1 drives every mass to exactly zero."""

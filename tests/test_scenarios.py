@@ -12,9 +12,13 @@ from pathlib import Path
 import pytest
 
 from qlbn.bayesnet import Network, network_from_dict
-from qlbn.errors import ValidationError
+from qlbn.errors import (
+    NegativeUnnormalizedMassError,
+    SingularDenominatorError,
+    ValidationError,
+)
 from qlbn.heuristic import degree_for_query
-from qlbn.quantum import amplitudes_from_network
+from qlbn.quantum import amplitudes_from_network, completion_magnitudes, posterior
 from qlbn.scenarios import (
     COOPERATE,
     TOL_CLASSICAL,
@@ -82,6 +86,22 @@ class TestScenario:
             with pytest.raises(ValidationError, match=f"'bad': {field} = {value!r} is outside"):
                 Scenario("bad", **{**dict.fromkeys(fields, 0.5), field: value})
 
+    def test_parses_decimal_strings_and_stores_floats(self):
+        parsed = Scenario("x", "0.87", 0, "0.64", prior_defect=1)
+        assert parsed == ("x", 0.87, 0.0, 0.64, 1.0, None)
+        assert [type(value) for value in parsed[1:-1]] == [float] * 4
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(None, "expected a number, got None"), (True, "expected a number, got True"),
+         ("abc", "cannot parse number 'abc'"), ([0.5], r"expected a number, got \[0.5\]")],
+        ids=["None", "bool", "bad decimal", "list"],
+    )
+    def test_rejects_a_non_number_at_construction(self, value: object, message: str):
+        for field in ("p_defect_given_defect", "observed_unknown", "prior_defect"):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                Scenario(**{**AVERAGE._asdict(), field: value})
+
 
 class TestScenarioToNetwork:
     def test_declared_outcome_orders(self):
@@ -131,11 +151,26 @@ class TestScenarioToNetwork:
                                        "prior_defect"])
     @pytest.mark.parametrize("value", [True, False])
     def test_rejects_bool_probability(self, field: str, value: bool):
-        scenario = Scenario(**{**AVERAGE._asdict(), field: value})
         with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
-            scenario_to_network(scenario)
+            Scenario(**{**AVERAGE._asdict(), field: value})
+        copy = AVERAGE._replace(**{field: value})  # _replace skips the checks
         with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
-            predict_unknown(scenario)
+            scenario_to_network(copy)
+        with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
+            predict_unknown(copy)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(True, "expected a number, got True"), ("abc", "cannot parse number 'abc'"),
+         (1.5, "'Average': p_defect_given_cooperate = 1.5 is outside")],
+        ids=["bool", "bad decimal", "out of range"],
+    )
+    def test_refuses_a_bad_copy_made_by_replace(self, value: object, message: str):
+        copy = AVERAGE._replace(p_defect_given_cooperate=value)
+        with pytest.raises(ValidationError, match=message):
+            scenario_to_network(copy)
+        with pytest.raises(ValidationError, match=message):
+            predict_unknown(copy)
 
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan], ids=str)
     def test_checks_a_copy_made_by_replace(self, value: float):
@@ -206,6 +241,45 @@ class TestPredictUnknown:
             record = predict_unknown(scenario)
             assert record.quantum_prediction == pytest.approx(expected_q, abs=1e-9)
             assert record.degree.value == pytest.approx(expected_d, abs=1e-9)
+
+
+class TestScenarioSpace:
+    """Where the heuristic applies, on a 21 x 21 grid of the two conditionals at
+    prior 0.5; the README's atlas section counts the same facts at 101 x 101."""
+
+    GRID = [i / 20 for i in range(21)]
+
+    @staticmethod
+    def closed_form(defect: float, cooperate: float, degree: float) -> float:
+        """P(P2 defects) at a fixed degree on the game network with prior 0.5:
+        (q_D + 2dꞏs_D) / (Q + 2dꞏS), with q and s2 written out per outcome."""
+        root_d = math.sqrt(defect * cooperate)
+        root_c = math.sqrt((1.0 - defect) * (1.0 - cooperate))
+        return (0.5 * (defect + cooperate) + degree * root_d) / (1.0 + degree * (root_d + root_c))
+
+    def test_every_row_ends_in_the_closed_form_or_a_named_cause(self):
+        failures, unclamped = [], 0
+        for defect, cooperate in itertools.product(self.GRID, self.GRID):
+            scenario = Scenario("grid", defect, cooperate, 0.5)
+            try:
+                record = predict_unknown(scenario)
+            except (SingularDenominatorError, NegativeUnnormalizedMassError) as exc:
+                failures.append((defect, cooperate, type(exc)))
+                continue
+            if record.degree.raw > 1.0:
+                assert min(defect, cooperate) < 0.5 <= max(defect, cooperate)
+            magnitudes = completion_magnitudes(
+                amplitudes_from_network(scenario_to_network(scenario)), PLAYER_TWO, {}
+            )
+            result = posterior(PLAYER_TWO, magnitudes, record.degree.value)
+            assert result.probability(DEFECT) == record.quantum_prediction
+            if not any(om.clamped for om in result.outcomes):
+                unclamped += 1
+                expected = self.closed_form(defect, cooperate, record.degree.value)
+                assert record.quantum_prediction == pytest.approx(expected, rel=0.0, abs=1e-12)
+        # On this grid only the fully ignorant point fails: its degree -1 cancels all mass.
+        assert failures == [(0.5, 0.5, NegativeUnnormalizedMassError)]
+        assert unclamped == 440
 
 
 class TestRunComparison:
