@@ -43,6 +43,7 @@ class Variable(_VariableFields):
     """A named variable with at least two distinct outcome labels."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks copies too
 
     def __new__(cls, name: str, outcomes: tuple[str, ...]) -> Variable:
         if len(outcomes) < 2:
@@ -155,9 +156,10 @@ def completion_products(
     completions run as itertools.product yields the unobserved variables' outcomes.
     """
     labels, at_query, free = unobserved(net, query, evidence)
-    domains = [net.variables[i].outcomes for i in free]
+    variables = net.variables
+    domains = [variables[i].outcomes for i in free]
     products: dict[str, list[float]] = {}
-    for outcome in net.variables[at_query].outcomes:
+    for outcome in variables[at_query].outcomes:
         labels[at_query] = outcome
         row = products[outcome] = []
         for combo in itertools.product(*domains):

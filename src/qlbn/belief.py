@@ -44,6 +44,7 @@ class Frame(_FrameFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks copies too
 
     def __new__(cls, elements: tuple[str, ...]) -> Frame:
         if not elements:
@@ -57,10 +58,6 @@ class Frame(_FrameFields):
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @classmethod
-    def _make(cls, iterable) -> Frame:  # the stock one checks len(), which counts labels
-        return cls(*iterable)
 
 
 class BeliefAssignment(NamedTuple):
@@ -141,6 +138,7 @@ class DiscreteDistribution(_DistributionFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks copies too
 
     def __new__(
         cls, labels: tuple[str, ...], probabilities: tuple[float, ...]

@@ -255,12 +255,15 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> None:
     # Cancelled mass leaves a row's prediction and fit error empty.
     scenarios = load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
-    by_name = {s.name: s for s in scenarios}
-    if args.name not in by_name:
-        raise ValidationError(f"no scenario named {args.name!r}; available: {sorted(by_name)}")
+    matches = [i for i, s in enumerate(scenarios) if s.name == args.name]
+    if not matches:
+        names = sorted({s.name for s in scenarios})
+        raise ValidationError(f"no scenario named {args.name!r}; available: {names}")
+    if len(matches) > 1:
+        raise ValidationError(f"scenario name {args.name!r} is repeated, in rows {matches}")
     if args.steps < 2:
         raise ValidationError("--steps must be at least 2")
-    scenario = by_name[args.name]
+    scenario = scenarios[matches[0]]
     anet = amplitudes_from_network(scenario_to_network(scenario))
     magnitudes = completion_magnitudes(anet, PLAYER_TWO, {})
     auto = pair_degree(outcome_pairs(magnitudes))

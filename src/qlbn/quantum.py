@@ -181,6 +181,9 @@ def posterior(
             f"the degree's feasible bound is {bound!r}"
         )
     normalizer = 1.0 / total
-    masses = tuple([OutcomeMass(o, c, i, u, u < 0.0, 0.0 if u < 0.0 else u * normalizer)
+    # A total below 2**-1024 has no finite reciprocal, so its shares divide by it instead.
+    finite = normalizer < math.inf
+    masses = tuple([OutcomeMass(o, c, i, u, u < 0.0,
+                                0.0 if u < 0.0 else u * normalizer if finite else u / total)
                     for o, c, i, u, _ in parts])
     return QuantumInferenceResult(query, masses, normalizer)

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -71,6 +70,7 @@ class Scenario(_ScenarioFields):
     """One game condition: conditionals, prior, and the observed unknown-move rate."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks copies too
 
     # Takes the fields' own arguments, so their defaults are declared once.
     def __new__(cls, *args, **kwargs) -> Scenario:
@@ -79,6 +79,11 @@ class Scenario(_ScenarioFields):
         for label, value in zip(_NUMBER_KEYS, numbers):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{self.name!r}: {label} = {value!r} is outside [0, 1]")
+        if not numbers[2]:  # observed_unknown, which both fit errors divide by
+            raise ValidationError(
+                f"{self.name!r}: observed_unknown = {numbers[2]!r} leaves the relative fit "
+                "errors undefined"
+            )
         return _ScenarioFields.__new__(cls, self.name, *numbers, self.payoff_note)
 
 
@@ -100,8 +105,8 @@ def scenario_to_network(scenario: Scenario) -> Network:
     (cooperating opponent, defecting opponent); P2 declares Defect first, the
     outcome every report leads with.
     """
-    s = Scenario(*scenario)  # parses and checks a copy made by _replace, which skips both
-    rows = ((s.prior_defect,), (s.p_defect_given_cooperate, s.p_defect_given_defect))
+    rows = ((scenario.prior_defect,),
+            (scenario.p_defect_given_cooperate, scenario.p_defect_given_defect))
     table = tuple([
         (get, dict(zip(keys, [p for d in row for p in (d, 1.0 - d)])))
         for (get, keys), row in zip(_GAME.table, rows)
@@ -272,10 +277,16 @@ class BuiltinDataset(NamedTuple):
         return {r.scenario_name: r.models for r in self.comparison_rows if r.scenario_name}
 
 
+_LITERATURE = Path(__file__).with_name("data") / "literature.json"
+
+
 def load_builtin() -> BuiltinDataset:
-    """Parse the bundled literature.json; every scenario carries the payoff note."""
-    text = resources.files("qlbn").joinpath("data/literature.json").read_text()
-    doc = json.loads(text)
+    """Parse the bundled literature.json; malformed content raises ValidationError."""
+    return read_json(_LITERATURE, _builtin_from_json)
+
+
+def _builtin_from_json(doc: dict) -> BuiltinDataset:
+    # every scenario carries the file's payoff note
     note = doc.get("payoff_note")
     rows = doc["scenarios"]
     comparison_rows = tuple(

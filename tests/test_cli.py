@@ -586,8 +586,11 @@ class TestPredictAndCompare:
              ' "observed_unknown": 0.5}, {"name": "Y", "p_defect_given_defect": "0.8x",'
              ' "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5}]',
              "scenario 1: cannot parse number '0.8x'"),
+            ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
+             ' "observed_unknown": 0}]',
+             "scenario 0: 'X': observed_unknown = 0.0 leaves the relative fit errors undefined"),
         ],
-        ids=["nan observed", "row not an object", "bad decimal"],
+        ids=["nan observed", "row not an object", "bad decimal", "zero observed"],
     )
     def test_predict_rejected_files(self, capsys, tmp_path, content, message):
         path = tmp_path / "scenarios.json"

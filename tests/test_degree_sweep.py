@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -119,3 +120,22 @@ def test_singular_pair_is_an_inference_error(tmp_path: Path):
 def test_sweep_parses_no_network_document(capsys, no_network_parse):
     assert cli.main(["sweep", "--steps", "81"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SWEEP_81_DIGEST
+
+
+def test_a_repeated_name_is_refused_and_its_rows_named(tmp_path: Path, capsys):
+    """Two rows named X leave no one condition to sweep; predict still reports both."""
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps([
+        {"name": "X", "p_defect_given_defect": 0.9, "p_defect_given_cooperate": 0.8,
+         "observed_unknown": 0.5},
+        {"name": "X", "p_defect_given_defect": 0.6, "p_defect_given_cooperate": 0.7,
+         "observed_unknown": 0.5},
+    ]))
+    assert cli.main(["sweep", "--scenario", str(path), "--name", "X", "--steps", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: scenario name 'X' is repeated, in rows [0, 1]\n"
+    assert cli.main(["predict", "--scenario", str(path), "--format", "csv"]) == 0
+    assert [row[0] for row in csv.reader(io.StringIO(capsys.readouterr().out))] == [
+        "scenario", "X", "X", "mean_fit_error"
+    ]

@@ -212,6 +212,13 @@ class TestQuantumInfer:
         total = math.fsum(om.unnormalized for om in result.outcomes)
         assert result.normalizer * total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("degree", [-0.5, 0.0, 1.0])
+    def test_a_total_without_a_finite_reciprocal_still_normalizes(self, degree: float):
+        tiny = math.sqrt(5e-324)  # its square is the least positive float
+        result = posterior("X", {"T": [0.0, 0.0], "F": [0.0, tiny]}, degree)
+        assert result.normalizer == math.inf
+        assert [om.probability for om in result.outcomes] == [0.0, 1.0]
+
     def test_degree_zero_matches_classical(self, game_amps: AmplitudeNetwork):
         result = quantum_infer(game_amps, "P2", {}, 0.0)
         classical = infer(game_amps.net, "P2", {})

@@ -3,12 +3,14 @@ and value records compare by value."""
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from conftest import SERVERS_DOC
 from qlbn import scenarios
 from qlbn.bayesnet import Network, Variable, infer, network_from_dict
-from qlbn.belief import Frame, validate_bba
+from qlbn.belief import DiscreteDistribution, Frame, validate_bba
 from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
@@ -111,3 +113,43 @@ def test_frame_replace_and_make_build_checked_frames():
         frame._replace(elements=("c", "c"))
     with pytest.raises(ValidationError, match="at least one"):
         Frame._make([()])
+
+
+# A checked record, a field change its constructor refuses, and one it accepts.
+CHECKED = {
+    "Variable": (Variable("X", ("T", "F")), {"outcomes": ("T",)}, {"name": "Y"}),
+    "Frame": (Frame(("a", "b")), {"elements": ("c", "c")}, {"elements": ("c",)}),
+    "DiscreteDistribution": (
+        DiscreteDistribution(("a", "b"), (0.5, 0.5)),
+        {"probabilities": (2.0, -1.0)},
+        {"probabilities": (0.25, 0.75)},
+    ),
+    "Scenario": (
+        Scenario("Average", 0.87, 0.74, 0.64), {"p_defect_given_cooperate": 1.5},
+        {"prior_defect": "0.3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("type_name", sorted(CHECKED))
+def test_replace_and_make_run_the_constructor_checks(type_name: str):
+    record, bad, good = CHECKED[type_name]
+    cls = type(record)
+    assert cls.__name__ == type_name
+    fields = tuple({**record._asdict(), **bad}.values())
+    with pytest.raises(ValidationError) as built:
+        cls(*fields)
+    with pytest.raises(ValidationError) as replaced:
+        record._replace(**bad)
+    with pytest.raises(ValidationError) as made:
+        cls._make(fields)
+    assert str(replaced.value) == str(made.value) == str(built.value)
+    changed = record._replace(**good)
+    assert type(changed) is cls
+    assert changed == cls(*{**record._asdict(), **good}.values())
+
+
+def test_checked_records_share_one_make():
+    sources = {inspect.getsource(vars(type(record))["_make"].__func__).strip()
+               for record, _, _ in CHECKED.values()}
+    assert len(sources) == 1

@@ -86,6 +86,13 @@ class TestScenario:
             with pytest.raises(ValidationError, match=f"'bad': {field} = {value!r} is outside"):
                 Scenario("bad", **{**dict.fromkeys(fields, 0.5), field: value})
 
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, "0"], ids=repr)
+    def test_rejects_zero_observed_rate(self, value: object):
+        with pytest.raises(ValidationError, match=(
+            r"^'bad': observed_unknown = -?0\.0 leaves the relative fit errors undefined$"
+        )):
+            Scenario("bad", 0.5, 0.5, value)
+
     def test_parses_decimal_strings_and_stores_floats(self):
         parsed = Scenario("x", "0.87", 0, "0.64", prior_defect=1)
         assert parsed == ("x", 0.87, 0.0, 0.64, 1.0, None)
@@ -153,11 +160,8 @@ class TestScenarioToNetwork:
     def test_rejects_bool_probability(self, field: str, value: bool):
         with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
             Scenario(**{**AVERAGE._asdict(), field: value})
-        copy = AVERAGE._replace(**{field: value})  # _replace skips the checks
         with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
-            scenario_to_network(copy)
-        with pytest.raises(ValidationError, match=f"expected a number, got {value}"):
-            predict_unknown(copy)
+            AVERAGE._replace(**{field: value})
 
     @pytest.mark.parametrize(
         "value, message",
@@ -166,16 +170,27 @@ class TestScenarioToNetwork:
         ids=["bool", "bad decimal", "out of range"],
     )
     def test_refuses_a_bad_copy_made_by_replace(self, value: object, message: str):
-        copy = AVERAGE._replace(p_defect_given_cooperate=value)
         with pytest.raises(ValidationError, match=message):
-            scenario_to_network(copy)
-        with pytest.raises(ValidationError, match=message):
-            predict_unknown(copy)
+            AVERAGE._replace(p_defect_given_cooperate=value)
 
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan], ids=str)
     def test_checks_a_copy_made_by_replace(self, value: float):
         with pytest.raises(ValidationError, match=f"'Average': prior_defect = {value!r} is"):
-            scenario_to_network(AVERAGE._replace(prior_defect=value))
+            AVERAGE._replace(prior_defect=value)
+
+    def test_a_copy_made_by_replace_stores_parsed_floats(self):
+        copy = AVERAGE._replace(prior_defect="0.3")
+        assert copy.prior_defect == 0.3 and type(copy.prior_defect) is float
+        assert predict_unknown(AVERAGE._replace(observed_unknown="0.64")) == predict_unknown(
+            AVERAGE
+        )
+
+    def test_constructs_no_scenario(self, monkeypatch):
+        def refused(cls, *args, **kwargs):
+            raise AssertionError("constructed a Scenario")
+
+        monkeypatch.setattr(Scenario, "__new__", refused)
+        assert table_entry(scenario_to_network(AVERAGE), PLAYER_TWO, DEFECT, DEFECT) == 0.87
 
     def test_parses_no_network_document(self, no_network_parse):
         record = predict_unknown(AVERAGE)
@@ -330,6 +345,22 @@ class TestBuiltinDataset:
     def test_five_scenarios_in_report_order(self):
         names = [s.name for s in load_builtin().scenarios]
         assert names == list(FROZEN_PIPELINE)
+
+    @pytest.mark.parametrize(
+        "content, cause",
+        [('{"scenarios": []}', "missing key 'comparison_rows'"),
+         ("[]", "unexpected structure"), ("{", "line 1")],
+        ids=["missing key", "wrong shape", "not JSON"],
+    )
+    def test_a_malformed_packaged_file_names_its_path(
+        self, tmp_path, monkeypatch, content: str, cause: str
+    ):
+        path = tmp_path / "literature.json"
+        path.write_text(content)
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        with pytest.raises(ValidationError) as raised:
+            load_builtin()
+        assert str(raised.value).startswith(f"{path}: {cause}")
 
     def test_payoff_note_attached_everywhere(self):
         notes = {s.payoff_note for s in load_builtin().scenarios}
