@@ -23,8 +23,7 @@ import argparse
 import json
 import sys
 
-from .bayesnet import infer, load_network
-from .belief import Frame, shannon_entropy, deng_entropy, validate_bba
+# Each command imports the modules it runs, so no command compiles the others.
 from .errors import (
     GoldenMismatchError,
     NegativeUnnormalizedMassError,
@@ -33,25 +32,6 @@ from .errors import (
     ValidationError,
     parse_number,
     read_json,
-)
-from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
-from .quantum import OutcomeMass, amplitudes_from_network, completion_magnitudes, posterior
-from .scenarios import (
-    DEFECT,
-    PLAYER_TWO,
-    Table,
-    fit_error,
-    load_builtin,
-    load_scenarios,
-    render_csv,
-    render_report_csv,
-    render_report_table,
-    render_reproduction,
-    report_to_dict,
-    run_comparison,
-    run_reproduction,
-    scenario_to_network,
-    write_reproduction,
 )
 
 
@@ -146,6 +126,8 @@ def _parse_degree(spec: str) -> float | None:
 
 
 def _bba_from_json(doc: object):
+    from .belief import Frame, validate_bba
+
     if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
         raise ValidationError("expected an object with 'frame' and 'masses'")
     elements = doc["frame"]
@@ -164,6 +146,8 @@ def _bba_from_json(doc: object):
 
 
 def cmd_entropy(args: argparse.Namespace) -> None:
+    from .belief import deng_entropy, shannon_entropy
+
     bba = read_json(args.bba, _bba_from_json)
     parts = []
     if bba.is_bayesian():
@@ -173,10 +157,14 @@ def cmd_entropy(args: argparse.Namespace) -> None:
 
 
 def _csv(keys: tuple[str, ...], rows) -> str:
+    from .scenarios import Table, render_csv
+
     return render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
 
 
 def cmd_infer(args: argparse.Namespace) -> None:
+    from .bayesnet import infer, load_network
+
     evidence = _parse_evidence(args.evidence)
     fixed = _parse_degree(args.degree)
     net = load_network(args.network)
@@ -185,6 +173,9 @@ def cmd_infer(args: argparse.Namespace) -> None:
         fields, rows = ("outcome", "probability"), items
         doc = {"query": args.query, "distribution": dict(items)}
     else:
+        from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
+        from .quantum import OutcomeMass, amplitudes_from_network, completion_magnitudes, posterior
+
         enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
         magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
         pairs = outcome_pairs(magnitudes)
@@ -225,6 +216,8 @@ def cmd_infer(args: argparse.Namespace) -> None:
 
 
 def _emit_report(report, fmt: str) -> None:
+    from .scenarios import render_report_csv, render_report_table, report_to_dict
+
     if fmt == "table":
         print(render_report_table(report))
     elif fmt == "csv":
@@ -234,16 +227,22 @@ def _emit_report(report, fmt: str) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
+    from .scenarios import load_scenarios, run_comparison
+
     _emit_report(run_comparison(load_scenarios(args.scenario)), args.format)
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
+    from .scenarios import load_builtin, load_scenarios, run_comparison
+
     data = load_builtin()
     scenarios = load_scenarios(args.scenario) if args.scenario else data.scenarios
     _emit_report(run_comparison(scenarios, data.literature()), args.format)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> None:
+    from .scenarios import render_reproduction, run_reproduction, write_reproduction
+
     result = run_reproduction()
     print(render_reproduction(result, args.format), end="")
     if args.out:
@@ -253,6 +252,12 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
+    from .heuristic import outcome_pairs, pair_degree
+    from .quantum import amplitudes_from_network, completion_magnitudes, posterior
+    from .scenarios import (
+        DEFECT, PLAYER_TWO, fit_error, load_builtin, load_scenarios, scenario_to_network,
+    )
+
     # Cancelled mass leaves a row's prediction and fit error empty.
     scenarios = load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
     matches = [i for i, s in enumerate(scenarios) if s.name == args.name]

@@ -117,10 +117,12 @@ class QuantumInferenceResult(NamedTuple):
         raise ValidationError(f"{outcome!r} is not an outcome of {self.query!r}")
 
     def to_dict(self) -> dict:
-        """Plain-data form carrying every field, for JSON output and reports."""
+        """Plain-data form carrying every field, for JSON output and reports. A
+        normalizer with no finite value, for a total below 2**-1024, is None, so
+        the JSON form stays valid."""
         return {
             "query": self.query,
-            "normalizer": self.normalizer,
+            "normalizer": self.normalizer if self.normalizer < math.inf else None,
             "outcomes": [om._asdict() for om in self.outcomes],
         }
 

@@ -245,6 +245,35 @@ class TestInferQuantum:
             defect["classical_part"] + defect["interference_part"], abs=0.0
         )
 
+    def test_json_stays_valid_when_the_normalizer_overflows(self, capsys, tmp_path):
+        """A total mass below 2**-1024 has no finite reciprocal, and JSON has no
+        Infinity: the normalizer is null and the probabilities still normalize."""
+        doc = {
+            "variables": [
+                {"name": "A", "outcomes": ["T", "F"]},
+                {"name": "B", "outcomes": ["T", "F"]},
+            ],
+            "edges": [],
+            "cpts": {
+                "A": [{"given": {}, "dist": {"T": 0.5, "F": 0.5}}],
+                "B": [{"given": {}, "dist": {"T": 5e-324, "F": 1.0}}],
+            },
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+
+        def refused(constant: str):
+            raise AssertionError(f"{constant} is not JSON")
+
+        code, out, _ = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "A", "--evidence", "B=T",
+            "--mode", "quantum", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=refused)
+        assert payload["normalizer"] is None
+        assert [om["probability"] for om in payload["outcomes"]] == [0.5, 0.5]
+
     def test_csv_round_trips_masses(self, capsys):
         code, out, _ = run_cli(
             capsys, "infer", "--network", GAME_NET, "--query", "P2",
@@ -613,8 +642,7 @@ class TestPredictAndCompare:
             calls.append(1)
             return load_builtin()
 
-        for module in ("qlbn.cli", "qlbn.scenarios"):
-            monkeypatch.setattr(f"{module}.load_builtin", counting_load_builtin)
+        monkeypatch.setattr("qlbn.scenarios.load_builtin", counting_load_builtin)
         for argv in (["reproduce"], ["compare"], ["compare", "--scenario", SCENARIOS]):
             calls.clear()
             code, _, _ = run_cli(capsys, *argv)
@@ -667,7 +695,7 @@ class TestReproduce:
             table3=real.table3,
             goldens=(GoldenCheck("doctored check", 1.0, 0.0, 1e-6),),
         )
-        monkeypatch.setattr("qlbn.cli.run_reproduction", lambda: doctored)
+        monkeypatch.setattr("qlbn.scenarios.run_reproduction", lambda: doctored)
         out_dir = tmp_path / "series"
         code, out, err = run_cli(capsys, "reproduce", "--out", str(out_dir))
         assert code == 3

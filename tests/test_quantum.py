@@ -217,6 +217,7 @@ class TestQuantumInfer:
         tiny = math.sqrt(5e-324)  # its square is the least positive float
         result = posterior("X", {"T": [0.0, 0.0], "F": [0.0, tiny]}, degree)
         assert result.normalizer == math.inf
+        assert result.to_dict()["normalizer"] is None
         assert [om.probability for om in result.outcomes] == [0.0, 1.0]
 
     def test_degree_zero_matches_classical(self, game_amps: AmplitudeNetwork):
