@@ -202,6 +202,9 @@ def network_from_dict(doc: Mapping) -> Network:
 
     One validating pass compiles each CPT row straight into the classical
     table. Content of the wrong shape raises ValidationError, as bad values do.
+    When every edge points forward in declared order the order itself shows the
+    graph is acyclic, so only an edge that points backward or to its own variable
+    sends the graph through the cycle check.
     """
     try:
         raw_vars = doc["variables"]
@@ -223,8 +226,9 @@ def network_from_dict(doc: Mapping) -> Network:
                 f"duplicate variable names in {[v.name for v in variables]}"
             )
         parents: dict[str, tuple[str, ...]] = {name: () for name in positions}
+        forward = True
         for edge in doc.get("edges", []):
-            if len(edge) != 2:
+            if not isinstance(edge, list) or len(edge) != 2:
                 raise ValidationError(f"edge {edge!r} must be a [parent, child] pair")
             parent, child = str(edge[0]), str(edge[1])
             if child not in parents:
@@ -234,18 +238,24 @@ def network_from_dict(doc: Mapping) -> Network:
             if parent in parents[child]:
                 raise ValidationError(f"variable {child!r} lists a parent twice")
             parents[child] += (parent,)
-        _check_acyclic(parents)
+            if positions[parent] >= positions[child]:
+                forward = False
+        if not forward:
+            _check_acyclic(parents)
         for name in raw_cpts.keys():
             if name not in positions:
                 raise ValidationError(f"CPT variable {name!r} is not a declared variable")
         table = []
+        combo_sets: dict[tuple, set] = {}  # parent outcome lists -> their combinations
         for position, v in enumerate(variables):
             rows = raw_cpts.get(v.name)
             if rows is None:
                 raise ValidationError(f"variable {v.name!r} has no CPT")
             parent_names = parents[v.name]
-            combos = set(itertools.product(*[variables[positions[p]].outcomes
-                                             for p in parent_names]))
+            domains = tuple([variables[positions[p]].outcomes for p in parent_names])
+            combos = combo_sets.get(domains)
+            if combos is None:
+                combos = combo_sets[domains] = set(itertools.product(*domains))
             getter = itemgetter(*[positions[p] for p in parent_names], position)
             table.append((getter, _compile_cpt(v, parent_names, combos, rows)))
     return Network(tuple(variables), parents, tuple(table), positions)
@@ -278,15 +288,17 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
     """The CPT rows of v as its classical-table values, keyed by family labels.
 
     Each row is checked once, its key against combos, the set of parent outcome
-    combinations. Rows are counted against combos; a repeated row shows as a
-    table that did not grow.
+    combinations, and its entries in one pass that parses and stores each. A
+    parse error anywhere in the row outranks an entry out of range, so the
+    first such entry is raised only after the pass. Rows are counted against
+    combos; a repeated row shows as a table that did not grow.
     """
     outcomes = set(v.outcomes)
     width = len(v.outcomes)
     values: dict[object, float] = {}
     for count, row in enumerate(rows, 1):
         given = row.get("given", {})
-        key = _row_key(given, parent_names)
+        key = tuple([str(given[p]) for p in parent_names if p in given])
         if len(key) != len(given):
             raise ValidationError(
                 f"CPT row for {v.name!r} conditions on non-parents: {sorted(given)}"
@@ -294,16 +306,22 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
         if key not in combos:
             raise _row_mismatch(v.name, parent_names, combos, rows)
         dist = row["dist"]
+        entries = []
+        outside = None
         try:
-            # Indexing by label, unlike dist.values(), keeps a list dist's TypeError.
-            entries = [p if p.__class__ is float else parse_number(p)
-                       for p in map(dist.__getitem__, dist)]
-            for label, p in zip(dist, entries):
-                if not 0.0 <= p <= 1.0:
-                    raise ValidationError(
+            # Indexing by label, unlike dist.items(), keeps a list dist's TypeError.
+            for label in dist:
+                p = dist[label]
+                if p.__class__ is not float:
+                    p = parse_number(p)
+                if outside is None and not 0.0 <= p <= 1.0:
+                    outside = ValidationError(
                         f"probability {p!r} for {str(label)!r} is outside [0, 1]"
                     )
-                values[(*key, str(label)) if key else str(label)] = p
+                entries.append(p)
+                values[key + (str(label),) if key else str(label)] = p
+            if outside is not None:
+                raise outside
             total = math.fsum(entries)
             if abs(total - 1.0) > MASS_SUM_TOL:
                 raise ValidationError(f"probabilities sum to {total!r}, expected 1")

@@ -157,7 +157,7 @@ def cmd_entropy(args: argparse.Namespace) -> None:
 
 
 def _csv(keys: tuple[str, ...], rows) -> str:
-    from .scenarios import Table, render_csv
+    from .table import Table, render_csv
 
     return render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
 

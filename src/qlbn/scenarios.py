@@ -15,8 +15,6 @@ recomputed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from pathlib import Path
@@ -26,6 +24,7 @@ from .bayesnet import Network, infer, network_from_dict
 from .errors import ValidationError, parse_number, read_json
 from .heuristic import BeliefDegree, outcome_pairs, pair_degree
 from .quantum import amplitudes_from_network, completion_magnitudes, posterior
+from .table import Table, render_csv, render_text
 
 PLAYER_ONE = "P1"
 PLAYER_TWO = "P2"
@@ -375,67 +374,6 @@ def run_reproduction() -> ReproductionResult:
 
 # --- rendering ----------------------------------------------------------------
 
-# A float prints with 5 decimals in text and repr in CSV, a string as is, and
-# None marks a missing value: "-" in text, empty in CSV.
-Cell = float | str | None
-
-
-class Table(NamedTuple):
-    """The one model every text table and CSV series renders from.
-
-    columns holds (csv key, text title) pairs; mean, when present, maps csv
-    keys to the mean-fit-error row's cells (other columns stay blank).
-    """
-
-    columns: tuple[tuple[str, str], ...]
-    rows: tuple[tuple[Cell, ...], ...]
-    mean: Mapping[str, Cell] | None = None
-
-    def select(self, keys: Mapping[str, str]) -> Table:
-        """The columns named by keys, renamed to keys' values, without the mean row."""
-        index = {key: i for i, (key, _) in enumerate(self.columns)}
-        picks = [index[key] for key in keys]
-        return Table(
-            tuple((name, name) for name in keys.values()),
-            tuple(tuple(row[i] for i in picks) for row in self.rows),
-        )
-
-    def body(self, mean_label: str) -> list[list[Cell]]:
-        """The rows, then the mean row led by mean_label if there is one."""
-        rows = [list(row) for row in self.rows]
-        if self.mean is not None:
-            rows.append([mean_label] + [self.mean.get(k, "") for k, _ in self.columns[1:]])
-        return rows
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.5f}"
-
-
-def _render_text(table: Table) -> str:
-    rows = [[title for _, title in table.columns]] + [
-        ["-" if c is None else c if isinstance(c, str) else _fmt(c) for c in row]
-        for row in table.body("(mean fit error)")
-    ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(table.columns))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
-
-def render_csv(table: Table) -> str:
-    """The one CSV form of a table: floats as repr, None as an empty cell, and
-    csv quoting for any cell that holds a comma, quote or line break."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([key for key, _ in table.columns])
-    for row in table.body("mean_fit_error"):
-        writer.writerow(
-            ["" if c is None else c if isinstance(c, str) else repr(c) for c in row]
-        )
-    return buf.getvalue()
-
 
 def _model_columns(models: Sequence[str]) -> list[tuple[str, str]]:
     columns = []
@@ -491,7 +429,7 @@ def _table3(result: ReproductionResult) -> Table:
 
 def render_report_table(report: ComparisonReport) -> str:
     """Aligned text table of a comparison report, 5 decimals per number."""
-    return _render_text(_report_table(report))
+    return render_text(_report_table(report))
 
 
 def render_report_csv(report: ComparisonReport) -> str:
@@ -526,7 +464,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
 
 def render_table3(result: ReproductionResult) -> str:
     """Aligned text table of the published-models comparison."""
-    return _render_text(_table3(result))
+    return render_text(_table3(result))
 
 
 def render_table3_csv(result: ReproductionResult) -> str:

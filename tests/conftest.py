@@ -31,9 +31,10 @@ GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 def binary_net_docs(draw: st.DrawFn) -> dict:
     """A random binary network of up to 4 variables with grid-valued CPTs.
 
-    A node's two parents may be listed against declaration order, a CPT's rows
-    come in any order, and a CPT row may list F before T, against the declared
-    outcome order T, F.
+    Variables are declared in a random order, so a child may come before its
+    parents. A node's two parents may be listed against declaration order, a
+    CPT's rows come in any order, and a CPT row may list F before T, against the
+    declared outcome order T, F.
     """
     n = draw(st.integers(min_value=1, max_value=4))
     names = [f"V{i}" for i in range(n)]
@@ -57,7 +58,7 @@ def binary_net_docs(draw: st.DrawFn) -> dict:
             rows.append({"given": dict(zip(parents[nm], combo)), "dist": dist})
         cpts[nm] = draw(st.permutations(rows))
     return {
-        "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in names],
+        "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in draw(st.permutations(names))],
         "edges": edges,
         "cpts": cpts,
     }

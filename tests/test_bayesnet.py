@@ -115,6 +115,10 @@ SINGLE_FAULTS = {
         "CPT row for 'S2' conditions on non-parents: ['S1']",
     ),
     "cycle": (_cycle, "the network contains a cycle through ['S1', 'S2']"),
+    "self-loop": (
+        _edit(("edges",), append=["S2", "S2"]),
+        "the network contains a cycle through ['S2']",
+    ),
     "undeclared edge child": (
         _edit(("edges",), append=["S1", "S9"]),
         "edge child 'S9' is not a declared variable",
@@ -131,6 +135,10 @@ SINGLE_FAULTS = {
         _edit(("edges",), [["S1", "S2", "S2"]]),
         "edge ['S1', 'S2', 'S2'] must be a [parent, child] pair",
     ),
+    "edge not a list": (
+        _edit(("edges",), [{"S1": 0, "S2": 1}]),
+        "edge {'S1': 0, 'S2': 1} must be a [parent, child] pair",
+    ),
     "labels not covering the outcomes": (
         _edit(("cpts", "S1", 0, "dist"), {"T": 0.9, "X": 0.1}),
         "CPT row 'S1'|() covers ('T', 'X'), expected ('T', 'F')",
@@ -138,6 +146,10 @@ SINGLE_FAULTS = {
     "entry out of [0, 1]": (
         _edit(("cpts", "S1", 0, "dist"), {"T": 1.5, "F": -0.5}),
         "CPT row for 'S1' given {} is invalid: probability 1.5 for 'T' is outside [0, 1]",
+    ),
+    "second entry out of [0, 1]": (
+        _edit(("cpts", "S1", 0, "dist"), {"T": 0.5, "F": 1.5}),
+        "CPT row for 'S1' given {} is invalid: probability 1.5 for 'F' is outside [0, 1]",
     ),
     "row total off 1": (
         _edit(("cpts", "S1", 0, "dist"), {"T": 0.9, "F": 0.2}),
@@ -247,9 +259,11 @@ class TestNetworkValidation:
         "fault",
         [
             "cycle",
+            "self-loop",
             "undeclared edge child",
             "parent listed twice",
             "entry out of [0, 1]",
+            "second entry out of [0, 1]",
             "variable without a CPT",
         ],
     )
@@ -498,6 +512,24 @@ class TestNetworkFiles:
 
     def test_edge_must_be_pair(self, tmp_path: Path):
         assert_single_fault("edge not a pair", tmp_path)
+
+    def test_edge_must_be_a_list(self, tmp_path: Path):
+        """An object edge used to fail with a missing key 0."""
+        assert_single_fault("edge not a list", tmp_path)
+
+    def test_string_edge_rejected(self):
+        """A two-character string used to load as its characters: "AB" as A -> B."""
+        doc = {
+            "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in "AB"],
+            "edges": ["AB"],
+            "cpts": {
+                "A": [{"given": {}, "dist": HALF}],
+                "B": [{"given": {"A": a}, "dist": HALF} for a in "TF"],
+            },
+        }
+        with pytest.raises(ValidationError) as caught:
+            network_from_dict(doc)
+        assert str(caught.value) == "edge 'AB' must be a [parent, child] pair"
 
     def test_game_doc_matches_fixture(self, game_net: Network):
         net = network_from_dict(GAME_DOC)

@@ -14,7 +14,8 @@ from qlbn.belief import DiscreteDistribution, Frame, validate_bba
 from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
-from qlbn.scenarios import Scenario, Table, load_builtin, run_reproduction, scenario_to_network
+from qlbn.scenarios import Scenario, load_builtin, run_reproduction, scenario_to_network
+from qlbn.table import Table
 
 NETWORK_FIELDS = ("variables", "parents", "table", "positions")
 

@@ -121,9 +121,12 @@ def test_package_import_loads_no_module_of_the_package():
         (INFER + ["--format", "json"], {"qlbn.scenarios", "csv"}),
         (INFER + ["--mode", "quantum", "--verbose"], {"qlbn.scenarios", "csv"}),
         (INFER + ["--mode", "quantum", "--format", "json"], {"qlbn.scenarios", "csv"}),
+        (INFER + ["--format", "csv"], {"qlbn.scenarios", "qlbn.quantum", "qlbn.heuristic"}),
+        (INFER + ["--mode", "quantum", "--format", "csv"], {"qlbn.scenarios"}),
         (ENTROPY, {"qlbn.bayesnet", "qlbn.quantum", "qlbn.heuristic", "qlbn.scenarios"}),
     ],
-    ids=["infer", "infer-json", "infer-quantum-verbose", "infer-quantum-json", "entropy"],
+    ids=["infer", "infer-json", "infer-quantum-verbose", "infer-quantum-json", "infer-csv",
+         "infer-quantum-csv", "entropy"],
 )
 def test_command_leaves_modules_it_does_not_run_unloaded(argv: list[str], unloaded: set[str]):
     assert _loaded_after_commands([argv], unloaded) == "[]\n"
