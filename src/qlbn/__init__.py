@@ -8,7 +8,7 @@ any module global costs, and an unknown name raises the usual AttributeError.
 
 _EXPORTS = {
     "bayesnet": (
-        "Network", "Variable", "full_joint", "infer", "load_network", "network_from_dict",
+        "Network", "Variable", "infer", "load_network", "network_from_dict",
     ),
     "belief": (
         "BeliefAssignment", "DiscreteDistribution", "Frame", "deng_entropy",
@@ -16,11 +16,11 @@ _EXPORTS = {
     ),
     "heuristic": (
         "BeliefDegree", "OutcomeVectorPair", "belief_degree", "belief_distance",
-        "degree_for_query", "extract_outcome_vectors",
+        "degree_for_query", "pair_degree", "weighable_magnitudes",
     ),
     "quantum": (
         "AmplitudeNetwork", "QuantumInferenceResult", "amplitudes_from_network",
-        "interference_sum", "quantum_infer",
+        "completion_magnitudes", "interference_sum", "posterior", "quantum_infer",
     ),
     "scenarios": (
         "ComparisonReport", "PredictionRecord", "Scenario", "fit_error", "load_builtin",

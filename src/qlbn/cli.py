@@ -178,12 +178,12 @@ def cmd_infer(args: argparse.Namespace) -> None:
 
         enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
         magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
-        pairs = outcome_pairs(magnitudes)
-        degree_value, degree_raw = pair_degree(pairs) if fixed is None else (fixed, fixed)
-        result = posterior(args.query, magnitudes, degree_value)
+        degree, raw = pair_degree(args.query, magnitudes) if fixed is None else (fixed, fixed)
+        result = posterior(args.query, magnitudes, degree)
         if args.verbose:
             # Only the table shares stdout with the trace, so CSV and JSON stay parseable.
             trace = sys.stdout if args.format == "table" else sys.stderr
+            pairs = outcome_pairs(magnitudes)
             if not pairs:
                 print("vectors: unavailable for this structure", file=trace)
             for pair in pairs:
@@ -193,8 +193,7 @@ def cmd_infer(args: argparse.Namespace) -> None:
                     distance = "singular"  # a fixed degree does not depend on it
                 print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
                       f"beta={pair.beta:.5f} distance={distance}", file=trace)
-            print(f"degree: raw={degree_raw:.5f} value={degree_value:.5f} ({args.degree})",
-                  file=trace)
+            print(f"degree: raw={raw:.5f} value={degree:.5f} ({args.degree})", file=trace)
             for om in result.outcomes:
                 clamp = " (clamped to 0)" if om.clamped else ""
                 print(f"mass {om.outcome}: classical={om.classical_part:.5f} "
@@ -252,7 +251,7 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    from .heuristic import outcome_pairs, pair_degree
+    from .heuristic import pair_degree
     from .quantum import amplitudes_from_network, completion_magnitudes, posterior
     from .scenarios import (
         DEFECT, PLAYER_TWO, fit_error, load_builtin, load_scenarios, scenario_to_network,
@@ -271,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     scenario = scenarios[matches[0]]
     anet = amplitudes_from_network(scenario_to_network(scenario))
     magnitudes = completion_magnitudes(anet, PLAYER_TWO, {})
-    auto = pair_degree(outcome_pairs(magnitudes))
+    auto = pair_degree(PLAYER_TWO, magnitudes)
 
     def row(degree: float, source: str) -> tuple:
         try:
@@ -313,7 +312,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,10 +17,10 @@ then act like masses whose negated Deng entropy is the Belief Degree
 
 with n the number of unobserved variables, clamped into [-1, 1]. The distance
 is defined on pairs only, so n = 1, 2^n - 1 = 1 and each term is B * log2(B).
-The degree is shared by every outcome of the query. A query with nothing
-unobserved has no pairs, so its degree is 0: with one completion per outcome,
-every degree gives the same posterior. More than one unobserved variable is
-refused with UnsupportedStructureError.
+The degree is shared by every outcome of the query, and pair_degree alone
+decides it. A query with nothing unobserved has no pairs, so its degree is 0:
+with one completion per outcome, every degree gives the same posterior. More
+than one unobserved variable is refused with UnsupportedStructureError.
 """
 
 from __future__ import annotations
@@ -134,15 +134,22 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
     return BeliefDegree(min(1.0, max(-1.0, raw)), raw)
 
 
-def pair_degree(pairs: Sequence[OutcomeVectorPair]) -> BeliefDegree:
-    """Outcome vectors -> distances -> degree, shared by all outcomes; 0 without pairs."""
-    if not pairs:
+def pair_degree(query: str, magnitudes: Mapping[str, Sequence[float]]) -> BeliefDegree:
+    """The degree all outcomes of query share, from their amplitude products (2^n
+    each for n unobserved): 0 for one, the distances' degree for two, refused above."""
+    count = len(next(iter(magnitudes.values())))
+    if count > 2:
+        raise UnsupportedStructureError(
+            f"query {query!r} leaves {count.bit_length() - 1} unobserved variables; "
+            "the degree heuristic needs at most one"
+        )
+    if count == 1:
         return BeliefDegree(0.0, 0.0)
-    return belief_degree([belief_distance(p.alpha, p.beta) for p in pairs])
+    return belief_degree([belief_distance(*mags) for mags in magnitudes.values()])
 
 
 def degree_for_query(
     anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
 ) -> BeliefDegree:
-    """The full chain: outcome vectors -> distances -> degree, shared by all outcomes."""
-    return pair_degree(extract_outcome_vectors(anet, query, evidence))
+    """The full chain: amplitude products -> distances -> degree, shared by all outcomes."""
+    return pair_degree(query, weighable_magnitudes(anet, query, evidence or {}))

@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Network, infer, network_from_dict
 from .errors import ValidationError, parse_number, read_json
-from .heuristic import BeliefDegree, outcome_pairs, pair_degree
+from .heuristic import BeliefDegree, pair_degree
 from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 from .table import Table, render_csv, render_text
 
@@ -140,7 +140,7 @@ def predict_unknown(
     net = scenario_to_network(scenario)
     classical = infer(net, PLAYER_TWO, {}).prob(DEFECT)
     magnitudes = completion_magnitudes(amplitudes_from_network(net), PLAYER_TWO, {})
-    degree = pair_degree(outcome_pairs(magnitudes))
+    degree = pair_degree(PLAYER_TWO, magnitudes)
     quantum = posterior(PLAYER_TWO, magnitudes, degree.value).probability(DEFECT)
     return PredictionRecord(
         scenario=scenario,

@@ -39,14 +39,10 @@ class Table(NamedTuple):
         return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.5f}"
-
-
 def render_text(table: Table) -> str:
     """The aligned text form of a table: floats to 5 decimals, None as "-"."""
     rows = [[title for _, title in table.columns]] + [
-        ["-" if c is None else c if isinstance(c, str) else _fmt(c) for c in row]
+        ["-" if c is None else c if isinstance(c, str) else f"{c:.5f}" for c in row]
         for row in table.body("(mean fit error)")
     ]
     widths = [max(len(row[i]) for row in rows) for i in range(len(table.columns))]

@@ -309,6 +309,22 @@ class TestInferQuantum:
         assert "degree: raw=0.00000 value=0.00000 (auto)" in out
         assert out.splitlines()[-2:] == ["Defect     0.87000", "Cooperate  0.13000"]
 
+    def test_verbose_fixed_degree_with_two_unobserved(self, capsys, tmp_path):
+        """A fixed degree needs no pairs, so two unobserved variables are answered and
+        the trace says the vectors are unavailable."""
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(["A", "B", "C"])))
+        code, out, err = run_cli(
+            capsys, "infer", "--network", str(path), "--query", "A",
+            "--mode", "quantum", "--degree", "fixed:0.3", "--verbose",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [
+            "vectors: unavailable for this structure",
+            "degree: raw=0.30000 value=0.30000 (fixed:0.3)",
+        ]
+        assert [line.split()[0] for line in out.splitlines()[-2:]] == ["T", "F"]
+
     def test_verbose_singular_distance_keeps_fixed_degree_result(self, capsys, tmp_path):
         # P2=Defect's outcome vector is (0.3, 0.7): alpha + beta = 1, a singular distance.
         doc = {

@@ -21,8 +21,9 @@ from qlbn.heuristic import (
     belief_distance,
     degree_for_query,
     extract_outcome_vectors,
+    pair_degree,
 )
-from qlbn.quantum import AmplitudeNetwork, amplitudes_from_network
+from qlbn.quantum import AmplitudeNetwork, amplitudes_from_network, completion_magnitudes
 
 from conftest import ROOT, SERVERS_DOC, chain_doc
 
@@ -42,6 +43,24 @@ def _uniform_chain() -> AmplitudeNetwork:
                 {"given": {"X": "T"}, "dist": {"T": 0.5, "F": 0.5}},
                 {"given": {"X": "F"}, "dist": {"T": 0.5, "F": 0.5}},
             ],
+        },
+    }
+    return amplitudes_from_network(network_from_dict(doc))
+
+
+def _three_coins() -> AmplitudeNetwork:
+    """Three independent binary variables, so query A leaves B and C unobserved."""
+    doc = {
+        "variables": [
+            {"name": "A", "outcomes": ["T", "F"]},
+            {"name": "B", "outcomes": ["T", "F"]},
+            {"name": "C", "outcomes": ["T", "F"]},
+        ],
+        "edges": [],
+        "cpts": {
+            "A": [{"given": {}, "dist": {"T": 0.6, "F": 0.4}}],
+            "B": [{"given": {}, "dist": {"T": 0.5, "F": 0.5}}],
+            "C": [{"given": {}, "dist": {"T": 0.3, "F": 0.7}}],
         },
     }
     return amplitudes_from_network(network_from_dict(doc))
@@ -72,20 +91,7 @@ class TestExtractOutcomeVectors:
             assert p.beta == pytest.approx(0.5, abs=1e-15)
 
     def test_evidence_narrows_to_one_unobserved(self):
-        doc = {
-            "variables": [
-                {"name": "A", "outcomes": ["T", "F"]},
-                {"name": "B", "outcomes": ["T", "F"]},
-                {"name": "C", "outcomes": ["T", "F"]},
-            ],
-            "edges": [],
-            "cpts": {
-                "A": [{"given": {}, "dist": {"T": 0.6, "F": 0.4}}],
-                "B": [{"given": {}, "dist": {"T": 0.5, "F": 0.5}}],
-                "C": [{"given": {}, "dist": {"T": 0.3, "F": 0.7}}],
-            },
-        }
-        anet = amplitudes_from_network(network_from_dict(doc))
+        anet = _three_coins()
         with pytest.raises(UnsupportedStructureError, match="2 unobserved"):
             extract_outcome_vectors(anet, "A")
         pairs = extract_outcome_vectors(anet, "A", {"C": "T"})
@@ -238,6 +244,28 @@ class TestBeliefDegree:
     def test_value_always_in_range(self, distances: list[float]):
         degree = belief_degree(distances)
         assert -1.0 <= degree.value <= 1.0
+
+
+class TestPairDegree:
+    """The one rule for the degree, on the products that posterior reads."""
+
+    def test_two_unobserved_are_refused(self):
+        magnitudes = completion_magnitudes(_three_coins(), "A", {})
+        message = (r"^query 'A' leaves 2 unobserved variables; "
+                   r"the degree heuristic needs at most one$")
+        with pytest.raises(UnsupportedStructureError, match=message):
+            pair_degree("A", magnitudes)
+
+    def test_three_unobserved_are_counted(self):
+        anet = amplitudes_from_network(network_from_dict(chain_doc(["A", "B", "C", "D"])))
+        with pytest.raises(UnsupportedStructureError, match="'B' leaves 3 unobserved"):
+            pair_degree("B", completion_magnitudes(anet, "B", {}))
+
+    def test_one_unobserved_equals_degree_for_query(self):
+        anet = _three_coins()
+        degree = pair_degree("A", completion_magnitudes(anet, "A", {"C": "T"}))
+        assert degree == degree_for_query(anet, "A", {"C": "T"})
+        assert degree != BeliefDegree(0.0, 0.0)
 
 
 class TestDegreeForQuery:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import draw_query_and_evidence
 from qlbn.bayesnet import infer, network_from_dict
 from qlbn.errors import InferenceError, ValidationError
-from qlbn.heuristic import outcome_pairs, pair_degree, weighable_magnitudes
+from qlbn.heuristic import degree_for_query, pair_degree, weighable_magnitudes
 from qlbn.quantum import amplitudes_from_network, completion_magnitudes, posterior, quantum_infer
 from qlbn.scenarios import DEFECT, PLAYER_TWO, Scenario, predict_unknown, scenario_to_network
 
@@ -105,10 +105,32 @@ def test_every_network_query_ends_in_a_distribution_or_a_named_cause(
         anet = amplitudes_from_network(net)
         if degree is None:
             magnitudes = weighable_magnitudes(anet, query, evidence)
-            value = pair_degree(outcome_pairs(magnitudes)).value
+            value = pair_degree(query, magnitudes).value
         else:
             magnitudes, value = completion_magnitudes(anet, query, evidence), degree
         return [om.probability for om in posterior(query, magnitudes, value).outcomes]
 
     ends_in_a_distribution_or_a_named_cause(classical)
     ends_in_a_distribution_or_a_named_cause(quantum)
+
+
+def _degree_or_cause(compute):
+    """compute()'s BeliefDegree, or the class of the InferenceError it raises."""
+    try:
+        return compute()
+    except InferenceError as exc:
+        return type(exc)
+
+
+@given(doc=binary_networks(), data=st.data())
+def test_the_stage_pipeline_and_degree_for_query_agree_on_every_degree(
+    doc: dict, data: st.DataObject
+):
+    """pair_degree over a query's products gives degree_for_query's degree, or both
+    raise UnsupportedStructureError (or meet the same singular distance): one rule,
+    whatever enumerates the products."""
+    anet = amplitudes_from_network(network_from_dict(doc))
+    query, evidence = draw_query_and_evidence([v["name"] for v in doc["variables"]], data)
+    staged = _degree_or_cause(
+        lambda: pair_degree(query, completion_magnitudes(anet, query, evidence)))
+    assert staged == _degree_or_cause(lambda: degree_for_query(anet, query, evidence))

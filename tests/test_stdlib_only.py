@@ -18,14 +18,13 @@ PACKAGE = sorted((ROOT / "src" / "qlbn").glob("*.py"))
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
-    "bayesnet": ["Network", "Variable", "full_joint", "infer", "load_network",
-                 "network_from_dict"],
+    "bayesnet": ["Network", "Variable", "infer", "load_network", "network_from_dict"],
     "belief": ["BeliefAssignment", "DiscreteDistribution", "Frame", "deng_entropy",
                "shannon_entropy", "validate_bba"],
     "heuristic": ["BeliefDegree", "OutcomeVectorPair", "belief_degree", "belief_distance",
-                  "degree_for_query", "extract_outcome_vectors"],
+                  "degree_for_query", "pair_degree", "weighable_magnitudes"],
     "quantum": ["AmplitudeNetwork", "QuantumInferenceResult", "amplitudes_from_network",
-                "interference_sum", "quantum_infer"],
+                "completion_magnitudes", "interference_sum", "posterior", "quantum_infer"],
     "scenarios": ["ComparisonReport", "PredictionRecord", "Scenario", "fit_error",
                   "load_builtin", "predict_unknown", "run_comparison", "run_reproduction",
                   "scenario_to_network"],
