@@ -8,9 +8,11 @@ table: per variable, in declared order, an itemgetter that picks the
 variable's family (its parents in declared order, then itself) out of a
 positional list of outcome labels, and a dict from those family labels to a
 value of the CPT entry p: p itself in the classical table, sqrt(p) in the
-amplitude table. A completion then costs one dict lookup per variable, and
-its product multiplies the values in declared variable order starting from
-1.0, so every float is bit-identical to full_joint's.
+amplitude table. A query multiplies the factors that come before the first one
+reading an unobserved label once, into an observed prefix; each completion then
+costs one dict lookup per remaining variable, continuing that product in
+declared variable order. The multiplications are those of full_joint, from 1.0
+in declared order, so every float is bit-identical to full_joint's.
 """
 
 from __future__ import annotations
@@ -143,7 +145,11 @@ def unobserved(net: Network, query: str, evidence: Assignment) -> tuple[list, in
     net.outcomes(query)  # raises for an unknown query
     labels = _positional_labels(net, evidence)
     at_query = net.positions[query]
-    return labels, at_query, [i for i, lb in enumerate(labels) if lb is None and i != at_query]
+    free = []
+    for i, label in enumerate(labels):
+        if label is None and i != at_query:
+            free.append(i)
+    return labels, at_query, free
 
 
 def completion_products(
@@ -154,8 +160,19 @@ def completion_products(
     The one enumeration behind classical and quantum-like inference; query and
     evidence are checked once, up front. Lists follow declared outcome orders, and
     completions run as itertools.product yields the unobserved variables' outcomes.
+    The factors before the first one that reads an unobserved label (still None, and
+    a key holding None is in no table) multiply once into prefix; each completion
+    continues from prefix over the rest, so every product keeps table_product's bits.
     """
     labels, at_query, free = unobserved(net, query, evidence)
+    prefix, start = 1.0, 0
+    for get, values in table:
+        value = values.get(get(labels))
+        if value is None:
+            break
+        prefix *= value
+        start += 1
+    rest = table[start:]
     variables = net.variables
     domains = [variables[i].outcomes for i in free]
     products: dict[str, list[float]] = {}
@@ -165,7 +182,10 @@ def completion_products(
         for combo in itertools.product(*domains):
             for i, label in zip(free, combo):
                 labels[i] = label
-            row.append(table_product(table, labels))
+            product = prefix
+            for get, values in rest:
+                product *= values[get(labels)]
+            row.append(product)
     return products
 
 
@@ -211,21 +231,27 @@ def network_from_dict(doc: Mapping) -> Network:
         raw_cpts = doc["cpts"]
     except (KeyError, TypeError):
         raise ValidationError("network definition needs 'variables' and 'cpts'") from None
+    # Plain loops build every per-variable and per-row piece: before Python 3.12 each
+    # comprehension is a function call of its own.
     with shape_errors():
         variables = []
+        positions: dict[str, int] = {}
         for raw in raw_vars:
             name, outcomes = str(raw["name"]), raw["outcomes"]
             if not isinstance(outcomes, list):
                 raise ValidationError(
                     f"variable {name!r} needs a list of outcomes, got {outcomes!r}"
                 )
-            variables.append(Variable(name, tuple(map(str, outcomes))))
-        positions = {v.name: i for i, v in enumerate(variables)}
+            labels = ()
+            for outcome in outcomes:
+                labels += (str(outcome),)
+            positions[name] = len(variables)
+            variables.append(Variable(name, labels))
         if len(positions) != len(variables):
             raise ValidationError(
                 f"duplicate variable names in {[v.name for v in variables]}"
             )
-        parents: dict[str, tuple[str, ...]] = {name: () for name in positions}
+        parents: dict[str, tuple[str, ...]] = dict.fromkeys(positions, ())
         forward = True
         for edge in doc.get("edges", []):
             if not isinstance(edge, list) or len(edge) != 2:
@@ -246,17 +272,22 @@ def network_from_dict(doc: Mapping) -> Network:
             if name not in positions:
                 raise ValidationError(f"CPT variable {name!r} is not a declared variable")
         table = []
-        combo_sets: dict[tuple, set] = {}  # parent outcome lists -> their combinations
+        # parent outcome lists -> their combinations; every root shares the one empty one
+        combo_sets: dict[tuple, set] = {(): {()}}
         for position, v in enumerate(variables):
             rows = raw_cpts.get(v.name)
             if rows is None:
                 raise ValidationError(f"variable {v.name!r} has no CPT")
             parent_names = parents[v.name]
-            domains = tuple([variables[positions[p]].outcomes for p in parent_names])
+            indices, domains = [], ()
+            for p in parent_names:
+                at = positions[p]
+                indices.append(at)
+                domains += (variables[at].outcomes,)
             combos = combo_sets.get(domains)
             if combos is None:
                 combos = combo_sets[domains] = set(itertools.product(*domains))
-            getter = itemgetter(*[positions[p] for p in parent_names], position)
+            getter = itemgetter(*indices, position)
             table.append((getter, _compile_cpt(v, parent_names, combos, rows)))
     return Network(tuple(variables), parents, tuple(table), positions)
 
@@ -298,7 +329,10 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
     values: dict[object, float] = {}
     for count, row in enumerate(rows, 1):
         given = row.get("given", {})
-        key = tuple([str(given[p]) for p in parent_names if p in given])
+        key = ()
+        for p in parent_names:
+            if p in given:
+                key += (str(given[p]),)
         if len(key) != len(given):
             raise ValidationError(
                 f"CPT row for {v.name!r} conditions on non-parents: {sorted(given)}"
@@ -314,7 +348,7 @@ def _compile_cpt(v: Variable, parent_names: tuple[str, ...], combos: set, rows) 
                 p = dist[label]
                 if p.__class__ is not float:
                     p = parse_number(p)
-                if outside is None and not 0.0 <= p <= 1.0:
+                if not 0.0 <= p <= 1.0 and outside is None:
                     outside = ValidationError(
                         f"probability {p!r} for {str(label)!r} is outside [0, 1]"
                     )

@@ -105,8 +105,12 @@ def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
     shape_errors).
     """
     try:
-        with open(os.fspath(path), encoding="utf-8") as f:
-            text = f.read()
+        # Bytes decode faster than a text-mode read; the universal-newline translation
+        # that mode would apply runs only when the file holds a carriage return.
+        with open(os.fspath(path), "rb") as f:
+            text = f.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:

@@ -136,8 +136,15 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
 
 def pair_degree(query: str, magnitudes: Mapping[str, Sequence[float]]) -> BeliefDegree:
     """The degree all outcomes of query share, from their amplitude products (2^n
-    each for n unobserved): 0 for one, the distances' degree for two, refused above."""
-    count = len(next(iter(magnitudes.values())))
+    each for n unobserved): 0 for one, the distances' degree for two, refused above.
+    Raises ValidationError unless every outcome has the same positive number of products."""
+    counts = set(map(len, magnitudes.values()))
+    if len(counts) != 1 or 0 in counts:
+        raise ValidationError(
+            f"query {query!r} needs the same positive number of amplitude products for "
+            f"every outcome, got {({o: len(m) for o, m in magnitudes.items()})}"
+        )
+    count = counts.pop()
     if count > 2:
         raise UnsupportedStructureError(
             f"query {query!r} leaves {count.bit_length() - 1} unobserved variables; "

@@ -62,10 +62,13 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
                 f"variable {v.name!r} has {len(v.outcomes)} outcomes; amplitude "
                 "networks answer only two-outcome questions"
             )
-    amplitudes = tuple([
-        (get, dict(zip(values, map(math.sqrt, values.values())))) for get, values in net.table
-    ])
-    return AmplitudeNetwork(net, amplitudes)
+    amplitudes = []
+    for get, values in net.table:
+        roots = {}
+        for key, p in values.items():
+            roots[key] = math.sqrt(p)
+        amplitudes.append((get, roots))
+    return AmplitudeNetwork(net, tuple(amplitudes))
 
 
 def amplitude_product(anet: AmplitudeNetwork, assignment: Assignment) -> float:
@@ -158,11 +161,18 @@ def posterior(
     NegativeUnnormalizedMassError is raised, naming the feasible bound: the largest
     -q / (2ꞏs2) over the outcomes, with q the sum of squared products and s2 the sum
     of their pairwise products. When every classical part is zero,
-    InconsistentEvidenceError is raised instead: the evidence has probability zero."""
+    InconsistentEvidenceError is raised instead: the evidence has probability zero.
+    No outcomes, or an outcome with no products, raises ValidationError."""
     if not -1.0 <= degree <= 1.0:
         raise ValidationError(f"degree {degree!r} is outside [-1, 1]")
+    if not magnitudes:
+        raise ValidationError(f"query {query!r} has no outcomes")
     parts = []
     for outcome, mags in magnitudes.items():
+        if not mags:
+            raise ValidationError(
+                f"outcome {outcome!r} of query {query!r} has no amplitude products"
+            )
         classical = math.fsum([m * m for m in mags])
         # At degree 1/2 this is s2 itself; 2ꞏdegreeꞏs2 + 0.0 is interference_sum(mags, degree).
         s2 = interference_sum(mags, 0.5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from qlbn.bayesnet import (
     network_from_dict,
 )
 from qlbn.errors import InconsistentEvidenceError, ValidationError
+from qlbn.quantum import amplitude_product, amplitudes_from_network
+from qlbn.scenarios import _GAME
 
 from conftest import (
     GAME_DOC,
@@ -434,6 +437,122 @@ class TestInfer:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def _tree_doc(shape: str, n: int, rng: random.Random) -> dict:
+    """A chain X0 -> X1 -> ... or a heap-ordered binary tree (X((i-1)//2) -> Xi) of n
+    binary variables, with CPT entries drawn from rng."""
+    names = [f"X{i}" for i in range(n)]
+
+    def dist() -> dict[str, float]:
+        p = round(rng.uniform(0.05, 0.95), 6)
+        return {"T": p, "F": round(1.0 - p, 6)}
+
+    edges = [[names[i - 1 if shape == "chain" else (i - 1) // 2], names[i]] for i in range(1, n)]
+    cpts = {names[0]: [{"given": {}, "dist": dist()}]}
+    for parent, child in edges:
+        cpts[child] = [{"given": {parent: o}, "dist": dist()} for o in "TF"]
+    return {
+        "variables": [{"name": name, "outcomes": ["T", "F"]} for name in names],
+        "edges": edges,
+        "cpts": cpts,
+    }
+
+
+def _assert_products_keep_bits(net: Network, query: str, evidence: dict[str, str]) -> None:
+    """completion_products over both tables equals the per-completion reference
+    products, compared by their hex forms so every bit counts."""
+    anet = amplitudes_from_network(net)
+    free = tuple(n for n in net.positions if n != query and n not in evidence)
+    for table, reference in ((net.table, lambda a: full_joint(net, a)),
+                             (anet.amplitudes, lambda a: amplitude_product(anet, a))):
+        products = completion_products(net, table, query, evidence)
+        assert list(products) == list(net.outcomes(query))
+        for outcome, joints in products.items():
+            expected = completions(net, {**evidence, query: outcome}, free)
+            assert [x.hex() for x in joints] == [reference(a).hex() for a in expected]
+
+
+class TestObservedPrefix:
+    """completion_products multiplies the factors before the first one that reads an
+    unobserved label once per query; every product must keep its bits."""
+
+    @pytest.mark.parametrize("shape", ["chain", "tree"])
+    @pytest.mark.parametrize("n", [14, 17, 20])
+    def test_large_networks_with_one_free_variable(self, shape: str, n: int):
+        """Every (query, free) pair with the rest observed, as a network file query
+        with one free variable runs."""
+        rng = random.Random(f"{shape}/{n}")
+        net = network_from_dict(_tree_doc(shape, n, rng))
+        names = list(net.positions)
+        for query, free in itertools.permutations(names, 2):
+            evidence = {nm: rng.choice("TF") for nm in names if nm not in (query, free)}
+            _assert_products_keep_bits(net, query, evidence)
+
+    def test_child_declared_before_the_query(self):
+        """C is declared after an observed root and before its parent A, so with A
+        queried the prefix holds R alone and must stop at C's factor."""
+        doc = {
+            "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in ("R", "C", "A", "B")],
+            "edges": [["A", "C"], ["R", "C"], ["R", "B"], ["A", "B"]],
+            "cpts": {
+                "R": [{"given": {}, "dist": {"T": 0.3, "F": 0.7}}],
+                "A": [{"given": {}, "dist": {"T": 0.55, "F": 0.45}}],
+                "C": [{"given": {"A": a, "R": r}, "dist": {"T": p, "F": 1 - p}}
+                      for (a, r), p in zip(itertools.product("TF", repeat=2),
+                                           (0.9, 0.15, 0.35, 0.6))],
+                "B": [{"given": {"R": r, "A": a}, "dist": {"F": 1 - p, "T": p}}
+                      for (r, a), p in zip(itertools.product("TF", repeat=2),
+                                           (0.25, 0.8, 0.45, 0.05))],
+            },
+        }
+        net = network_from_dict(doc)
+        assert net.parents["C"] == ("A", "R")
+        names = list(net.positions)
+        for query, free in itertools.permutations(names, 2):
+            observed = [nm for nm in names if nm not in (query, free)]
+            for labels in itertools.product("TF", repeat=len(observed)):
+                _assert_products_keep_bits(net, query, dict(zip(observed, labels)))
+        # No variable observed at all: the prefix is empty.
+        for query in names:
+            _assert_products_keep_bits(net, query, {})
+
+
+class TestParseKeepsOrders:
+    """What the parse must keep while it changes how it builds each piece."""
+
+    def test_game_factors_list_row_then_dist_order(self):
+        """scenario_to_network zips the game's keys in this order with its values."""
+        (_, p1), (_, p2) = _GAME.table
+        assert list(p1) == ["Defect", "Cooperate"]
+        assert list(p2) == [("Cooperate", "Defect"), ("Cooperate", "Cooperate"),
+                            ("Defect", "Defect"), ("Defect", "Cooperate")]
+
+    def test_factor_keys_follow_rows_listing_f_before_t(self):
+        doc = json.loads(json.dumps(SERVERS_DOC))
+        doc["cpts"]["S2"] = [
+            {"given": {"S1": "F"}, "dist": {"F": 0.7, "T": 0.3}},
+            {"given": {"S1": "T"}, "dist": {"F": 0.3, "T": 0.7}},
+        ]
+        (_, s1), (_, s2) = network_from_dict(doc).table
+        assert list(s1) == ["T", "F"]
+        assert list(s2) == [("F", "F"), ("F", "T"), ("T", "F"), ("T", "T")]
+        assert list(s2.values()) == [0.7, 0.3, 0.3, 0.7]
+
+    def test_variable_error_outranks_an_earlier_duplicate_name(self):
+        doc = json.loads(json.dumps(SERVERS_DOC))
+        doc["variables"] += [{"name": "S1", "outcomes": ["T", "F"]},
+                             {"name": "S3", "outcomes": ["T"]}]
+        with pytest.raises(ValidationError) as caught:
+            network_from_dict(doc)
+        assert str(caught.value) == "variable 'S3' needs at least two outcomes, got ('T',)"
+
+    def test_root_row_naming_a_variable_conditions_on_non_parents(self):
+        doc = json.loads(json.dumps(SERVERS_DOC))
+        doc["cpts"]["S1"][0]["given"] = {"S2": "T"}
+        with pytest.raises(ValidationError) as caught:
+            network_from_dict(doc)
+        assert str(caught.value) == "CPT row for 'S1' conditions on non-parents: ['S2']"
+
+
 class TestNetworkFiles:
     def test_round_trip(self, tmp_path: Path):
         path = tmp_path / "net.json"
@@ -481,6 +600,15 @@ class TestNetworkFiles:
     def test_malformed_json_reports_line(self, tmp_path: Path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "variables": [\n')
+        with pytest.raises(ValidationError, match="line 3"):
+            load_network(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_every_line_ending_counts_one_line(self, newline: str, tmp_path: Path):
+        """The file is read as bytes, and its line endings translate as a text-mode
+        read translates them."""
+        path = tmp_path / "broken.json"
+        path.write_bytes(f'{{{newline}  "variables": [{newline}'.encode())
         with pytest.raises(ValidationError, match="line 3"):
             load_network(path)
 

@@ -267,6 +267,21 @@ class TestPairDegree:
         assert degree == degree_for_query(anet, "A", {"C": "T"})
         assert degree != BeliefDegree(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "magnitudes, counts",
+        [({}, "{}"), ({"T": [], "F": []}, "{'T': 0, 'F': 0}"),
+         ({"T": [0.6, 0.8], "F": [0.5]}, "{'T': 2, 'F': 1}")],
+        ids=["no outcomes", "no products", "unequal counts"],
+    )
+    def test_malformed_products_name_the_query(self, magnitudes: dict, counts: str):
+        """These used to leak a bare StopIteration or a TypeError from belief_distance."""
+        with pytest.raises(ValidationError) as caught:
+            pair_degree("A", magnitudes)
+        assert str(caught.value) == (
+            "query 'A' needs the same positive number of amplitude products for every "
+            f"outcome, got {counts}"
+        )
+
 
 class TestDegreeForQuery:
     def test_game_degree(self, game_amps: AmplitudeNetwork):

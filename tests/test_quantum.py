@@ -341,6 +341,18 @@ class TestQuantumInfer:
             posterior("A", magnitudes, degree)
         assert summed == list(magnitudes.values())
 
+    @pytest.mark.parametrize(
+        "magnitudes, message",
+        [({}, "query 'A' has no outcomes"),
+         ({"T": [], "F": [0.5]}, "outcome 'T' of query 'A' has no amplitude products")],
+        ids=["no outcomes", "no products"],
+    )
+    def test_malformed_products_name_the_query(self, magnitudes: dict, message: str):
+        """No outcomes used to be blamed on the evidence, as probability zero."""
+        with pytest.raises(ValidationError) as caught:
+            posterior("A", magnitudes, 0.0)
+        assert str(caught.value) == message
+
     def test_exact_cancellation_raises(self):
         """A uniform chain at degree -1 drives every mass to exactly zero."""
         doc = {
