@@ -169,12 +169,12 @@ def cmd_infer(args: argparse.Namespace) -> None:
     fixed = _parse_degree(args.degree)
     net = load_network(args.network)
     if args.mode == "classical":
-        items = infer(net, args.query, evidence).items()
-        fields, rows = ("outcome", "probability"), items
-        doc = {"query": args.query, "distribution": dict(items)}
+        distribution = dict(infer(net, args.query, evidence).items())
+        doc = {"query": args.query, "distribution": distribution}
+        rows = [{"outcome": o, "probability": p} for o, p in doc["distribution"].items()]
     else:
         from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
-        from .quantum import OutcomeMass, amplitudes_from_network, completion_magnitudes, posterior
+        from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 
         enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
         magnitudes = enumerate_(amplitudes_from_network(net), args.query, evidence)
@@ -200,16 +200,15 @@ def cmd_infer(args: argparse.Namespace) -> None:
                       f"interference={om.interference_part:.5f} "
                       f"unnormalized={om.unnormalized:.5f}{clamp}", file=trace)
             print(f"normalizer={result.normalizer:.5f}", file=trace)
-        items = [(om.outcome, om.probability) for om in result.outcomes]
-        fields = OutcomeMass._fields
-        rows = (om._replace(clamped=str(om.clamped)) for om in result.outcomes)
         doc = result.to_dict()
+        rows = doc["outcomes"]
+    # The table and the CSV project the rows of the document that JSON prints whole.
     if args.format == "table":
-        width = max(len(lb) for lb, _ in items)
-        for lb, p in items:
-            print(f"{lb.ljust(width)}  {p:.5f}")
+        width = max(len(row["outcome"]) for row in rows)
+        for row in rows:
+            print(f"{row['outcome'].ljust(width)}  {row['probability']:.5f}")
     elif args.format == "csv":
-        print(_csv(fields, rows), end="")
+        print(_csv(tuple(rows[0]), [tuple(row.values()) for row in rows]), end="")
     else:
         print(json.dumps(doc, indent=2))
 

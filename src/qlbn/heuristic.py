@@ -137,7 +137,7 @@ def belief_degree(distances: Sequence[float]) -> BeliefDegree:
 def pair_degree(query: str, magnitudes: Mapping[str, Sequence[float]]) -> BeliefDegree:
     """The degree all outcomes of query share, from their amplitude products (2^n
     each for n unobserved): 0 for one, the distances' degree for two, refused above.
-    Raises ValidationError unless every outcome has the same positive number of products."""
+    Raises ValidationError unless every outcome has the same power-of-two number of products."""
     counts = set(map(len, magnitudes.values()))
     if len(counts) != 1 or 0 in counts:
         raise ValidationError(
@@ -145,6 +145,10 @@ def pair_degree(query: str, magnitudes: Mapping[str, Sequence[float]]) -> Belief
             f"every outcome, got {({o: len(m) for o, m in magnitudes.items()})}"
         )
     count = counts.pop()
+    if count & (count - 1):  # each unobserved binary variable doubles the count
+        raise ValidationError(
+            f"query {query!r} has {count} amplitude products per outcome, not a power of two"
+        )
     if count > 2:
         raise UnsupportedStructureError(
             f"query {query!r} leaves {count.bit_length() - 1} unobserved variables; "

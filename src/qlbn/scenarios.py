@@ -375,56 +375,62 @@ def run_reproduction() -> ReproductionResult:
 # --- rendering ----------------------------------------------------------------
 
 
-def _model_columns(models: Sequence[str]) -> list[tuple[str, str]]:
-    columns = []
-    for model in models:
-        title = _MODEL_TITLES.get(model, model)
-        columns += [(f"{model}_prediction", title), (f"{model}_fit", f"{title} fit")]
-    return columns
+def _model_table(keys: Sequence[str], titles: Mapping[str, str], docs: Sequence[Mapping],
+                 cell: str, mean: Mapping[str, float]) -> Table:
+    """One row per doc, built column by column: one column per key, titled by titles or
+    else by the key, except that the {model: {"prediction", "fit"}} dict under key cell
+    spreads into a prediction and a fit column for each model, in the order the docs
+    first name the models, both empty where a doc lacks the model."""
+    models = list(dict.fromkeys(model for doc in docs for model in doc[cell]))
+    blank = {"prediction": None, "fit": None}
+    columns, rows = [], [[] for _ in docs]
+    for key in keys:
+        if key != cell:
+            columns.append((key, titles.get(key, key)))
+            for row, doc in zip(rows, docs):
+                row.append(doc[key])
+            continue
+        for model in models:
+            title = _MODEL_TITLES.get(model, model)
+            columns += [(f"{model}_prediction", title), (f"{model}_fit", f"{title} fit")]
+            for row, doc in zip(rows, docs):
+                row += doc[cell].get(model, blank).values()
+    return Table(tuple(columns), tuple(map(tuple, rows)), mean)
 
 
 def _report_table(report: ComparisonReport) -> Table:
-    # report_to_dict's record fields but the raw degree, then the published columns;
-    # a column's mean is the dict's mean_<column> where there is one
+    # report_to_dict's records but the raw degree, their published columns spread per
+    # model; a column's mean is the dict's mean_<column> where there is one
     doc = report_to_dict(report)
-    # the models with published columns, in the order records first name them
-    models = list(doc["mean_fit_literature"])
-    keys = [key for key in doc["records"][0] if key not in ("degree_raw", "literature")]
-    blank = {"prediction": None, "fit": None}
-    return Table(
-        tuple((key, key) for key in keys) + tuple(_model_columns(models)),
-        tuple(
-            (*(rec[key] for key in keys),
-             *(v for m in models for v in rec["literature"].get(m, blank).values()))
-            for rec in doc["records"]
-        ),
+    keys = [key for key in doc["records"][0] if key != "degree_raw"]
+    return _model_table(keys, {}, doc["records"], "literature", {
+        **{key: doc[f"mean_{key}"] for key in keys if f"mean_{key}" in doc},
+        **{f"{m}_fit": fit for m, fit in doc["mean_fit_literature"].items()},
+    })
+
+
+def _published_models(result: ReproductionResult) -> list[dict]:
+    """The comparison rows as reproduce's JSON prints them, which table 3 projects."""
+    return [
         {
-            **{key: doc[f"mean_{key}"] for key in keys if f"mean_{key}" in doc},
-            **{f"{m}_fit": fit for m, fit in doc["mean_fit_literature"].items()},
-        },
-    )
+            "condition": row.name,
+            "observed": row.observed,
+            "models": {m: {"prediction": p, "fit": e} for m, (p, e) in row.models.items()},
+            "prediction": row.prediction,
+            "prediction_fit": row.prediction_fit,
+            "basis": row.basis,
+        }
+        for row in result.table3
+    ]
 
 
-def _table3_models(result: ReproductionResult) -> list[str]:
-    return list(result.table3[0].models) if result.table3 else []
-
-
-def _table3(result: ReproductionResult) -> Table:
-    models = _table3_models(result)
-    return Table(
-        (("condition", "condition"), ("observed", "observed"), *_model_columns(models),
-         ("prediction", "this model"), ("prediction_fit", "fit"), ("basis", "basis")),
-        tuple(
-            (row.name, row.observed, *(v for m in models for v in row.models[m]),
-             row.prediction, row.prediction_fit, row.basis)
-            for row in result.table3
-        ),
-        {
-            **{f"{m}_fit": _mean([row.models[m][1] for row in result.table3])
-               for m in models},
-            "prediction_fit": _mean([row.prediction_fit for row in result.table3]),
-        },
-    )
+def _table3(rows: Sequence[dict]) -> Table:
+    titles = {"prediction": "this model", "prediction_fit": "fit"}
+    return _model_table(list(rows[0]), titles, rows, "models", {
+        **{f"{m}_fit": _mean([row["models"][m]["fit"] for row in rows])
+           for m in rows[0]["models"]},
+        "prediction_fit": _mean([row["prediction_fit"] for row in rows]),
+    })
 
 
 def render_report_table(report: ComparisonReport) -> str:
@@ -464,12 +470,12 @@ def report_to_dict(report: ComparisonReport) -> dict:
 
 def render_table3(result: ReproductionResult) -> str:
     """Aligned text table of the published-models comparison."""
-    return render_text(_table3(result))
+    return render_text(_table3(_published_models(result)))
 
 
 def render_table3_csv(result: ReproductionResult) -> str:
     """CSV of the published-models comparison; unlike the text table, no mean row."""
-    return render_csv(_table3(result)._replace(mean=None))
+    return render_csv(_table3(_published_models(result))._replace(mean=None))
 
 
 def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
@@ -480,11 +486,11 @@ def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
 
 def render_model_comparison_csv(result: ReproductionResult) -> str:
     """Bar-chart-shaped series over the comparison rows, all models side by side."""
-    models = _table3_models(result)
-    return render_csv(_table3(result).select({
+    rows = _published_models(result)
+    return render_csv(_table3(rows).select({
         "condition": "condition",
         "observed": "observed",
-        **{f"{m}_prediction": m for m in models},
+        **{f"{m}_prediction": m for m in rows[0]["models"]},
         "prediction": "belief_degree",
     }))
 
@@ -498,18 +504,7 @@ def render_reproduction(result: ReproductionResult, fmt: str) -> str:
         return json.dumps(
             {
                 "comparison": report_to_dict(result.comparison),
-                "published_models": [
-                    {
-                        "condition": row.name,
-                        "observed": row.observed,
-                        "models": {m: {"prediction": p, "fit": e}
-                                   for m, (p, e) in row.models.items()},
-                        "prediction": row.prediction,
-                        "prediction_fit": row.prediction_fit,
-                        "basis": row.basis,
-                    }
-                    for row in result.table3
-                ],
+                "published_models": _published_models(result),
                 "goldens": [{**g._asdict(), "passed": g.passed} for g in result.goldens],
             },
             indent=2,

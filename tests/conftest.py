@@ -1,11 +1,14 @@
-"""Shared fixtures: sample networks, a random-network strategy, a subprocess
-environment and call counters."""
+"""Shared fixtures: sample networks, a random-network strategy, a decimal oracle for
+posteriors, a subprocess environment and call counters."""
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import math
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -97,6 +100,66 @@ def draw_query_and_evidence(
     return query, evidence
 
 
+# Exact enough to serve as the oracle for float posteriors: 60 significant digits.
+ORACLE = decimal.Context(prec=60)
+
+
+def decimal_posterior(
+    doc: dict, query: str, evidence: Mapping[str, str], degree: float | None = None
+) -> tuple[dict[str, Decimal] | None, Decimal]:
+    """The oracle for a network document's posterior: infer's formula when degree is
+    None, else posterior's at that degree, over every completion in decimal at 60
+    digits, each amplitude the Decimal.sqrt of its CPT entry.
+
+    Returns the probability of each query outcome, or None when the floor at zero
+    leaves no mass, and the condition number kappa: the largest (q + 2|d|ꞏs2) / |u|
+    over the outcomes, with q the sum of squared amplitude products, s2 the sum of
+    their pairwise products and u = q + 2dꞏs2 (infinite when some u is 0, and 1 for
+    infer, whose sums have no negative terms).
+    """
+    outcomes = {v["name"]: v["outcomes"] for v in doc["variables"]}
+    free = [name for name in outcomes if name != query and name not in evidence]
+
+    def entry(name: str, full: Mapping[str, str]) -> Decimal:
+        for row in doc["cpts"][name]:
+            if all(full[parent] == label for parent, label in row["given"].items()):
+                return Decimal(row["dist"][full[name]])
+        raise AssertionError(f"no CPT row of {name!r} matches {full}")
+
+    with decimal.localcontext(ORACLE):
+        joints: dict[str, list[Decimal]] = {}
+        amplitudes: dict[str, list[Decimal]] = {}
+        for outcome in outcomes[query]:
+            joints[outcome], amplitudes[outcome] = [], []
+            for combo in itertools.product(*(outcomes[name] for name in free)):
+                full = {**evidence, query: outcome, **dict(zip(free, combo))}
+                entries = [entry(name, full) for name in outcomes]
+                joints[outcome].append(math.prod(entries, start=Decimal(1)))
+                roots = [e.sqrt() for e in entries]
+                amplitudes[outcome].append(math.prod(roots, start=Decimal(1)))
+        if degree is None:
+            totals = {outcome: sum(js, Decimal(0)) for outcome, js in joints.items()}
+            total = sum(totals.values(), Decimal(0))
+            return {o: t / total for o, t in totals.items()}, Decimal(1)
+        d = Decimal(degree)
+        masses, kappa = {}, Decimal(0)
+        for outcome, ms in amplitudes.items():
+            q = sum([m * m for m in ms], Decimal(0))
+            s2 = sum([a * b for a, b in itertools.combinations(ms, 2)], Decimal(0))
+            u = q + 2 * d * s2
+            kappa = max(kappa, (q + 2 * abs(d) * s2) / abs(u) if u else Decimal("Infinity"))
+            masses[outcome] = max(u, Decimal(0))
+        total = sum(masses.values(), Decimal(0))
+        if not total:
+            return None, kappa
+        return {o: u / total for o, u in masses.items()}, kappa
+
+
+def ulps(actual: float, exact: Decimal) -> float:
+    """|actual - exact| in units in the last place of the float nearest exact."""
+    return float(abs(Decimal(actual) - exact)) / math.ulp(float(exact))
+
+
 # Two-player game: P1 declares Cooperate first so outcome vectors read as
 # (cooperating opponent, defecting opponent); P2 declares Defect first.
 GAME_DOC = {
@@ -136,6 +199,21 @@ def scenario_doc(scenario) -> dict:
             ],
         },
     }
+
+
+def _coin_row(given: dict[str, str], p: float) -> dict:
+    return {"given": given, "dist": {"T": p, "F": 1.0 - p}}
+
+
+# Three coins B <- A -> C on which degree -0.5 floors the mass of B=F, and only
+# that mass, to zero.
+CLAMPING_DOC = {
+    "variables": [{"name": name, "outcomes": ["T", "F"]} for name in "ABC"],
+    "edges": [["A", "B"], ["A", "C"]],
+    "cpts": {"A": [_coin_row({}, 0.1)],
+             "B": [_coin_row({"A": "T"}, 0.1), _coin_row({"A": "F"}, 0.9)],
+             "C": [_coin_row({"A": "T"}, 0.1), _coin_row({"A": "F"}, 0.1)]},
+}
 
 
 # Two data servers, the second mirroring the first imperfectly.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import runpy
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import chain_doc, src_env, uniform_chain_doc
+from conftest import CLAMPING_DOC, chain_doc, src_env, uniform_chain_doc
 from qlbn import cli
 from qlbn.cli import main
 from qlbn.scenarios import GoldenCheck, ReproductionResult, load_builtin, run_reproduction
@@ -23,6 +24,15 @@ SERVERS_NET = str(ROOT / "data" / "networks" / "data_servers.json")
 SPLIT_BBA = str(ROOT / "data" / "bba" / "split_pair.json")
 CERTAIN_BBA = str(ROOT / "data" / "bba" / "single_certain.json")
 SCENARIOS = str(ROOT / "data" / "scenarios" / "literature_games.json")
+
+# Evidence B=T so unlikely that the quantum total mass has no finite reciprocal.
+OVERFLOWING_DOC = {
+    "variables": [{"name": "A", "outcomes": ["T", "F"]},
+                  {"name": "B", "outcomes": ["T", "F"]}],
+    "edges": [],
+    "cpts": {"A": [{"given": {}, "dist": {"T": 0.5, "F": 0.5}}],
+             "B": [{"given": {}, "dist": {"T": 5e-324, "F": 1.0}}]},
+}
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -248,19 +258,8 @@ class TestInferQuantum:
     def test_json_stays_valid_when_the_normalizer_overflows(self, capsys, tmp_path):
         """A total mass below 2**-1024 has no finite reciprocal, and JSON has no
         Infinity: the normalizer is null and the probabilities still normalize."""
-        doc = {
-            "variables": [
-                {"name": "A", "outcomes": ["T", "F"]},
-                {"name": "B", "outcomes": ["T", "F"]},
-            ],
-            "edges": [],
-            "cpts": {
-                "A": [{"given": {}, "dist": {"T": 0.5, "F": 0.5}}],
-                "B": [{"given": {}, "dist": {"T": 5e-324, "F": 1.0}}],
-            },
-        }
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(OVERFLOWING_DOC))
 
         def refused(constant: str):
             raise AssertionError(f"{constant} is not JSON")
@@ -597,6 +596,62 @@ class TestInferCsvQuoting:
         assert [row[0] for row in rows] == self.LABELS
 
 
+class TestInferFormatsAgree:
+    """The table and the CSV of `infer` project the rows of the document that
+    `--format json` prints: each CSV cell is the repr of its JSON value (a string as
+    is), and each table row shows its JSON outcome and probability."""
+
+    CASES = {
+        "game classical": (GAME_NET, ["--query", "P2"]),
+        "servers evidence classical": (SERVERS_NET, ["--query", "S1", "--evidence", "S2=F"]),
+        "game auto": (GAME_NET, ["--query", "P2", "--mode", "quantum"]),
+        "servers fixed": (SERVERS_NET, ["--query", "S2", "--mode", "quantum",
+                                        "--degree", "fixed:-0.5"]),
+        "overflowing normalizer": (OVERFLOWING_DOC, [
+            "--query", "A", "--evidence", "B=T", "--mode", "quantum"]),
+        "clamped outcome": (CLAMPING_DOC, [
+            "--query", "B", "--mode", "quantum", "--degree", "fixed:-0.5", "--verbose"]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_table_and_csv_rows_are_the_json_values(self, capsys, tmp_path, case):
+        network, args = self.CASES[case]
+        if isinstance(network, dict):
+            path = tmp_path / "net.json"
+            path.write_text(json.dumps(network))
+            network = str(path)
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            code, outputs[fmt], _ = run_cli(
+                capsys, "infer", "--network", network, *args, "--format", fmt
+            )
+            assert code == 0
+        doc = json.loads(outputs["json"])
+        if "distribution" in doc:
+            assert set(doc) == {"query", "distribution"}
+            rows = [{"outcome": o, "probability": p} for o, p in doc["distribution"].items()]
+        else:
+            assert set(doc) == {"query", "normalizer", "outcomes"}
+            rows = doc["outcomes"]
+        reader = csv.DictReader(io.StringIO(outputs["csv"]))
+        assert reader.fieldnames == list(rows[0])
+        body = list(reader)
+        assert len(body) == len(rows)
+        for cells, row in zip(body, rows):
+            for key, value in row.items():
+                assert cells[key] == (value if isinstance(value, str) else repr(value))
+        # --verbose puts its trace before the table on stdout; the table ends it.
+        lines = outputs["table"].splitlines()[-len(rows):]
+        width = max(len(row["outcome"]) for row in rows)
+        assert lines == [f"{row['outcome'].ljust(width)}  {row['probability']:.5f}"
+                         for row in rows]
+        if case == "clamped outcome":
+            assert [row["clamped"] for row in rows] == [False, True]
+            assert [cells["clamped"] for cells in body] == ["False", "True"]
+        if case == "overflowing normalizer":
+            assert doc["normalizer"] is None
+
+
 class TestPredictAndCompare:
     def test_predict_table(self, capsys):
         code, out, _ = run_cli(capsys, "predict", "--scenario", SCENARIOS)
@@ -703,6 +758,40 @@ class TestReproduce:
         payload = json.loads(out)
         assert all(g["passed"] for g in payload["goldens"])
         assert len(payload["published_models"]) == 5
+
+    def test_table3_files_are_the_json_published_models(self, capsys, tmp_path):
+        """Each table3.csv and model_comparison.csv cell is the repr of the value that
+        `reproduce --format json` prints under published_models (a string as is)."""
+        code, out, _ = run_cli(capsys, "reproduce", "--format", "json", "--out", str(tmp_path))
+        assert code == 0
+        published = json.loads(out)["published_models"]
+        models = list(published[0]["models"])
+        assert models == ["qpdt", "dynamic_heuristic"]
+
+        def cell(value) -> str:
+            return value if isinstance(value, str) else repr(value)
+
+        table3 = csv.DictReader(io.StringIO((tmp_path / "table3.csv").read_text()))
+        assert table3.fieldnames == [
+            "condition", "observed",
+            *(f"{m}_{part}" for m in models for part in ("prediction", "fit")),
+            "prediction", "prediction_fit", "basis",
+        ]
+        comparison = csv.DictReader(io.StringIO((tmp_path / "model_comparison.csv").read_text()))
+        assert comparison.fieldnames == ["condition", "observed", *models, "belief_degree"]
+        rows, bars = list(table3), list(comparison)
+        assert len(rows) == len(bars) == len(published) == 5
+        for row, bar, doc in zip(rows, bars, published):
+            for key in ("condition", "observed", "prediction", "prediction_fit", "basis"):
+                assert row[key] == cell(doc[key])
+            for m in models:
+                assert row[f"{m}_prediction"] == cell(doc["models"][m]["prediction"])
+                assert row[f"{m}_fit"] == cell(doc["models"][m]["fit"])
+                assert bar[m] == cell(doc["models"][m]["prediction"])
+            assert [bar["condition"], bar["observed"], bar["belief_degree"]] == [
+                cell(doc["condition"]), cell(doc["observed"]), cell(doc["prediction"])
+            ]
+        assert {doc["basis"] for doc in published} == {"computed", "published"}
 
     def test_mismatch_exits_three(self, capsys, monkeypatch, tmp_path):
         real = run_reproduction()

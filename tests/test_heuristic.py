@@ -282,6 +282,27 @@ class TestPairDegree:
             f"outcome, got {counts}"
         )
 
+    @pytest.mark.parametrize("count", [3, 5, 6, 12])
+    def test_a_count_no_binary_network_gives_is_named(self, count: int):
+        """Each unobserved binary variable doubles the products per outcome, so any other
+        count is malformed input, not a structure with count.bit_length() - 1 variables."""
+        magnitudes = {"T": [0.1] * count, "F": [0.2] * count}
+        with pytest.raises(ValidationError) as caught:
+            pair_degree("A", magnitudes)
+        assert type(caught.value) is ValidationError
+        assert str(caught.value) == (
+            f"query 'A' has {count} amplitude products per outcome, not a power of two"
+        )
+
+    @pytest.mark.parametrize("count, unobserved", [(4, 2), (8, 3), (16, 4)])
+    def test_power_of_two_counts_keep_the_structure_message(self, count: int, unobserved: int):
+        with pytest.raises(UnsupportedStructureError) as caught:
+            pair_degree("A", {"T": [0.1] * count, "F": [0.2] * count})
+        assert str(caught.value) == (
+            f"query 'A' leaves {unobserved} unobserved variables; "
+            "the degree heuristic needs at most one"
+        )
+
 
 class TestDegreeForQuery:
     def test_game_degree(self, game_amps: AmplitudeNetwork):
