@@ -94,8 +94,11 @@ def interference_sum(magnitudes: Sequence[float], degree: float) -> float:
 class OutcomeMass(NamedTuple):
     """Per-outcome pieces of a quantum-like posterior.
 
-    unnormalized is classical_part + interference_part exactly; clamped marks
-    a negative unnormalized mass that was floored to zero before normalizing.
+    unnormalized is classical_part + interference_part exactly, except where an
+    outcome's two products a, b cancel that sum below classical_part / 1024: there
+    unnormalized, and the probability from it, is (a - b)^2 + 2(1 + degree)ꞏaꞏb,
+    which does not cancel; both parts keep their rounded values. clamped marks a
+    negative unnormalized mass that was floored to zero before normalizing.
     """
 
     outcome: str
@@ -177,7 +180,12 @@ def posterior(
         # At degree 1/2 this is s2 itself; 2ꞏdegreeꞏs2 + 0.0 is interference_sum(mags, degree).
         s2 = interference_sum(mags, 0.5)
         interference = 2.0 * degree * s2 + 0.0
-        parts.append((outcome, classical, interference, classical + interference, s2))
+        unnormalized = classical + interference
+        if len(mags) == 2 and unnormalized < classical / 1024:
+            # the same mass as q + 2dꞏab, with no cancellation for d >= -1
+            a, b = mags
+            unnormalized = (a - b) * (a - b) + 2.0 * (1.0 + degree) * a * b
+        parts.append((outcome, classical, interference, unnormalized, s2))
     total = math.fsum([0.0 if u < 0.0 else u for _, _, _, u, _ in parts])
     if total <= 0.0:
         if not any([c for _, c, _, _, _ in parts]):

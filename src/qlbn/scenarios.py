@@ -121,7 +121,7 @@ def fit_error(predicted: float, observed: float) -> float:
 
 
 class PredictionRecord(NamedTuple):
-    """Everything one scenario produced, plus optional published model columns."""
+    """Everything one scenario produced, plus optional published model cells."""
 
     scenario: Scenario
     classical_prediction: float
@@ -129,12 +129,12 @@ class PredictionRecord(NamedTuple):
     degree: BeliefDegree
     fit_error_classical: float
     fit_error_quantum: float
-    literature_comparisons: dict[str, tuple[float, float]] | None = None
+    literature_comparisons: dict[str, dict[str, float]] | None = None
 
 
 def predict_unknown(
     scenario: Scenario,
-    literature: Mapping[str, tuple[float, float]] | None = None,
+    literature: Mapping[str, Mapping[str, float]] | None = None,
 ) -> PredictionRecord:
     """Classical and quantum-like defection predictions for the unknown-move round."""
     net = scenario_to_network(scenario)
@@ -168,14 +168,14 @@ def _mean(values: Sequence[float]) -> float:
 
 def run_comparison(
     scenarios: Sequence[Scenario],
-    literature: Mapping[str, Mapping[str, tuple[float, float]]] | None = None,
+    literature: Mapping[str, Mapping[str, Mapping[str, float]]] | None = None,
 ) -> ComparisonReport:
     """Evaluate every scenario and average the fit-error columns.
 
     Args:
         scenarios: conditions to evaluate, reported in input order.
-        literature: scenario name -> {model -> (predicted, fit_error)} published
-            columns to carry alongside, averaged over the rows that have them.
+        literature: scenario name -> {model -> {"prediction", "fit"}} published
+            cells to carry alongside, averaged over the rows that have them.
     """
     if not scenarios:
         raise ValidationError("need at least one scenario to compare")
@@ -185,8 +185,8 @@ def run_comparison(
     )
     model_errors: dict[str, list[float]] = {}
     for record in records:
-        for model, (_, err) in (record.literature_comparisons or {}).items():
-            model_errors.setdefault(model, []).append(err)
+        for model, cell in (record.literature_comparisons or {}).items():
+            model_errors.setdefault(model, []).append(cell["fit"])
     return ComparisonReport(
         records=records,
         average_fit_classical=_mean([r.fit_error_classical for r in records]),
@@ -236,21 +236,6 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 # --- built-in dataset --------------------------------------------------------
 
 
-class Table3Row(NamedTuple):
-    """One published comparison-table row: the earlier models' printed columns
-    plus this model's prediction. The built-in dataset holds the printed
-    prediction (basis 'published'); run_reproduction recomputes it for the rows
-    whose scenario_name links a built-in scenario (basis 'computed')."""
-
-    name: str
-    observed: float
-    models: dict[str, tuple[float, float]]
-    prediction: float
-    prediction_fit: float
-    basis: str
-    scenario_name: str | None
-
-
 class PublishedValue(NamedTuple):
     """One printed number the reproduction must land on: the PredictionRecord
     field it checks for the named scenario, and the check's tolerance."""
@@ -264,16 +249,20 @@ class PublishedValue(NamedTuple):
 
 class BuiltinDataset(NamedTuple):
     """The bundled published tables, parsed once by load_builtin: published lists
-    what run_reproduction checks, in order; the mean fit errors are keyed by model."""
+    what run_reproduction checks, in order; comparison_rows are table 3's printed
+    rows, each model a {"prediction", "fit"} cell, and links[i] names the scenario
+    that recomputes row i, or is None; the mean fit errors are keyed by model."""
 
     scenarios: tuple[Scenario, ...]
     published: tuple[PublishedValue, ...]
-    comparison_rows: tuple[Table3Row, ...]
+    comparison_rows: tuple[dict, ...]
+    links: tuple[str | None, ...]
     reported_average_fit_errors: dict[str, float]
 
-    def literature(self) -> dict[str, dict[str, tuple[float, float]]]:
-        """Scenario name -> published model columns, over the linked comparison rows."""
-        return {r.scenario_name: r.models for r in self.comparison_rows if r.scenario_name}
+    def literature(self) -> dict[str, dict[str, dict[str, float]]]:
+        """Scenario name -> published model cells, over the linked comparison rows."""
+        return {link: row["models"] for row, link in zip(self.comparison_rows, self.links)
+                if link}
 
 
 _LITERATURE = Path(__file__).with_name("data") / "literature.json"
@@ -287,19 +276,19 @@ def load_builtin() -> BuiltinDataset:
 def _builtin_from_json(doc: dict) -> BuiltinDataset:
     # every scenario carries the file's payoff note
     note = doc.get("payoff_note")
-    rows = doc["scenarios"]
+    rows, table3 = doc["scenarios"], doc["comparison_rows"]
     comparison_rows = tuple(
-        Table3Row(
-            name=row["name"],
-            observed=row["observed"],
-            models={m: (v[0], v[1]) for m, v in row["models"].items()},
-            prediction=row["reported_prediction"],
-            prediction_fit=row["reported_fit_error"],
-            basis="published",
-            scenario_name=row["scenario"],
-        )
-        for row in doc["comparison_rows"]
+        {
+            "condition": row["name"],
+            "observed": row["observed"],
+            "models": {m: {"prediction": v[0], "fit": v[1]} for m, v in row["models"].items()},
+            "prediction": row["reported_prediction"],
+            "prediction_fit": row["reported_fit_error"],
+            "basis": "published",
+        }
+        for row in table3
     )
+    links = tuple(row["scenario"] for row in table3)
     return BuiltinDataset(
         scenarios=tuple(
             Scenario(**{key: row[key] for key in _REQUIRED_KEYS}, payoff_note=note)
@@ -310,12 +299,13 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
               for key, label, field, tolerance in _PUBLISHED_COLUMNS
               for row in rows
               if key in row),
-            *(PublishedValue(f"comparison prediction ({row.name})", row.scenario_name,
-                             "quantum_prediction", row.prediction, TOL_COMPARISON)
-              for row in comparison_rows
-              if row.scenario_name),
+            *(PublishedValue(f"comparison prediction ({row['condition']})", link,
+                             "quantum_prediction", row["prediction"], TOL_COMPARISON)
+              for row, link in zip(comparison_rows, links)
+              if link),
         ),
         comparison_rows=comparison_rows,
+        links=links,
         reported_average_fit_errors=dict(doc["reported_average_fit_errors"]),
     )
 
@@ -337,8 +327,10 @@ class GoldenCheck(NamedTuple):
 
 
 class ReproductionResult(NamedTuple):
+    """table3 is the published_models list that `reproduce --format json` prints."""
+
     comparison: ComparisonReport
-    table3: tuple[Table3Row, ...]
+    table3: tuple[dict, ...]
     goldens: tuple[GoldenCheck, ...]
 
     def failures(self) -> list[str]:
@@ -359,17 +351,16 @@ def run_reproduction() -> ReproductionResult:
         GoldenCheck(p.label, p.value, getattr(by_name[p.scenario], p.field), p.tolerance)
         for p in data.published
     )
-    table3: list[Table3Row] = []
-    for row in data.comparison_rows:
-        if row.scenario_name:
-            record = by_name[row.scenario_name]
-            row = row._replace(
-                prediction=record.quantum_prediction,
-                prediction_fit=record.fit_error_quantum,
-                basis="computed",
-            )
-        table3.append(row)
-    return ReproductionResult(comparison, tuple(table3), goldens)
+    table3 = tuple(
+        {
+            **row,
+            "prediction": by_name[link].quantum_prediction,
+            "prediction_fit": by_name[link].fit_error_quantum,
+            "basis": "computed",
+        } if link else row
+        for row, link in zip(data.comparison_rows, data.links)
+    )
+    return ReproductionResult(comparison, table3, goldens)
 
 
 # --- rendering ----------------------------------------------------------------
@@ -394,7 +385,8 @@ def _model_table(keys: Sequence[str], titles: Mapping[str, str], docs: Sequence[
             title = _MODEL_TITLES.get(model, model)
             columns += [(f"{model}_prediction", title), (f"{model}_fit", f"{title} fit")]
             for row, doc in zip(rows, docs):
-                row += doc[cell].get(model, blank).values()
+                found = doc[cell].get(model, blank)
+                row += found["prediction"], found["fit"]
     return Table(tuple(columns), tuple(map(tuple, rows)), mean)
 
 
@@ -407,21 +399,6 @@ def _report_table(report: ComparisonReport) -> Table:
         **{key: doc[f"mean_{key}"] for key in keys if f"mean_{key}" in doc},
         **{f"{m}_fit": fit for m, fit in doc["mean_fit_literature"].items()},
     })
-
-
-def _published_models(result: ReproductionResult) -> list[dict]:
-    """The comparison rows as reproduce's JSON prints them, which table 3 projects."""
-    return [
-        {
-            "condition": row.name,
-            "observed": row.observed,
-            "models": {m: {"prediction": p, "fit": e} for m, (p, e) in row.models.items()},
-            "prediction": row.prediction,
-            "prediction_fit": row.prediction_fit,
-            "basis": row.basis,
-        }
-        for row in result.table3
-    ]
 
 
 def _table3(rows: Sequence[dict]) -> Table:
@@ -455,10 +432,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
                 "degree_raw": r.degree.raw,
                 "fit_classical": r.fit_error_classical,
                 "fit_quantum": r.fit_error_quantum,
-                "literature": {
-                    m: {"prediction": p, "fit": e}
-                    for m, (p, e) in (r.literature_comparisons or {}).items()
-                },
+                "literature": r.literature_comparisons or {},
             }
             for r in report.records
         ],
@@ -470,12 +444,12 @@ def report_to_dict(report: ComparisonReport) -> dict:
 
 def render_table3(result: ReproductionResult) -> str:
     """Aligned text table of the published-models comparison."""
-    return render_text(_table3(_published_models(result)))
+    return render_text(_table3(result.table3))
 
 
 def render_table3_csv(result: ReproductionResult) -> str:
     """CSV of the published-models comparison; unlike the text table, no mean row."""
-    return render_csv(_table3(_published_models(result))._replace(mean=None))
+    return render_csv(_table3(result.table3)._replace(mean=None))
 
 
 def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
@@ -486,11 +460,10 @@ def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
 
 def render_model_comparison_csv(result: ReproductionResult) -> str:
     """Bar-chart-shaped series over the comparison rows, all models side by side."""
-    rows = _published_models(result)
-    return render_csv(_table3(rows).select({
+    return render_csv(_table3(result.table3).select({
         "condition": "condition",
         "observed": "observed",
-        **{f"{m}_prediction": m for m in rows[0]["models"]},
+        **{f"{m}_prediction": m for m in result.table3[0]["models"]},
         "prediction": "belief_degree",
     }))
 
@@ -504,7 +477,7 @@ def render_reproduction(result: ReproductionResult, fmt: str) -> str:
         return json.dumps(
             {
                 "comparison": report_to_dict(result.comparison),
-                "published_models": _published_models(result),
+                "published_models": result.table3,
                 "goldens": [{**g._asdict(), "passed": g.passed} for g in result.goldens],
             },
             indent=2,

@@ -10,7 +10,7 @@ import os
 import sys
 from decimal import Decimal
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -141,9 +141,21 @@ def decimal_posterior(
             totals = {outcome: sum(js, Decimal(0)) for outcome, js in joints.items()}
             total = sum(totals.values(), Decimal(0))
             return {o: t / total for o, t in totals.items()}, Decimal(1)
+    return decimal_from_products(amplitudes, degree)
+
+
+def decimal_from_products(
+    amplitudes: Mapping[str, Sequence[Decimal | float]], degree: float
+) -> tuple[dict[str, Decimal] | None, Decimal]:
+    """posterior's formula, the floor at zero included, over given amplitude products
+    per outcome, in decimal at 60 digits; returns what decimal_posterior returns.
+    Float products enter exactly, so this is the exact posterior of the products
+    that posterior itself reads."""
+    with decimal.localcontext(ORACLE):
         d = Decimal(degree)
         masses, kappa = {}, Decimal(0)
-        for outcome, ms in amplitudes.items():
+        for outcome, floats in amplitudes.items():
+            ms = [Decimal(m) for m in floats]
             q = sum([m * m for m in ms], Decimal(0))
             s2 = sum([a * b for a, b in itertools.combinations(ms, 2)], Decimal(0))
             u = q + 2 * d * s2

@@ -10,17 +10,21 @@ Algorithms", chapter 4).
 
 from __future__ import annotations
 
+import math
 import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
-    CLAMPING_DOC, binary_net_docs, decimal_posterior, draw_query_and_evidence, ulps,
+    CLAMPING_DOC, binary_net_docs, decimal_from_products, decimal_posterior,
+    draw_query_and_evidence, ulps,
 )
 from qlbn.bayesnet import infer, network_from_dict
 from qlbn.errors import NegativeUnnormalizedMassError
 from qlbn.quantum import amplitudes_from_network, completion_magnitudes, posterior
+from qlbn.scenarios import PLAYER_TWO, Scenario, scenario_to_network
 
 # Measured over 60,000 examples: at most 3.15 ulps classical and 7.41ꞏkappa ulps
 # quantum-like. Each bound adds a margin.
@@ -69,3 +73,43 @@ def test_a_mass_floored_at_zero_leaves_the_others_exact():
     exact, _ = decimal_posterior(CLAMPING_DOC, "B", {}, -0.5)
     assert exact == {"T": 1, "F": 0}
     within_kappa_ulps(CLAMPING_DOC, "B", {}, -0.5)
+
+
+# Each outcome of a game row has two products, and they nearly match when the two
+# conditionals do, so q + 2dꞏab cancels to a sliver of q near degree -1.
+NEAR_CANCELLING = [0.700001, 0.700000001]
+TWO_PRODUCT_ULPS = 4
+
+
+def game_products(cooperate: float) -> dict[str, list[float]]:
+    net = scenario_to_network(Scenario("Near", 0.7, cooperate, 0.5))
+    return completion_magnitudes(amplitudes_from_network(net), PLAYER_TWO, {})
+
+
+@pytest.mark.parametrize("degree", [-1.0, -1.0 + 1e-12, -1.0 + 1e-9, -0.999999])
+@pytest.mark.parametrize("cooperate", NEAR_CANCELLING)
+def test_a_near_cancelling_two_product_mass_keeps_its_bits(cooperate: float, degree: float):
+    """Within a few ulps of the exact posterior of the same float products, though
+    kappa reaches 7.8e18; the Decimal.sqrt amplitudes of decimal_posterior differ from
+    those products by an ulp each, which this conditioning would amplify past any
+    float method's reach."""
+    products = game_products(cooperate)
+    exact, kappa = decimal_from_products(products, degree)
+    assert kappa > 1e6
+    for om in posterior(PLAYER_TWO, products, degree).outcomes:
+        assert not om.clamped
+        assert ulps(om.probability, exact[om.outcome]) <= TWO_PRODUCT_ULPS, (om, exact)
+
+
+def test_only_unnormalized_carries_the_accurate_mass():
+    """Where the sum cancels, classical_part and interference_part keep their rounded
+    values, while unnormalized and the probability come from (a - b)^2 + 2(1 + d)ꞏab."""
+    products = game_products(NEAR_CANCELLING[0])
+    result = posterior(PLAYER_TWO, products, -1.0)
+    for om in result.outcomes:
+        a, b = products[om.outcome]
+        assert om.classical_part == math.fsum([a * a, b * b])
+        assert om.interference_part == -2.0 * a * b
+        assert om.unnormalized == (a - b) * (a - b)
+        assert om.unnormalized != om.classical_part + om.interference_part
+        assert om.probability == om.unnormalized * result.normalizer

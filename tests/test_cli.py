@@ -706,6 +706,18 @@ class TestPredictAndCompare:
         assert len(payload["records"]) == 5
         assert set(payload["mean_fit_literature"]) == {"qpdt", "dynamic_heuristic"}
 
+    def test_compare_prints_the_builtin_literature_cells(self, capsys):
+        """The records that print published columns print their
+        load_builtin().literature() cells, each {"prediction", "fit"}."""
+        code, out, _ = run_cli(capsys, "compare", "--format", "json")
+        assert code == 0
+        literature = load_builtin().literature()
+        printed = {r["scenario"]: r["literature"] for r in json.loads(out)["records"]}
+        assert {name: cells for name, cells in printed.items() if cells} == literature
+        assert {tuple(cell) for cells in literature.values() for cell in cells.values()} == {
+            ("prediction", "fit")
+        }
+
     def test_builtin_dataset_is_parsed_once_per_command(self, capsys, monkeypatch):
         calls = []
 
@@ -758,6 +770,12 @@ class TestReproduce:
         payload = json.loads(out)
         assert all(g["passed"] for g in payload["goldens"])
         assert len(payload["published_models"]) == 5
+
+    def test_json_published_models_are_the_table3_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "--format", "json")
+        assert code == 0
+        table3 = run_reproduction().table3
+        assert json.loads(out)["published_models"] == json.loads(json.dumps(table3))
 
     def test_table3_files_are_the_json_published_models(self, capsys, tmp_path):
         """Each table3.csv and model_comparison.csv cell is the repr of the value that

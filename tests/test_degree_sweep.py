@@ -10,9 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import ROOT, src_env
+from conftest import ROOT, decimal_from_products, src_env, ulps
 from qlbn import cli
-from qlbn.scenarios import load_builtin, predict_unknown
+from qlbn.quantum import amplitudes_from_network, completion_magnitudes
+from qlbn.scenarios import (
+    PLAYER_TWO, Scenario, load_builtin, predict_unknown, scenario_to_network,
+)
 
 # SHA-256 of the default 81-step sweep over the built-in Average scenario;
 # stdout and the --out file hold the same bytes.
@@ -93,6 +96,27 @@ def test_cancelled_mass_leaves_empty_cells(tmp_path: Path):
         "1.0,0.5,0.0,sweep\n"
         "-1.0,,,heuristic\n"
     )
+
+
+def test_near_cancelling_rows_print_their_posterior(tmp_path: Path):
+    """Rows whose conditionals nearly match print the degree -1 prediction within a
+    few ulps of the exact posterior of their products; neither row is left empty."""
+    rows = [("Near", 0.700001), ("Nearer", 0.700000001)]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps([{
+        "name": name, "p_defect_given_defect": 0.7,
+        "p_defect_given_cooperate": cooperate, "observed_unknown": 0.5,
+    } for name, cooperate in rows]))
+    for name, cooperate in rows:
+        result = run_sweep("--scenario", str(path), "--name", name, "--steps", "3")
+        assert result.returncode == 0, result.stderr
+        degree, prediction, _, source = next(csv.reader(result.stdout.splitlines()[1:]))
+        assert (degree, source) == ("-1.0", "sweep")
+        net = scenario_to_network(Scenario(name, 0.7, cooperate, 0.5))
+        products = completion_magnitudes(amplitudes_from_network(net), PLAYER_TWO, {})
+        exact, _ = decimal_from_products(products, -1.0)
+        assert prediction, name
+        assert ulps(float(prediction), exact["Defect"]) <= 4, (name, prediction)
 
 
 def test_sweep_enumerates_once(amplitude_enumerations, capsys):

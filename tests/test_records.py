@@ -42,7 +42,6 @@ def _records() -> dict[str, object]:
         "Scenario": comparison.records[0].scenario,
         "PredictionRecord": comparison.records[0],
         "ComparisonReport": comparison,
-        "Table3Row": reproduction.table3[0],
         "BuiltinDataset": load_builtin(),
         "PublishedValue": load_builtin().published[0],
         "GoldenCheck": reproduction.goldens[0],

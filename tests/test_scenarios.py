@@ -247,8 +247,8 @@ class TestPredictUnknown:
         assert amplitude_enumerations == [PLAYER_TWO]
 
     def test_literature_carried_through(self):
-        record = predict_unknown(AVERAGE, {"qpdt": (0.62, 0.05)})
-        assert record.literature_comparisons == {"qpdt": (0.62, 0.05)}
+        record = predict_unknown(AVERAGE, {"qpdt": {"prediction": 0.62, "fit": 0.05}})
+        assert record.literature_comparisons == {"qpdt": {"prediction": 0.62, "fit": 0.05}}
 
     def test_benchmark_pipeline_values(self):
         for scenario in load_builtin().scenarios:
@@ -315,7 +315,7 @@ class TestRunComparison:
 
     def test_literature_average_spans_only_linked_rows(self):
         scenarios = load_builtin().scenarios[:2]
-        literature = {scenarios[0].name: {"qpdt": (0.6, 0.1)}}
+        literature = {scenarios[0].name: {"qpdt": {"prediction": 0.6, "fit": 0.1}}}
         report = run_comparison(scenarios, literature)
         assert report.average_fit_literature == {"qpdt": pytest.approx(0.1)}
 
@@ -410,24 +410,25 @@ class TestBuiltinDataset:
         ]
 
     def test_comparison_rows(self):
-        rows = load_builtin().comparison_rows
-        assert len(rows) == 5
-        linked = {r.name: r.scenario_name for r in rows if r.scenario_name}
+        data = load_builtin()
+        rows = data.comparison_rows
+        assert len(rows) == len(data.links) == 5
+        linked = {r["condition"]: link for r, link in zip(rows, data.links) if link}
         assert linked == {
             "Busemeyer et al., 2006a": "Busemeyer et al., 2006a",
             "Hristova and Grinberg, 2008": "Hristova and Grinberg, 2008",
         }
         for row in rows:
-            assert set(row.models) == {"qpdt", "dynamic_heuristic"}
-            assert row.basis == "published"
-        assert (rows[3].prediction, rows[3].prediction_fit) == (0.6069, 0.0805)
+            assert set(row["models"]) == {"qpdt", "dynamic_heuristic"}
+            assert row["basis"] == "published"
+        assert (rows[3]["prediction"], rows[3]["prediction_fit"]) == (0.6069, 0.0805)
 
     def test_literature_maps_linked_scenarios_to_model_columns(self):
         data = load_builtin()
         rows = data.comparison_rows
         assert data.literature() == {
-            "Busemeyer et al., 2006a": rows[3].models,
-            "Hristova and Grinberg, 2008": rows[4].models,
+            "Busemeyer et al., 2006a": rows[3]["models"],
+            "Hristova and Grinberg, 2008": rows[4]["models"],
         }
 
     def test_reported_average_fit_errors(self):
@@ -529,14 +530,16 @@ class TestReproduction:
 
     def test_table_rows_and_basis(self):
         table = run_reproduction().table3
-        assert [row.basis for row in table] == [
+        assert [row["basis"] for row in table] == [
             "published",
             "published",
             "published",
             "computed",
             "computed",
         ]
-        computed = {row.name: row.prediction for row in table if row.basis == "computed"}
+        computed = {
+            row["condition"]: row["prediction"] for row in table if row["basis"] == "computed"
+        }
         assert computed["Busemeyer et al., 2006a"] == pytest.approx(
             FROZEN_PIPELINE["Busemeyer et al., 2006a"][0], abs=1e-9
         )
@@ -547,10 +550,10 @@ class TestReproduction:
     def test_table3_means_match_reported_average_fit_errors(self):
         table = run_reproduction().table3
         means = {
-            model: math.fsum(row.models[model][1] for row in table) / len(table)
+            model: math.fsum(row["models"][model]["fit"] for row in table) / len(table)
             for model in ("qpdt", "dynamic_heuristic")
         }
-        means["belief_degree"] = math.fsum(row.prediction_fit for row in table) / len(table)
+        means["belief_degree"] = math.fsum(row["prediction_fit"] for row in table) / len(table)
         reported = load_builtin().reported_average_fit_errors
         assert set(means) == set(reported)
         for model, mean in means.items():
@@ -559,9 +562,9 @@ class TestReproduction:
     def test_published_rows_copy_reported_values(self):
         table = run_reproduction().table3
         first = table[0]
-        assert first.basis == "published"
-        assert first.prediction == 0.8623
-        assert first.prediction_fit == 0.0051
+        assert first["basis"] == "published"
+        assert first["prediction"] == 0.8623
+        assert first["prediction_fit"] == 0.0051
 
 
 @pytest.fixture(scope="module")
@@ -584,6 +587,13 @@ class TestRendering:
         by_name = {row[0]: row for row in body}
         value = float(by_name["Average"][quantum_col])
         assert value == report.records[-1].quantum_prediction
+
+    def test_model_cells_are_read_by_name(self):
+        """A cell's keys may come in any order; each column reads its own key."""
+        cell = {"fit": 0.05, "prediction": 0.62}
+        report = run_comparison([AVERAGE], {AVERAGE.name: {"qpdt": cell}})
+        row = next(csv.DictReader(io.StringIO(render_report_csv(report))))
+        assert (row["qpdt_prediction"], row["qpdt_fit"]) == ("0.62", "0.05")
 
     def test_csv_cells_are_the_report_dict_values(self, report: ComparisonReport):
         """Each cell is the repr of its report_to_dict value; a record without a
