@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_number
 
 # Tolerance for "masses sum to one" checks throughout the package.
 MASS_SUM_TOL = 1e-9
@@ -123,6 +123,31 @@ def validate_bba(
         raise ValidationError(f"masses sum to {total!r}, expected 1")
     ordered = {a: m for a, m in sorted(canonical.items()) if m > 0.0}
     return BeliefAssignment(frame, ordered)
+
+
+def bba_from_json(doc: object) -> BeliefAssignment:
+    """The assignment in a parsed belief-assignment file, which is JSON like
+        {"frame": ["a", "b", "c"], "masses": {"a": 0.5, "b,c": 0.5}}
+    where the frame is a list, each mass key joins the focal set's labels with
+    commas ("a,b" and "b, a" spell one set, whose masses add) and values are
+    numbers or decimal strings, never booleans. Read one with
+    errors.read_json(path, bba_from_json), which names the path in every error.
+    """
+    if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
+        raise ValidationError("expected an object with 'frame' and 'masses'")
+    elements = doc["frame"]
+    if not isinstance(elements, list):
+        raise ValidationError(f"the frame needs a list of labels, got {elements!r}")
+    frame = Frame(tuple(str(e) for e in elements))
+    raw: dict[FocalSet, float] = {}
+    for key, value in doc["masses"].items():
+        labels = tuple(part.strip() for part in str(key).split(",") if part.strip())
+        try:
+            mass = parse_number(value)
+        except ValidationError:
+            raise ValidationError(f"mass {value!r} for {key!r} is not a number") from None
+        raw[labels] = raw.get(labels, 0.0) + mass
+    return validate_bba(raw, frame)
 
 
 class _DistributionFields(NamedTuple):

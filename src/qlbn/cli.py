@@ -10,11 +10,6 @@ Commands:
 
 Exit codes: 0 success, 1 validation error, 2 inference error, 3 a
 reproduction check missed its published value.
-
-A belief-assignment file is JSON like
-    {"frame": ["a", "b", "c"], "masses": {"a": 0.5, "b,c": 0.5}}
-where the frame is a list, each mass key joins the focal set's labels with
-commas and values are numbers or decimal strings, never booleans.
 """
 
 from __future__ import annotations
@@ -26,11 +21,9 @@ import sys
 # Each command imports the modules it runs, so no command compiles the others.
 from .errors import (
     GoldenMismatchError,
-    NegativeUnnormalizedMassError,
     QlbnError,
     SingularDenominatorError,
     ValidationError,
-    parse_number,
     read_json,
 )
 
@@ -125,41 +118,15 @@ def _parse_degree(spec: str) -> float | None:
     )
 
 
-def _bba_from_json(doc: object):
-    from .belief import Frame, validate_bba
-
-    if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
-        raise ValidationError("expected an object with 'frame' and 'masses'")
-    elements = doc["frame"]
-    if not isinstance(elements, list):
-        raise ValidationError(f"the frame needs a list of labels, got {elements!r}")
-    frame = Frame(tuple(str(e) for e in elements))
-    raw = {}
-    for key, value in doc["masses"].items():
-        labels = tuple(part.strip() for part in str(key).split(",") if part.strip())
-        try:
-            mass = parse_number(value)
-        except ValidationError:
-            raise ValidationError(f"mass {value!r} for {key!r} is not a number") from None
-        raw[labels] = raw.get(labels, 0.0) + mass
-    return validate_bba(raw, frame)
-
-
 def cmd_entropy(args: argparse.Namespace) -> None:
-    from .belief import deng_entropy, shannon_entropy
+    from .belief import bba_from_json, deng_entropy, shannon_entropy
 
-    bba = read_json(args.bba, _bba_from_json)
+    bba = read_json(args.bba, bba_from_json)
     parts = []
     if bba.is_bayesian():
         parts.append(f"shannon={shannon_entropy(bba.singleton_distribution()):.5f}")
     parts.append(f"deng={deng_entropy(bba):.5f}")
     print(" ".join(parts))
-
-
-def _csv(keys: tuple[str, ...], rows) -> str:
-    from .table import Table, render_csv
-
-    return render_csv(Table(tuple((key, key) for key in keys), tuple(rows)))
 
 
 def cmd_infer(args: argparse.Namespace) -> None:
@@ -208,7 +175,10 @@ def cmd_infer(args: argparse.Namespace) -> None:
         for row in rows:
             print(f"{row['outcome'].ljust(width)}  {row['probability']:.5f}")
     elif args.format == "csv":
-        print(_csv(tuple(rows[0]), [tuple(row.values()) for row in rows]), end="")
+        from .table import Table, render_csv
+
+        columns = tuple((key, key) for key in rows[0])
+        print(render_csv(Table(columns, tuple(tuple(row.values()) for row in rows))), end="")
     else:
         print(json.dumps(doc, indent=2))
 
@@ -250,13 +220,9 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
-    from .heuristic import pair_degree
-    from .quantum import amplitudes_from_network, completion_magnitudes, posterior
-    from .scenarios import (
-        DEFECT, PLAYER_TWO, fit_error, load_builtin, load_scenarios, scenario_to_network,
-    )
+    from .scenarios import load_builtin, load_scenarios, sweep
+    from .table import render_csv
 
-    # Cancelled mass leaves a row's prediction and fit error empty.
     scenarios = load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
     matches = [i for i, s in enumerate(scenarios) if s.name == args.name]
     if not matches:
@@ -266,21 +232,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         raise ValidationError(f"scenario name {args.name!r} is repeated, in rows {matches}")
     if args.steps < 2:
         raise ValidationError("--steps must be at least 2")
-    scenario = scenarios[matches[0]]
-    anet = amplitudes_from_network(scenario_to_network(scenario))
-    magnitudes = completion_magnitudes(anet, PLAYER_TWO, {})
-    auto = pair_degree(PLAYER_TWO, magnitudes)
-
-    def row(degree: float, source: str) -> tuple:
-        try:
-            prediction = posterior(PLAYER_TWO, magnitudes, degree).probability(DEFECT)
-        except NegativeUnnormalizedMassError:
-            return degree, None, None, source
-        return degree, prediction, fit_error(prediction, scenario.observed_unknown), source
-
     degrees = [-1.0 + 2.0 * i / (args.steps - 1) for i in range(args.steps)]
-    rows = [row(degree, "sweep") for degree in degrees] + [row(auto.value, "heuristic")]
-    text = _csv(("degree", "prediction", "fit_error", "source"), rows)
+    text = render_csv(sweep(scenarios[matches[0]], degrees))
     if not args.out:
         print(text, end="")
         return

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Network, infer, network_from_dict
-from .errors import ValidationError, parse_number, read_json
+from .errors import NegativeUnnormalizedMassError, ValidationError, parse_number, read_json
 from .heuristic import BeliefDegree, pair_degree
 from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 from .table import Table, render_csv, render_text
@@ -153,6 +153,25 @@ def predict_unknown(
     )
 
 
+def sweep(scenario: Scenario, degrees: Sequence[float]) -> Table:
+    """The quantum-like prediction and fit error at each degree, then at the heuristic's,
+    from one enumeration; both stay empty where interference cancels all mass."""
+    net = scenario_to_network(scenario)
+    magnitudes = completion_magnitudes(amplitudes_from_network(net), PLAYER_TWO, {})
+    auto = pair_degree(PLAYER_TWO, magnitudes)
+
+    def row(degree: float, source: str) -> tuple:
+        try:
+            prediction = posterior(PLAYER_TWO, magnitudes, degree).probability(DEFECT)
+        except NegativeUnnormalizedMassError:
+            return degree, None, None, source
+        return degree, prediction, fit_error(prediction, scenario.observed_unknown), source
+
+    rows = [row(degree, "sweep") for degree in degrees] + [row(auto.value, "heuristic")]
+    columns = ("degree", "prediction", "fit_error", "source")
+    return Table(tuple((key, key) for key in columns), tuple(rows))
+
+
 class ComparisonReport(NamedTuple):
     """Per-scenario records plus arithmetic-mean fit errors per model column."""
 
@@ -277,6 +296,8 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
     # every scenario carries the file's payoff note
     note = doc.get("payoff_note")
     rows, table3 = doc["scenarios"], doc["comparison_rows"]
+    if not table3:
+        raise ValidationError("comparison_rows is empty")
     comparison_rows = tuple(
         {
             "condition": row["name"],

@@ -60,13 +60,14 @@ class TestEntropy:
         assert out == "shannon=1.00000 deng=1.00000\n"
 
     def test_comma_keys_accumulate(self, capsys, tmp_path):
+        """Every spelling of {a, b} adds to one focal set of mass 1: log2(3) bits."""
         path = tmp_path / "bba.json"
-        path.write_text(
-            json.dumps({"frame": ["a", "b"], "masses": {"a,b": 0.5, "b, a": 0.5}})
-        )
-        code, out, _ = run_cli(capsys, "entropy", "--bba", str(path))
-        assert code == 0
-        assert out.startswith("deng=")
+        for masses in ({"a,b": 0.5, "b, a": 0.5},
+                       {"a,b": 0.5, "b, a": 0.25, " a ,b": 0.25}):
+            path.write_text(json.dumps({"frame": ["a", "b"], "masses": masses}))
+            code, out, _ = run_cli(capsys, "entropy", "--bba", str(path))
+            assert code == 0
+            assert out == "deng=1.58496\n"
 
     def test_bad_mass_total(self, capsys, tmp_path):
         path = tmp_path / "bba.json"
@@ -827,6 +828,16 @@ class TestReproduce:
         # the series files are still written for inspection
         assert (out_dir / "report.txt").exists()
 
+
+    def test_empty_comparison_rows_name_the_packaged_file(self, capsys, monkeypatch, tmp_path):
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps({**doc, "comparison_rows": []}))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        code, out, err = run_cli(capsys, "reproduce")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: comparison_rows is empty\n"
 
     def test_out_path_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"

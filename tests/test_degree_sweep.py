@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import ROOT, decimal_from_products, src_env, ulps
 from qlbn import cli
 from qlbn.quantum import amplitudes_from_network, completion_magnitudes
@@ -29,15 +31,18 @@ def run_sweep(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_sweep_rows_end_with_the_heuristic_pick():
-    result = run_sweep("--steps", "5")
+@pytest.mark.parametrize(
+    "scenario", load_builtin().scenarios,
+    ids=lambda s: s.name.replace(",", "").replace(" ", "-"),
+)
+def test_sweep_rows_end_with_the_heuristic_pick(scenario: Scenario):
+    result = run_sweep("--name", scenario.name, "--steps", "5")
     assert result.returncode == 0, result.stderr
     header, *rows = csv.reader(result.stdout.splitlines())
     assert header == ["degree", "prediction", "fit_error", "source"]
     assert [row[3] for row in rows] == ["sweep"] * 5 + ["heuristic"]
     assert [row[0] for row in rows[:5]] == ["-1.0", "-0.5", "0.0", "0.5", "1.0"]
-    average = next(s for s in load_builtin().scenarios if s.name == "Average")
-    record = predict_unknown(average)
+    record = predict_unknown(scenario)
     degree, prediction, fit, _ = rows[-1]
     assert degree == repr(record.degree.value)
     assert prediction == repr(record.quantum_prediction)
