@@ -11,8 +11,7 @@ _EXPORTS = {
         "Network", "Variable", "infer", "load_network", "network_from_dict",
     ),
     "belief": (
-        "BeliefAssignment", "DiscreteDistribution", "Frame", "deng_entropy",
-        "shannon_entropy", "validate_bba",
+        "BeliefAssignment", "DiscreteDistribution", "deng_entropy", "shannon_entropy",
     ),
     "heuristic": (
         "BeliefDegree", "OutcomeVectorPair", "belief_degree", "belief_distance",

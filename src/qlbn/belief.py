@@ -32,45 +32,57 @@ def canonical_subset(labels: Iterable[str] | str) -> FocalSet:
     return tuple(sorted(set(labels)))
 
 
-class _FrameFields(NamedTuple):
-    elements: tuple[str, ...]
+def _frame(labels: Iterable[str]) -> tuple[str, ...]:
+    """The labels as a frame of discernment: nonempty, unique, in declaration order."""
+    frame = tuple(labels)
+    if not frame:
+        raise ValidationError("frame must contain at least one element")
+    if len(set(frame)) != len(frame):
+        raise ValidationError(f"frame elements must be unique, got {frame}")
+    return frame
 
 
-class Frame(_FrameFields):
-    """Frame of discernment: an ordered collection of distinct outcome labels.
+class _AssignmentFields(NamedTuple):
+    frame: tuple[str, ...]
+    masses: Mapping[FocalSet, float]
 
-    Args:
-        elements: the labels, in declaration order. Must be nonempty and unique.
+
+class BeliefAssignment(_AssignmentFields):
+    """A basic belief assignment: mass per focal set of a frame, total mass 1.
+
+    frame is the frame of discernment, nonempty labels without repeats. masses
+    maps a subset spec (a bare string means a singleton) to its mass, and specs
+    naming one set add up. Any element outside the frame, nonzero mass on the
+    empty set, a mass outside [0, 1] or a total off 1 by more than MASS_SUM_TOL
+    raises ValidationError. Keys become sorted label tuples, in sorted order, and
+    zero masses are dropped, so sparse and dense spellings compare equal.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks copies too
 
-    def __new__(cls, elements: tuple[str, ...]) -> Frame:
-        if not elements:
-            raise ValidationError("frame must contain at least one element")
-        if len(set(elements)) != len(elements):
-            raise ValidationError(f"frame elements must be unique, got {elements}")
-        return _FrameFields.__new__(cls, elements)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-class BeliefAssignment(NamedTuple):
-    """A validated BBA: mass per focal set, empty set excluded, total mass 1.
-
-    Focal-set keys are canonicalized to sorted label tuples so iteration order
-    is deterministic. Zero-mass subsets are dropped during validation, which
-    makes sparse and dense descriptions of the same assignment compare equal.
-    Construct through validate_bba rather than directly.
-    """
-
-    frame: Frame
-    masses: Mapping[FocalSet, float]
+    def __new__(
+        cls, frame: Iterable[str], masses: Mapping[Iterable[str] | str, float]
+    ) -> BeliefAssignment:
+        frame = _frame(frame)
+        canonical: dict[FocalSet, float] = {}
+        for labels, mass in masses.items():
+            subset = canonical_subset(labels)
+            for element in subset:
+                if element not in frame:
+                    raise ValidationError(f"element {element!r} is not in the frame {frame}")
+            if not 0.0 <= mass <= 1.0:
+                raise ValidationError(f"mass {mass!r} for {subset} is outside [0, 1]")
+            if not subset:
+                if mass != 0.0:
+                    raise ValidationError(f"the empty set carries mass {mass!r}")
+                continue
+            canonical[subset] = canonical.get(subset, 0.0) + mass
+        total = math.fsum(canonical.values())
+        if abs(total - 1.0) > MASS_SUM_TOL:
+            raise ValidationError(f"masses sum to {total!r}, expected 1")
+        ordered = {a: m for a, m in sorted(canonical.items()) if m > 0.0}
+        return _AssignmentFields.__new__(cls, frame, ordered)
 
     def is_bayesian(self) -> bool:
         """True when every focal set is a singleton."""
@@ -83,62 +95,24 @@ class BeliefAssignment(NamedTuple):
                 "only an all-singleton assignment maps to a discrete distribution"
             )
         pairs = {a[0]: m for a, m in self.masses.items()}
-        labels = tuple(e for e in self.frame.elements if e in pairs)
+        labels = tuple(e for e in self.frame if e in pairs)
         return DiscreteDistribution(labels, tuple(pairs[lb] for lb in labels))
-
-
-def validate_bba(
-    raw: Mapping[Iterable[str] | str, float], frame: Frame
-) -> BeliefAssignment:
-    """Check a raw mass map against the BBA axioms and canonicalize it.
-
-    Rejections, each a ValidationError: any element outside the frame, nonzero
-    mass on the empty set, a mass outside [0, 1], and a total differing from 1
-    by more than MASS_SUM_TOL.
-
-    Args:
-        raw: subset spec -> mass. A bare string key means a singleton.
-        frame: the frame of discernment the subsets must live in.
-
-    Returns:
-        The validated BeliefAssignment with sorted-tuple keys, zero masses dropped.
-    """
-    canonical: dict[FocalSet, float] = {}
-    for labels, mass in raw.items():
-        subset = canonical_subset(labels)
-        for element in subset:
-            if element not in frame:
-                raise ValidationError(
-                    f"element {element!r} is not in the frame {frame.elements}"
-                )
-        if not 0.0 <= mass <= 1.0:
-            raise ValidationError(f"mass {mass!r} for {subset} is outside [0, 1]")
-        if not subset:
-            if mass != 0.0:
-                raise ValidationError(f"the empty set carries mass {mass!r}")
-            continue
-        canonical[subset] = canonical.get(subset, 0.0) + mass
-    total = math.fsum(canonical.values())
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        raise ValidationError(f"masses sum to {total!r}, expected 1")
-    ordered = {a: m for a, m in sorted(canonical.items()) if m > 0.0}
-    return BeliefAssignment(frame, ordered)
 
 
 def bba_from_json(doc: object) -> BeliefAssignment:
     """The assignment in a parsed belief-assignment file, which is JSON like
         {"frame": ["a", "b", "c"], "masses": {"a": 0.5, "b,c": 0.5}}
-    where the frame is a list, each mass key joins the focal set's labels with
-    commas ("a,b" and "b, a" spell one set, whose masses add) and values are
-    numbers or decimal strings, never booleans. Read one with
-    errors.read_json(path, bba_from_json), which names the path in every error.
+    where the frame is a list, checked before any mass is parsed; each mass key
+    joins the focal set's labels with commas ("a,b" and "b, a" spell one set, whose
+    masses add) and values are numbers or decimal strings, never booleans. Read one
+    with errors.read_json(path, bba_from_json), which names the path in every error.
     """
     if not isinstance(doc, dict) or "frame" not in doc or "masses" not in doc:
         raise ValidationError("expected an object with 'frame' and 'masses'")
     elements = doc["frame"]
     if not isinstance(elements, list):
         raise ValidationError(f"the frame needs a list of labels, got {elements!r}")
-    frame = Frame(tuple(str(e) for e in elements))
+    frame = _frame(str(e) for e in elements)
     raw: dict[FocalSet, float] = {}
     for key, value in doc["masses"].items():
         labels = tuple(part.strip() for part in str(key).split(",") if part.strip())
@@ -147,7 +121,7 @@ def bba_from_json(doc: object) -> BeliefAssignment:
         except ValidationError:
             raise ValidationError(f"mass {value!r} for {key!r} is not a number") from None
         raw[labels] = raw.get(labels, 0.0) + mass
-    return validate_bba(raw, frame)
+    return BeliefAssignment(frame, raw)
 
 
 class _DistributionFields(NamedTuple):

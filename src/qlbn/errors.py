@@ -70,8 +70,8 @@ class GoldenMismatchError(QlbnError):
 
 
 class shape_errors:
-    """Context manager that turns a missing key or a wrong-typed value met
-    while parsing into ValidationError."""
+    """Context manager that turns a missing key, a wrong-typed value or a list too
+    short met while parsing into ValidationError."""
 
     def __enter__(self) -> None:
         pass
@@ -79,7 +79,7 @@ class shape_errors:
     def __exit__(self, kind: object, exc: BaseException | None, traceback: object) -> None:
         if isinstance(exc, KeyError):
             raise ValidationError(f"missing key {exc}") from None
-        if isinstance(exc, (TypeError, AttributeError)):
+        if isinstance(exc, (TypeError, AttributeError, IndexError)):
             raise ValidationError(f"unexpected structure: {exc}") from None
 
 

@@ -298,6 +298,13 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
     rows, table3 = doc["scenarios"], doc["comparison_rows"]
     if not table3:
         raise ValidationError("comparison_rows is empty")
+    names = {row["name"] for row in rows}
+    for row in table3:  # run_reproduction reads each link, and _table3 each first-row model
+        name, link = row["name"], row["scenario"]
+        if link and link not in names:
+            raise ValidationError(f"comparison row {name!r} links {link!r}, which no scenario names")
+        if missing := [m for m in table3[0]["models"] if m not in row["models"]]:
+            raise ValidationError(f"comparison row {name!r} lacks the models {missing}")
     comparison_rows = tuple(
         {
             "condition": row["name"],

@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 
-from qlbn.belief import Frame, deng_entropy, shannon_entropy, validate_bba
+from qlbn.belief import BeliefAssignment, deng_entropy, shannon_entropy
 from qlbn.bayesnet import infer, network_from_dict
 from qlbn.errors import SingularDenominatorError
 from qlbn.heuristic import belief_degree, belief_distance, extract_outcome_vectors
@@ -188,9 +188,7 @@ def test_criterion_4_deng_entropy_oracle_and_shannon_reduction():
         weights = [rng.uniform(0.01, 1.0) for _ in range(n)]
         total = math.fsum(weights)
         labels = tuple(f"e{i}" for i in range(n))
-        bba = validate_bba(
-            {lb: w / total for lb, w in zip(labels, weights)}, Frame(labels)
-        )
+        bba = BeliefAssignment(labels, {lb: w / total for lb, w in zip(labels, weights)})
         gap = abs(deng_entropy(bba) - shannon_entropy(bba.singleton_distribution()))
         worst = max(worst, gap)
     checks.append(
@@ -198,8 +196,7 @@ def test_criterion_4_deng_entropy_oracle_and_shannon_reduction():
          worst <= 1e-12)
     )
 
-    frame = Frame(("a", "b", "c"))
-    bba = validate_bba({"a": 0.5, ("b", "c"): 0.5}, frame)
+    bba = BeliefAssignment(("a", "b", "c"), {"a": 0.5, ("b", "c"): 0.5})
     # Oracle: literal transcription of the definition, independent of the package.
     oracle = -math.fsum(
         m * math.log2(m / (2 ** len(s) - 1)) for s, m in bba.masses.items() if m > 0

@@ -13,15 +13,13 @@ from hypothesis import strategies as st
 from qlbn.belief import (
     BeliefAssignment,
     DiscreteDistribution,
-    Frame,
     canonical_subset,
     deng_entropy,
     shannon_entropy,
-    validate_bba,
 )
 from qlbn.errors import ValidationError
 
-ABC = Frame(("a", "b", "c"))
+ABC = ("a", "b", "c")
 BBA_DIR = Path(__file__).resolve().parent.parent / "data" / "bba"
 
 # repr of shannon_entropy, bit for bit, over each bundled belief-assignment
@@ -43,8 +41,7 @@ def singleton_bbas(draw: st.DrawFn) -> BeliefAssignment:
     )
     total = math.fsum(weights)
     labels = [f"e{i}" for i in range(n)]
-    frame = Frame(tuple(labels))
-    return validate_bba({lb: w / total for lb, w in zip(labels, weights)}, frame)
+    return BeliefAssignment(labels, {lb: w / total for lb, w in zip(labels, weights)})
 
 
 @st.composite
@@ -61,10 +58,7 @@ def general_bbas(draw: st.DrawFn) -> BeliefAssignment:
         st.lists(st.floats(0.01, 1.0), min_size=len(chosen), max_size=len(chosen))
     )
     total = math.fsum(weights)
-    frame = Frame(tuple(labels))
-    return validate_bba(
-        {s: w / total for s, w in zip(chosen, weights)}, frame
-    )
+    return BeliefAssignment(labels, {s: w / total for s, w in zip(chosen, weights)})
 
 
 class TestCanonicalSubset:
@@ -77,79 +71,80 @@ class TestCanonicalSubset:
 
 class TestFrame:
     def test_holds_elements_in_order(self):
-        assert ABC.elements == ("a", "b", "c")
-        assert "b" in ABC
-        assert len(ABC) == 3
+        bba = BeliefAssignment(["c", "a", "b"], {"a": 1.0})
+        assert bba.frame == ("c", "a", "b")
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValidationError, match="unique"):
-            Frame(("a", "a"))
+        with pytest.raises(ValidationError) as caught:
+            BeliefAssignment(("a", "a"), {"a": 1.0})
+        assert str(caught.value) == "frame elements must be unique, got ('a', 'a')"
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError, match="at least one"):
-            Frame(())
+        with pytest.raises(ValidationError) as caught:
+            BeliefAssignment((), {})
+        assert str(caught.value) == "frame must contain at least one element"
 
 
 class TestValidateBBA:
     def test_accepts_split_assignment(self):
-        bba = validate_bba({"a": 0.5, ("b", "c"): 0.5}, ABC)
+        bba = BeliefAssignment(ABC, {"a": 0.5, ("b", "c"): 0.5})
         assert tuple(bba.masses) == (("a",), ("b", "c"))
         assert bba.masses[("a",)] == 0.5
         assert bba.masses[("b", "c")] == 0.5
 
     def test_merges_duplicate_subsets(self):
-        bba = validate_bba({("b", "c"): 0.3, ("c", "b"): 0.2, "a": 0.5}, ABC)
+        bba = BeliefAssignment(ABC, {("b", "c"): 0.3, ("c", "b"): 0.2, "a": 0.5})
         assert bba.masses[("b", "c")] == pytest.approx(0.5)
 
     def test_drops_zero_masses(self):
-        sparse = validate_bba({"a": 1.0}, ABC)
-        dense = validate_bba({"a": 1.0, "b": 0.0, ("b", "c"): 0.0}, ABC)
+        sparse = BeliefAssignment(ABC, {"a": 1.0})
+        dense = BeliefAssignment(ABC, {"a": 1.0, "b": 0.0, ("b", "c"): 0.0})
         assert sparse == dense
 
     def test_zero_mass_on_empty_set_is_ignored(self):
-        bba = validate_bba({(): 0.0, "a": 1.0}, ABC)
+        bba = BeliefAssignment(ABC, {(): 0.0, "a": 1.0})
         assert tuple(bba.masses) == (("a",),)
 
     def test_rejects_mass_on_empty_set(self):
         with pytest.raises(ValidationError, match="empty set"):
-            validate_bba({(): 0.1, "a": 0.9}, ABC)
+            BeliefAssignment(ABC, {(): 0.1, "a": 0.9})
 
     def test_rejects_unknown_element(self):
         with pytest.raises(ValidationError, match="'d'"):
-            validate_bba({("a", "d"): 1.0}, ABC)
+            BeliefAssignment(ABC, {("a", "d"): 1.0})
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValidationError, match=r"mass -0.1 for \('a',\) is outside"):
-            validate_bba({"a": -0.1, "b": 1.1}, ABC)
+            BeliefAssignment(ABC, {"a": -0.1, "b": 1.1})
 
     def test_rejects_mass_above_one(self):
         with pytest.raises(ValidationError, match=r"mass 1.2 for \('a',\) is outside \[0, 1\]"):
-            validate_bba({"a": 1.2}, ABC)
+            BeliefAssignment(ABC, {"a": 1.2})
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError, match="sum to"):
-            validate_bba({"a": 0.5, "b": 0.4}, ABC)
+            BeliefAssignment(ABC, {"a": 0.5, "b": 0.4})
 
     @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf], ids=str)
     def test_rejects_non_finite_mass(self, mass: float):
         with pytest.raises(ValidationError, match=rf"mass {mass!r} for \('a',\) is outside"):
-            validate_bba({"a": mass}, ABC)
+            BeliefAssignment(ABC, {"a": mass})
 
     def test_total_tolerance_boundary(self):
-        validate_bba({"a": 0.5, "b": 0.5 + 5e-10}, ABC)
+        BeliefAssignment(ABC, {"a": 0.5, "b": 0.5 + 5e-10})
         with pytest.raises(ValidationError, match="masses sum to"):
-            validate_bba({"a": 0.5, "b": 0.5 + 2e-9}, ABC)
+            BeliefAssignment(ABC, {"a": 0.5, "b": 0.5 + 2e-9})
 
     def test_is_bayesian(self):
-        assert validate_bba({"a": 0.4, "b": 0.6}, ABC).is_bayesian()
-        assert not validate_bba({"a": 0.5, ("b", "c"): 0.5}, ABC).is_bayesian()
+        assert BeliefAssignment(ABC, {"a": 0.4, "b": 0.6}).is_bayesian()
+        assert not BeliefAssignment(ABC, {"a": 0.5, ("b", "c"): 0.5}).is_bayesian()
 
     def test_singleton_distribution_follows_frame_order(self):
-        bba = validate_bba({"c": 0.7, "a": 0.3}, ABC)
+        bba = BeliefAssignment(ABC, {"c": 0.7, "a": 0.3})
         assert bba.singleton_distribution().items() == (("a", 0.3), ("c", 0.7))
 
     def test_singleton_distribution_requires_bayesian(self):
-        bba = validate_bba({("a", "b"): 1.0}, ABC)
+        bba = BeliefAssignment(ABC, {("a", "b"): 1.0})
         with pytest.raises(ValidationError, match="all-singleton"):
             bba.singleton_distribution()
 
@@ -221,18 +216,33 @@ class TestShannonEntropy:
 
 class TestDengEntropy:
     def test_certain_singleton_is_zero(self):
-        assert deng_entropy(validate_bba({"a": 1.0}, ABC)) == 0.0
+        assert deng_entropy(BeliefAssignment(ABC, {"a": 1.0})) == 0.0
 
     def test_split_assignment_value(self):
         """m(a)=0.5, m({b,c})=0.5 gives 0.5 + 0.5*log2(6) bits."""
-        bba = validate_bba({"a": 0.5, ("b", "c"): 0.5}, ABC)
+        bba = BeliefAssignment(ABC, {"a": 0.5, ("b", "c"): 0.5})
         assert deng_entropy(bba) == pytest.approx(1.792481250360578, abs=1e-12)
         assert deng_entropy(bba) == pytest.approx(0.5 + 0.5 * math.log2(6), abs=1e-12)
 
     def test_multi_element_sets_raise_entropy(self):
-        narrow = validate_bba({"a": 0.5, "b": 0.5}, ABC)
-        wide = validate_bba({"a": 0.5, ("b", "c"): 0.5}, ABC)
+        narrow = BeliefAssignment(ABC, {"a": 0.5, "b": 0.5})
+        wide = BeliefAssignment(ABC, {"a": 0.5, ("b", "c"): 0.5})
         assert deng_entropy(wide) > deng_entropy(narrow)
+
+    @given(general_bbas(), st.data())
+    def test_replaced_masses_keep_entropy_nonnegative(self, bba: BeliefAssignment, data):
+        """_replace refuses masses that break the BBA axioms, so no copy of a valid
+        assignment has negative entropy, as a mass above 1 would give."""
+        subsets = st.lists(st.sampled_from(bba.frame), min_size=1, max_size=3).map(tuple)
+        masses = data.draw(st.dictionaries(subsets, st.floats(-0.5, 3.0), max_size=4))
+        total = math.fsum(masses.values())
+        if total > 0.0 and data.draw(st.booleans()):  # rescaled masses pass the sum check
+            masses = {s: m / total for s, m in masses.items()}
+        try:
+            changed = bba._replace(masses=masses)
+        except ValidationError:
+            return
+        assert deng_entropy(changed) >= 0.0
 
     @given(singleton_bbas())
     def test_reduces_to_shannon_on_singletons(self, bba: BeliefAssignment):
@@ -251,9 +261,9 @@ class TestDengEntropy:
     @given(general_bbas())
     def test_invariant_under_relabeling(self, bba: BeliefAssignment):
         """Entropy depends on masses and set sizes, not on the label names."""
-        mapping = {lb: f"r{lb}" for lb in bba.frame.elements}
-        frame = Frame(tuple(mapping[lb] for lb in bba.frame.elements))
-        renamed = validate_bba(
-            {tuple(mapping[lb] for lb in s): m for s, m in bba.masses.items()}, frame
+        mapping = {lb: f"r{lb}" for lb in bba.frame}
+        renamed = BeliefAssignment(
+            tuple(mapping[lb] for lb in bba.frame),
+            {tuple(mapping[lb] for lb in s): m for s, m in bba.masses.items()},
         )
         assert deng_entropy(renamed) == pytest.approx(deng_entropy(bba), abs=1e-12)

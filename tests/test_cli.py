@@ -127,6 +127,13 @@ class TestEntropy:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: {message}\n"
 
+    def test_frame_errors_come_before_mass_errors(self, capsys, tmp_path):
+        path = tmp_path / "bba.json"
+        path.write_text(json.dumps({"frame": ["a", "a"], "masses": {"a": "half"}}))
+        code, out, err = run_cli(capsys, "entropy", "--bba", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: frame elements must be unique, got ('a', 'a')\n"
+
 
 class TestInferClassical:
     def test_table_output(self, capsys):
@@ -838,6 +845,32 @@ class TestReproduce:
         assert code == 1
         assert out == ""
         assert err == f"error: {path}: comparison_rows is empty\n"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda rows: rows[1].update(scenario="Nobody"),
+             "comparison row 'Li and Taplin, 2002 experiment 2' links 'Nobody', "
+             "which no scenario names"),
+            (lambda rows: rows[2]["models"].pop("qpdt"),
+             "comparison row 'Li and Taplin, 2002 experiment 3' lacks the models ['qpdt']"),
+            (lambda rows: rows[0]["models"].update(qpdt=[0.5]),
+             "unexpected structure: list index out of range"),
+        ],
+        ids=["unknown link", "missing model", "one-number cell"],
+    )
+    def test_malformed_comparison_rows_name_the_packaged_file(
+        self, capsys, monkeypatch, tmp_path, change, message
+    ):
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        change(doc["comparison_rows"])
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        for argv in (["reproduce"], ["reproduce", "--format", "csv"], ["compare"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}: {message}\n"
 
     def test_out_path_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"

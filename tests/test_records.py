@@ -10,7 +10,7 @@ import pytest
 from conftest import SERVERS_DOC
 from qlbn import scenarios
 from qlbn.bayesnet import Network, Variable, infer, network_from_dict
-from qlbn.belief import DiscreteDistribution, Frame, validate_bba
+from qlbn.belief import BeliefAssignment, DiscreteDistribution
 from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
@@ -25,14 +25,12 @@ def _records() -> dict[str, object]:
     net = network_from_dict(SERVERS_DOC)
     anet = amplitudes_from_network(net)
     result = quantum_infer(anet, "S2", {}, 0.5)
-    frame = Frame(("a", "b"))
     reproduction = run_reproduction()
     comparison = reproduction.comparison
     return {
         "Variable": net.variables[0],
         "Network": net,
-        "Frame": frame,
-        "BeliefAssignment": validate_bba({("a",): 0.5, ("a", "b"): 0.5}, frame),
+        "BeliefAssignment": BeliefAssignment(("a", "b"), {("a",): 0.5, ("a", "b"): 0.5}),
         "DiscreteDistribution": infer(net, "S2", {}),
         "OutcomeVectorPair": extract_outcome_vectors(anet, "S2")[0],
         "BeliefDegree": degree_for_query(anet, "S2"),
@@ -103,22 +101,27 @@ def test_network_repr_shows_variables_and_parents():
 
 
 def test_frame_replace_and_make_build_checked_frames():
-    frame = Frame(("a", "b"))
-    changed = frame._replace(elements=("c", "d", "e"))
-    assert type(changed) is Frame
-    assert changed == Frame(("c", "d", "e"))
-    assert len(changed) == 3
-    assert Frame._make([("x",)]) == Frame(("x",))
+    bba = BeliefAssignment(("a", "b"), {"a": 1.0})
+    changed = bba._replace(frame=["c", "a", "e"])
+    assert type(changed) is BeliefAssignment
+    assert changed == BeliefAssignment(("c", "a", "e"), {"a": 1.0})
+    assert changed.frame == ("c", "a", "e")
+    assert BeliefAssignment._make([("x",), {"x": 1.0}]) == BeliefAssignment(("x",), {"x": 1.0})
     with pytest.raises(ValidationError, match="unique"):
-        frame._replace(elements=("c", "c"))
+        bba._replace(frame=("a", "a"))
     with pytest.raises(ValidationError, match="at least one"):
-        Frame._make([()])
+        BeliefAssignment._make([(), {}])
+    with pytest.raises(ValidationError, match=r"element 'a' is not in the frame \('c',\)"):
+        bba._replace(frame=("c",))
 
 
 # A checked record, a field change its constructor refuses, and one it accepts.
 CHECKED = {
     "Variable": (Variable("X", ("T", "F")), {"outcomes": ("T",)}, {"name": "Y"}),
-    "Frame": (Frame(("a", "b")), {"elements": ("c", "c")}, {"elements": ("c",)}),
+    "BeliefAssignment": (
+        BeliefAssignment(("a", "b"), {"a": 0.5, "b": 0.5}), {"masses": {("a",): 3.0}},
+        {"masses": {("a", "b"): 1.0}},
+    ),
     "DiscreteDistribution": (
         DiscreteDistribution(("a", "b"), (0.5, 0.5)),
         {"probabilities": (2.0, -1.0)},

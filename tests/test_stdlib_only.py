@@ -19,8 +19,7 @@ PACKAGE = sorted((ROOT / "src" / "qlbn").glob("*.py"))
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
     "bayesnet": ["Network", "Variable", "infer", "load_network", "network_from_dict"],
-    "belief": ["BeliefAssignment", "DiscreteDistribution", "Frame", "deng_entropy",
-               "shannon_entropy", "validate_bba"],
+    "belief": ["BeliefAssignment", "DiscreteDistribution", "deng_entropy", "shannon_entropy"],
     "heuristic": ["BeliefDegree", "OutcomeVectorPair", "belief_degree", "belief_distance",
                   "degree_for_query", "pair_degree", "weighable_magnitudes"],
     "quantum": ["AmplitudeNetwork", "QuantumInferenceResult", "amplitudes_from_network",
