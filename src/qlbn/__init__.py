@@ -22,8 +22,8 @@ _EXPORTS = {
         "completion_magnitudes", "interference_sum", "posterior", "quantum_infer",
     ),
     "scenarios": (
-        "ComparisonReport", "PredictionRecord", "Scenario", "fit_error", "load_builtin",
-        "predict_unknown", "run_comparison", "run_reproduction", "scenario_to_network",
+        "PredictionRecord", "Scenario", "fit_error", "load_builtin", "predict_unknown",
+        "run_comparison", "run_reproduction", "scenario_to_network",
     ),
 }
 

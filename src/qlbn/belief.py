@@ -52,10 +52,11 @@ class BeliefAssignment(_AssignmentFields):
 
     frame is the frame of discernment, nonempty labels without repeats. masses
     maps a subset spec (a bare string means a singleton) to its mass, and specs
-    naming one set add up. Any element outside the frame, nonzero mass on the
-    empty set, a mass outside [0, 1] or a total off 1 by more than MASS_SUM_TOL
-    raises ValidationError. Keys become sorted label tuples, in sorted order, and
-    zero masses are dropped, so sparse and dense spellings compare equal.
+    naming one set add up. Each mass is a number or a decimal string, stored as a
+    float. Any element outside the frame, a bool or other non-number mass, nonzero
+    mass on the empty set, a mass outside [0, 1] or a total off 1 by more than
+    MASS_SUM_TOL raises ValidationError. Keys become sorted label tuples, in sorted
+    order, and zero masses are dropped, so sparse and dense spellings compare equal.
     """
 
     __slots__ = ()
@@ -71,6 +72,7 @@ class BeliefAssignment(_AssignmentFields):
             for element in subset:
                 if element not in frame:
                     raise ValidationError(f"element {element!r} is not in the frame {frame}")
+            mass = parse_number(mass)
             if not 0.0 <= mass <= 1.0:
                 raise ValidationError(f"mass {mass!r} for {subset} is outside [0, 1]")
             if not subset:
@@ -132,8 +134,9 @@ class _DistributionFields(NamedTuple):
 class DiscreteDistribution(_DistributionFields):
     """A probability distribution over labeled outcomes.
 
-    Values must lie in [0, 1] and sum to 1 within MASS_SUM_TOL. Lookup is by
-    label; items() follows the declared label order.
+    Values are numbers or decimal strings, never bools, stored as floats; they
+    must lie in [0, 1] and sum to 1 within MASS_SUM_TOL. Lookup is by label;
+    items() follows the declared label order.
     """
 
     __slots__ = ()
@@ -148,6 +151,7 @@ class DiscreteDistribution(_DistributionFields):
             )
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate labels in {labels}")
+        probabilities = tuple([parse_number(p) for p in probabilities])
         for label, p in zip(labels, probabilities):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"probability {p!r} for {label!r} is outside [0, 1]")

@@ -183,15 +183,15 @@ def cmd_infer(args: argparse.Namespace) -> None:
         print(json.dumps(doc, indent=2))
 
 
-def _emit_report(report, fmt: str) -> None:
-    from .scenarios import render_report_csv, render_report_table, report_to_dict
+def _emit_report(report: dict, fmt: str) -> None:
+    from .scenarios import render_report_csv, render_report_table
 
     if fmt == "table":
         print(render_report_table(report))
     elif fmt == "csv":
         print(render_report_csv(report), end="")
     else:
-        print(json.dumps(report_to_dict(report), indent=2))
+        print(json.dumps(report, indent=2))
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
@@ -215,7 +215,9 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
     print(render_reproduction(result, args.format), end="")
     if args.out:
         write_reproduction(result, args.out)
-    if failures := result.failures():
+    failures = [f"{g['label']}: expected {g['expected']} +- {g['tolerance']}, got {g['actual']!r}"
+                for g in result["goldens"] if not g["passed"]]
+    if failures:
         raise GoldenMismatchError(failures)
 
 

@@ -38,11 +38,11 @@ TOL_FIT = 1e-3
 TOL_COMPARISON = 5e-3
 
 # The published scenario columns, checked column by column before the comparison
-# rows: (literature.json key, golden label, PredictionRecord field, tolerance).
+# rows: (literature.json key, golden label, comparison record key, tolerance).
 _PUBLISHED_COLUMNS = (
-    ("reported_classical", "classical prediction", "classical_prediction", TOL_CLASSICAL),
-    ("reported_prediction", "quantum prediction", "quantum_prediction", TOL_PREDICTION),
-    ("reported_fit_error", "fit error", "fit_error_quantum", TOL_FIT),
+    ("reported_classical", "classical prediction", "classical", TOL_CLASSICAL),
+    ("reported_prediction", "quantum prediction", "quantum", TOL_PREDICTION),
+    ("reported_fit_error", "fit error", "fit_quantum", TOL_FIT),
 )
 
 _MODEL_TITLES = {
@@ -121,7 +121,7 @@ def fit_error(predicted: float, observed: float) -> float:
 
 
 class PredictionRecord(NamedTuple):
-    """Everything one scenario produced, plus optional published model cells."""
+    """Everything one scenario produced."""
 
     scenario: Scenario
     classical_prediction: float
@@ -129,13 +129,9 @@ class PredictionRecord(NamedTuple):
     degree: BeliefDegree
     fit_error_classical: float
     fit_error_quantum: float
-    literature_comparisons: dict[str, dict[str, float]] | None = None
 
 
-def predict_unknown(
-    scenario: Scenario,
-    literature: Mapping[str, Mapping[str, float]] | None = None,
-) -> PredictionRecord:
+def predict_unknown(scenario: Scenario) -> PredictionRecord:
     """Classical and quantum-like defection predictions for the unknown-move round."""
     net = scenario_to_network(scenario)
     classical = infer(net, PLAYER_TWO, {}).prob(DEFECT)
@@ -149,7 +145,6 @@ def predict_unknown(
         degree=degree,
         fit_error_classical=fit_error(classical, scenario.observed_unknown),
         fit_error_quantum=fit_error(quantum, scenario.observed_unknown),
-        literature_comparisons=dict(literature) if literature else None,
     )
 
 
@@ -172,15 +167,6 @@ def sweep(scenario: Scenario, degrees: Sequence[float]) -> Table:
     return Table(tuple((key, key) for key in columns), tuple(rows))
 
 
-class ComparisonReport(NamedTuple):
-    """Per-scenario records plus arithmetic-mean fit errors per model column."""
-
-    records: tuple[PredictionRecord, ...]
-    average_fit_classical: float
-    average_fit_quantum: float
-    average_fit_literature: dict[str, float]
-
-
 def _mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
@@ -188,30 +174,42 @@ def _mean(values: Sequence[float]) -> float:
 def run_comparison(
     scenarios: Sequence[Scenario],
     literature: Mapping[str, Mapping[str, Mapping[str, float]]] | None = None,
-) -> ComparisonReport:
-    """Evaluate every scenario and average the fit-error columns.
+) -> dict:
+    """The document `predict` and `compare --format json` print: a record per
+    scenario, in input order, then the arithmetic-mean fit error of each column.
 
     Args:
-        scenarios: conditions to evaluate, reported in input order.
+        scenarios: conditions to evaluate.
         literature: scenario name -> {model -> {"prediction", "fit"}} published
-            cells to carry alongside, averaged over the rows that have them.
+            cells to carry in the records, averaged over the records that have them.
     """
     if not scenarios:
         raise ValidationError("need at least one scenario to compare")
     literature = literature or {}
-    records = tuple(
-        predict_unknown(s, literature.get(s.name)) for s in scenarios
-    )
+    records = []
+    for scenario in scenarios:
+        r = predict_unknown(scenario)
+        records.append({
+            "scenario": scenario.name,
+            "observed": scenario.observed_unknown,
+            "classical": r.classical_prediction,
+            "quantum": r.quantum_prediction,
+            "degree": r.degree.value,
+            "degree_raw": r.degree.raw,
+            "fit_classical": r.fit_error_classical,
+            "fit_quantum": r.fit_error_quantum,
+            "literature": dict(literature.get(scenario.name, {})),
+        })
     model_errors: dict[str, list[float]] = {}
     for record in records:
-        for model, cell in (record.literature_comparisons or {}).items():
+        for model, cell in record["literature"].items():
             model_errors.setdefault(model, []).append(cell["fit"])
-    return ComparisonReport(
-        records=records,
-        average_fit_classical=_mean([r.fit_error_classical for r in records]),
-        average_fit_quantum=_mean([r.fit_error_quantum for r in records]),
-        average_fit_literature={m: _mean(errs) for m, errs in model_errors.items()},
-    )
+    return {
+        "records": records,
+        "mean_fit_classical": _mean([r["fit_classical"] for r in records]),
+        "mean_fit_quantum": _mean([r["fit_quantum"] for r in records]),
+        "mean_fit_literature": {m: _mean(errs) for m, errs in model_errors.items()},
+    }
 
 
 # --- scenario files -----------------------------------------------------------
@@ -256,8 +254,8 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 
 
 class PublishedValue(NamedTuple):
-    """One printed number the reproduction must land on: the PredictionRecord
-    field it checks for the named scenario, and the check's tolerance."""
+    """One printed number the reproduction must land on: the run_comparison
+    record key it checks for the named scenario, and the check's tolerance."""
 
     label: str
     scenario: str
@@ -298,7 +296,9 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
     rows, table3 = doc["scenarios"], doc["comparison_rows"]
     if not table3:
         raise ValidationError("comparison_rows is empty")
-    names = {row["name"] for row in rows}
+    names = [row["name"] for row in rows]
+    if repeated := [name for name in names if names.count(name) > 1]:
+        raise ValidationError(f"scenario name {repeated[0]!r} is repeated")
     for row in table3:  # run_reproduction reads each link, and _table3 each first-row model
         name, link = row["name"], row["scenario"]
         if link and link not in names:
@@ -328,7 +328,7 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
               for row in rows
               if key in row),
             *(PublishedValue(f"comparison prediction ({row['condition']})", link,
-                             "quantum_prediction", row["prediction"], TOL_COMPARISON)
+                             "quantum", row["prediction"], TOL_COMPARISON)
               for row, link in zip(comparison_rows, links)
               if link),
         ),
@@ -341,54 +341,29 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
 # --- reproduction -------------------------------------------------------------
 
 
-class GoldenCheck(NamedTuple):
-    """One published value the pipeline must land on within tolerance."""
-
-    label: str
-    expected: float
-    actual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.actual - self.expected) <= self.tolerance
-
-
-class ReproductionResult(NamedTuple):
-    """table3 is the published_models list that `reproduce --format json` prints."""
-
-    comparison: ComparisonReport
-    table3: tuple[dict, ...]
-    goldens: tuple[GoldenCheck, ...]
-
-    def failures(self) -> list[str]:
-        return [
-            f"{g.label}: expected {g.expected} +- {g.tolerance}, got {g.actual!r}"
-            for g in self.goldens
-            if not g.passed
-        ]
-
-
-def run_reproduction() -> ReproductionResult:
-    """Evaluate the built-in dataset, check every published value, and put the
-    computed prediction into each comparison row that links a scenario."""
+def run_reproduction() -> dict:
+    """The document `reproduce --format json` prints: the built-in dataset's
+    comparison; table 3's rows, each that links a scenario with the computed
+    prediction; and a golden check of every published value."""
     data = load_builtin()
     comparison = run_comparison(data.scenarios, data.literature())
-    by_name = {rec.scenario.name: rec for rec in comparison.records}
-    goldens = tuple(
-        GoldenCheck(p.label, p.value, getattr(by_name[p.scenario], p.field), p.tolerance)
-        for p in data.published
-    )
-    table3 = tuple(
+    by_name = {record["scenario"]: record for record in comparison["records"]}
+    goldens = []
+    for p in data.published:
+        actual = by_name[p.scenario][p.field]
+        goldens.append({"label": p.label, "expected": p.value, "actual": actual,
+                        "tolerance": p.tolerance,
+                        "passed": abs(actual - p.value) <= p.tolerance})
+    published_models = [
         {
             **row,
-            "prediction": by_name[link].quantum_prediction,
-            "prediction_fit": by_name[link].fit_error_quantum,
+            "prediction": by_name[link]["quantum"],
+            "prediction_fit": by_name[link]["fit_quantum"],
             "basis": "computed",
         } if link else row
         for row, link in zip(data.comparison_rows, data.links)
-    )
-    return ReproductionResult(comparison, table3, goldens)
+    ]
+    return {"comparison": comparison, "published_models": published_models, "goldens": goldens}
 
 
 # --- rendering ----------------------------------------------------------------
@@ -418,14 +393,13 @@ def _model_table(keys: Sequence[str], titles: Mapping[str, str], docs: Sequence[
     return Table(tuple(columns), tuple(map(tuple, rows)), mean)
 
 
-def _report_table(report: ComparisonReport) -> Table:
-    # report_to_dict's records but the raw degree, their published columns spread per
-    # model; a column's mean is the dict's mean_<column> where there is one
-    doc = report_to_dict(report)
-    keys = [key for key in doc["records"][0] if key != "degree_raw"]
-    return _model_table(keys, {}, doc["records"], "literature", {
-        **{key: doc[f"mean_{key}"] for key in keys if f"mean_{key}" in doc},
-        **{f"{m}_fit": fit for m, fit in doc["mean_fit_literature"].items()},
+def _report_table(report: dict) -> Table:
+    # run_comparison's records but the raw degree, their published columns spread per
+    # model; a column's mean is the document's mean_<column> where there is one
+    keys = [key for key in report["records"][0] if key != "degree_raw"]
+    return _model_table(keys, {}, report["records"], "literature", {
+        **{key: report[f"mean_{key}"] for key in keys if f"mean_{key}" in report},
+        **{f"{m}_fit": fit for m, fit in report["mean_fit_literature"].items()},
     })
 
 
@@ -438,98 +412,71 @@ def _table3(rows: Sequence[dict]) -> Table:
     })
 
 
-def render_report_table(report: ComparisonReport) -> str:
-    """Aligned text table of a comparison report, 5 decimals per number."""
+def render_report_table(report: dict) -> str:
+    """Aligned text table of a run_comparison document, 5 decimals per number."""
     return render_text(_report_table(report))
 
 
-def render_report_csv(report: ComparisonReport) -> str:
-    """CSV of a comparison report; floats keep full round-trip precision."""
+def render_report_csv(report: dict) -> str:
+    """CSV of a run_comparison document; floats keep full round-trip precision."""
     return render_csv(_report_table(report))
 
 
-def report_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "records": [
-            {
-                "scenario": r.scenario.name,
-                "observed": r.scenario.observed_unknown,
-                "classical": r.classical_prediction,
-                "quantum": r.quantum_prediction,
-                "degree": r.degree.value,
-                "degree_raw": r.degree.raw,
-                "fit_classical": r.fit_error_classical,
-                "fit_quantum": r.fit_error_quantum,
-                "literature": r.literature_comparisons or {},
-            }
-            for r in report.records
-        ],
-        "mean_fit_classical": report.average_fit_classical,
-        "mean_fit_quantum": report.average_fit_quantum,
-        "mean_fit_literature": dict(report.average_fit_literature),
-    }
+def render_table3(result: dict) -> str:
+    """Aligned text table of a reproduction's published-models comparison."""
+    return render_text(_table3(result["published_models"]))
 
 
-def render_table3(result: ReproductionResult) -> str:
-    """Aligned text table of the published-models comparison."""
-    return render_text(_table3(result.table3))
-
-
-def render_table3_csv(result: ReproductionResult) -> str:
+def render_table3_csv(result: dict) -> str:
     """CSV of the published-models comparison; unlike the text table, no mean row."""
-    return render_csv(_table3(result.table3)._replace(mean=None))
+    return render_csv(_table3(result["published_models"])._replace(mean=None))
 
 
-def render_observed_vs_predicted_csv(report: ComparisonReport) -> str:
+def render_observed_vs_predicted_csv(report: dict) -> str:
     """Bar-chart-shaped series: one row per scenario, observed next to both models."""
     keys = ("scenario", "observed", "classical", "quantum")
     return render_csv(_report_table(report).select({k: k for k in keys}))
 
 
-def render_model_comparison_csv(result: ReproductionResult) -> str:
+def render_model_comparison_csv(result: dict) -> str:
     """Bar-chart-shaped series over the comparison rows, all models side by side."""
-    return render_csv(_table3(result.table3).select({
+    rows = result["published_models"]
+    return render_csv(_table3(rows).select({
         "condition": "condition",
         "observed": "observed",
-        **{f"{m}_prediction": m for m in result.table3[0]["models"]},
+        **{f"{m}_prediction": m for m in rows[0]["models"]},
         "prediction": "belief_degree",
     }))
 
 
-def render_reproduction(result: ReproductionResult, fmt: str) -> str:
-    """The whole reproduction as `qlbn reproduce` prints it: table, csv or json.
+def render_reproduction(result: dict, fmt: str) -> str:
+    """The run_reproduction document as `qlbn reproduce` prints it: table, csv or json.
 
     The table form is also the text of report.txt.
     """
     if fmt == "json":
-        return json.dumps(
-            {
-                "comparison": report_to_dict(result.comparison),
-                "published_models": result.table3,
-                "goldens": [{**g._asdict(), "passed": g.passed} for g in result.goldens],
-            },
-            indent=2,
-        ) + "\n"
+        return json.dumps(result, indent=2) + "\n"
     if fmt == "csv":
-        return render_report_csv(result.comparison) + "\n" + render_table3_csv(result)
+        return render_report_csv(result["comparison"]) + "\n" + render_table3_csv(result)
     golden_lines = "".join(
-        f"{'PASS' if g.passed else 'FAIL'}  {g.label}: expected {g.expected} "
-        f"+- {g.tolerance}, got {g.actual:.6f}\n"
-        for g in result.goldens
+        f"{'PASS' if g['passed'] else 'FAIL'}  {g['label']}: expected {g['expected']} "
+        f"+- {g['tolerance']}, got {g['actual']:.6f}\n"
+        for g in result["goldens"]
     )
     return (
-        "benchmark predictions\n" + render_report_table(result.comparison)
+        "benchmark predictions\n" + render_report_table(result["comparison"])
         + "\n\npublished-model comparison\n" + render_table3(result)
         + "\n\ngolden checks\n" + golden_lines
     )
 
 
-def write_reproduction(result: ReproductionResult, out: str | Path) -> None:
-    """Write report.txt and the four CSV series of a reproduction into directory out."""
+def write_reproduction(result: dict, out: str | Path) -> None:
+    """Write report.txt and the four CSV series of a run_reproduction document into
+    directory out."""
     files = {
-        "table2.csv": render_report_csv(result.comparison),
+        "table2.csv": render_report_csv(result["comparison"]),
         "table3.csv": render_table3_csv(result),
-        "observed_vs_predicted.csv": render_observed_vs_predicted_csv(result.comparison),
+        "observed_vs_predicted.csv": render_observed_vs_predicted_csv(result["comparison"]),
         "model_comparison.csv": render_model_comparison_csv(result),
         "report.txt": render_reproduction(result, "table"),
     }

@@ -130,6 +130,19 @@ class TestValidateBBA:
         with pytest.raises(ValidationError, match=rf"mass {mass!r} for \('a',\) is outside"):
             BeliefAssignment(ABC, {"a": mass})
 
+    def test_masses_are_parsed_numbers(self):
+        """A decimal string is a number, stored as a float; a bool or another
+        type is refused by value, as scenario probabilities are."""
+        bba = BeliefAssignment(ABC, {"a": "0.25", "b": "0.75", "c": 0})
+        assert bba.masses == {("a",): 0.25, ("b",): 0.75}
+        assert type(BeliefAssignment(ABC, {"a": 1}).masses[("a",)]) is float
+        with pytest.raises(ValidationError, match="^expected a number, got True$"):
+            BeliefAssignment(ABC, {"a": True})
+        with pytest.raises(ValidationError, match="^cannot parse number 'one'$"):
+            BeliefAssignment(ABC, {"a": "one"})
+        with pytest.raises(ValidationError, match="^expected a number, got None$"):
+            BeliefAssignment(ABC, {"a": None})
+
     def test_total_tolerance_boundary(self):
         BeliefAssignment(ABC, {"a": 0.5, "b": 0.5 + 5e-10})
         with pytest.raises(ValidationError, match="masses sum to"):
@@ -180,6 +193,15 @@ class TestDiscreteDistribution:
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError, match="sum to"):
             DiscreteDistribution(("x", "y"), (0.5, 0.4))
+
+    def test_probabilities_are_parsed_numbers(self):
+        dist = DiscreteDistribution(("x", "y"), ["0.25", 0.75])
+        assert dist.probabilities == (0.25, 0.75)
+        assert DiscreteDistribution(("x",), (1,)).probabilities == (1.0,)
+        with pytest.raises(ValidationError, match="^expected a number, got False$"):
+            DiscreteDistribution(("x", "y"), (False, 1.0))
+        with pytest.raises(ValidationError, match="^cannot parse number 'half'$"):
+            DiscreteDistribution(("x", "y"), ("half", 0.5))
 
 
 class TestShannonEntropy:

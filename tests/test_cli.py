@@ -16,7 +16,7 @@ import pytest
 from conftest import CLAMPING_DOC, chain_doc, src_env, uniform_chain_doc
 from qlbn import cli
 from qlbn.cli import main
-from qlbn.scenarios import GoldenCheck, ReproductionResult, load_builtin, run_reproduction
+from qlbn.scenarios import load_builtin, load_scenarios, run_comparison, run_reproduction
 
 ROOT = Path(__file__).resolve().parent.parent
 GAME_NET = str(ROOT / "data" / "networks" / "prisoners_average.json")
@@ -782,8 +782,8 @@ class TestReproduce:
     def test_json_published_models_are_the_table3_rows(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce", "--format", "json")
         assert code == 0
-        table3 = run_reproduction().table3
-        assert json.loads(out)["published_models"] == json.loads(json.dumps(table3))
+        table3 = run_reproduction()["published_models"]
+        assert json.loads(out)["published_models"] == table3
 
     def test_table3_files_are_the_json_published_models(self, capsys, tmp_path):
         """Each table3.csv and model_comparison.csv cell is the repr of the value that
@@ -820,18 +820,18 @@ class TestReproduce:
         assert {doc["basis"] for doc in published} == {"computed", "published"}
 
     def test_mismatch_exits_three(self, capsys, monkeypatch, tmp_path):
-        real = run_reproduction()
-        doctored = ReproductionResult(
-            comparison=real.comparison,
-            table3=real.table3,
-            goldens=(GoldenCheck("doctored check", 1.0, 0.0, 1e-6),),
-        )
+        doctored = {**run_reproduction(), "goldens": [
+            {"label": "doctored check", "expected": 1.0, "actual": 0.0, "tolerance": 1e-6,
+             "passed": False},
+        ]}
         monkeypatch.setattr("qlbn.scenarios.run_reproduction", lambda: doctored)
         out_dir = tmp_path / "series"
         code, out, err = run_cli(capsys, "reproduce", "--out", str(out_dir))
         assert code == 3
-        assert "FAIL  doctored check" in out
-        assert "error:" in err
+        assert "FAIL  doctored check: expected 1.0 +- 1e-06, got 0.000000" in out
+        assert err == (
+            "error: golden check failed: doctored check: expected 1.0 +- 1e-06, got 0.0\n"
+        )
         # the series files are still written for inspection
         assert (out_dir / "report.txt").exists()
 
@@ -872,12 +872,48 @@ class TestReproduce:
             assert (code, out) == (1, "")
             assert err == f"error: {path}: {message}\n"
 
+    def test_repeated_scenario_name_names_the_packaged_file(self, capsys, monkeypatch, tmp_path):
+        """A second row under a published scenario's name would have its computed values
+        checked against the first row's published ones."""
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        doc["scenarios"].insert(1, {**doc["scenarios"][0], "p_defect_given_defect": 0.5,
+                                    "p_defect_given_cooperate": 0.4})
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        for argv in (["reproduce"], ["compare"], ["sweep"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}: scenario name 'Shafir and Tversky, 1992' is repeated\n"
+
     def test_out_path_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"
         target.write_text("")
         code, _, err = run_cli(capsys, "reproduce", "--out", str(target))
         assert code == 1
         assert f"error: cannot write {target}" in err
+
+
+class TestJsonIsTheDocument:
+    """`--format json` prints the document the library computes, exactly."""
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (["predict", "--scenario", SCENARIOS],
+             lambda: run_comparison(load_scenarios(SCENARIOS))),
+            (["compare"],
+             lambda: run_comparison(load_builtin().scenarios, load_builtin().literature())),
+            (["compare", "--scenario", SCENARIOS],
+             lambda: run_comparison(load_scenarios(SCENARIOS), load_builtin().literature())),
+            (["reproduce"], run_reproduction),
+        ],
+        ids=["predict", "compare", "compare scenario file", "reproduce"],
+    )
+    def test_json_output_is_the_document(self, capsys, argv, document):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(document(), indent=2) + "\n"
 
 
 class TestModuleInvocation:

@@ -1,5 +1,6 @@
-"""The record contract: results are immutable, networks compare by identity,
-and value records compare by value."""
+"""The record contract: records are immutable, networks compare by identity,
+and value records compare by value. The documents run_comparison and
+run_reproduction return are plain JSON data and not records."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from qlbn.belief import BeliefAssignment, DiscreteDistribution
 from qlbn.errors import ValidationError
 from qlbn.heuristic import degree_for_query, extract_outcome_vectors
 from qlbn.quantum import amplitudes_from_network, quantum_infer
-from qlbn.scenarios import Scenario, load_builtin, run_reproduction, scenario_to_network
+from qlbn.scenarios import Scenario, load_builtin, predict_unknown, scenario_to_network
 from qlbn.table import Table
 
 NETWORK_FIELDS = ("variables", "parents", "table", "positions")
@@ -25,8 +26,7 @@ def _records() -> dict[str, object]:
     net = network_from_dict(SERVERS_DOC)
     anet = amplitudes_from_network(net)
     result = quantum_infer(anet, "S2", {}, 0.5)
-    reproduction = run_reproduction()
-    comparison = reproduction.comparison
+    data = load_builtin()
     return {
         "Variable": net.variables[0],
         "Network": net,
@@ -37,13 +37,10 @@ def _records() -> dict[str, object]:
         "AmplitudeNetwork": anet,
         "OutcomeMass": result.outcomes[0],
         "QuantumInferenceResult": result,
-        "Scenario": comparison.records[0].scenario,
-        "PredictionRecord": comparison.records[0],
-        "ComparisonReport": comparison,
-        "BuiltinDataset": load_builtin(),
-        "PublishedValue": load_builtin().published[0],
-        "GoldenCheck": reproduction.goldens[0],
-        "ReproductionResult": reproduction,
+        "Scenario": data.scenarios[0],
+        "PredictionRecord": predict_unknown(data.scenarios[0]),
+        "BuiltinDataset": data,
+        "PublishedValue": data.published[0],
         "Table": Table((("x", "x"),), ((1.0,),)),
     }
 

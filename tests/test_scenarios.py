@@ -28,7 +28,6 @@ from qlbn.scenarios import (
     DEFECT,
     PLAYER_ONE,
     PLAYER_TWO,
-    ComparisonReport,
     Scenario,
     fit_error,
     load_builtin,
@@ -40,7 +39,6 @@ from qlbn.scenarios import (
     render_report_table,
     render_table3,
     render_table3_csv,
-    report_to_dict,
     run_comparison,
     run_reproduction,
     scenario_to_network,
@@ -247,8 +245,11 @@ class TestPredictUnknown:
         assert amplitude_enumerations == [PLAYER_TWO]
 
     def test_literature_carried_through(self):
-        record = predict_unknown(AVERAGE, {"qpdt": {"prediction": 0.62, "fit": 0.05}})
-        assert record.literature_comparisons == {"qpdt": {"prediction": 0.62, "fit": 0.05}}
+        """The published cells join the comparison record beside the prediction."""
+        cells = {"qpdt": {"prediction": 0.62, "fit": 0.05}}
+        (record,) = run_comparison([AVERAGE], {AVERAGE.name: cells})["records"]
+        assert record["literature"] == cells
+        assert record["quantum"] == predict_unknown(AVERAGE).quantum_prediction
 
     def test_benchmark_pipeline_values(self):
         for scenario in load_builtin().scenarios:
@@ -301,29 +302,48 @@ class TestRunComparison:
     def test_preserves_input_order(self):
         scenarios = load_builtin().scenarios
         report = run_comparison(scenarios)
-        assert [r.scenario.name for r in report.records] == [s.name for s in scenarios]
+        assert [r["scenario"] for r in report["records"]] == [s.name for s in scenarios]
 
     def test_averages_are_arithmetic_means(self):
         report = run_comparison(load_builtin().scenarios)
-        n = len(report.records)
-        assert report.average_fit_quantum == pytest.approx(
-            math.fsum(r.fit_error_quantum for r in report.records) / n, abs=1e-15
+        records = report["records"]
+        n = len(records)
+        assert report["mean_fit_quantum"] == pytest.approx(
+            math.fsum(r["fit_quantum"] for r in records) / n, abs=1e-15
         )
-        assert report.average_fit_classical == pytest.approx(
-            math.fsum(r.fit_error_classical for r in report.records) / n, abs=1e-15
+        assert report["mean_fit_classical"] == pytest.approx(
+            math.fsum(r["fit_classical"] for r in records) / n, abs=1e-15
         )
 
     def test_literature_average_spans_only_linked_rows(self):
         scenarios = load_builtin().scenarios[:2]
         literature = {scenarios[0].name: {"qpdt": {"prediction": 0.6, "fit": 0.1}}}
         report = run_comparison(scenarios, literature)
-        assert report.average_fit_literature == {"qpdt": pytest.approx(0.1)}
+        assert report["mean_fit_literature"] == {"qpdt": pytest.approx(0.1)}
+        assert report["records"][1]["literature"] == {}
 
     def test_single_scenario_report_matches_record(self):
         report = run_comparison([AVERAGE])
         record = predict_unknown(AVERAGE)
-        assert report.records[0].quantum_prediction == record.quantum_prediction
-        assert report.average_fit_quantum == record.fit_error_quantum
+        assert report["records"] == [{
+            "scenario": "Average",
+            "observed": 0.64,
+            "classical": record.classical_prediction,
+            "quantum": record.quantum_prediction,
+            "degree": record.degree.value,
+            "degree_raw": record.degree.raw,
+            "fit_classical": record.fit_error_classical,
+            "fit_quantum": record.fit_error_quantum,
+            "literature": {},
+        }]
+        assert list(report["records"][0]) == [
+            "scenario", "observed", "classical", "quantum", "degree", "degree_raw",
+            "fit_classical", "fit_quantum", "literature",
+        ]
+        assert list(report) == [
+            "records", "mean_fit_classical", "mean_fit_quantum", "mean_fit_literature"
+        ]
+        assert report["mean_fit_quantum"] == record.fit_error_quantum
 
     def test_rejects_empty_list(self):
         with pytest.raises(ValidationError, match="at least one"):
@@ -335,10 +355,10 @@ class TestRunComparison:
         pools three separate conditions into one average, where the published
         per-condition fits do not carry over, so it is left out."""
         report = run_comparison(load_builtin().scenarios)
-        for record in report.records:
-            if record.scenario.name == "Li and Taplin, 2002":
+        for record in report["records"]:
+            if record["scenario"] == "Li and Taplin, 2002":
                 continue
-            assert record.fit_error_quantum < record.fit_error_classical
+            assert record["fit_quantum"] < record["fit_classical"]
 
 
 class TestBuiltinDataset:
@@ -369,7 +389,7 @@ class TestBuiltinDataset:
 
     def test_reported_classical_column(self):
         classical = [
-            p for p in load_builtin().published if p.field == "classical_prediction"
+            p for p in load_builtin().published if p.field == "classical"
         ]
         assert {p.tolerance for p in classical} == {TOL_CLASSICAL}
         assert {p.scenario: p.value for p in classical} == {
@@ -384,13 +404,13 @@ class TestBuiltinDataset:
         published = load_builtin().published
         reported = [p for p in published if not p.label.startswith(("classical", "comparison"))]
         assert [(p.scenario, p.field, p.value, p.tolerance) for p in reported] == [
-            ("Average", "quantum_prediction", 0.6926, TOL_PREDICTION),
-            ("Average", "fit_error_quantum", 0.082, TOL_FIT),
+            ("Average", "quantum", 0.6926, TOL_PREDICTION),
+            ("Average", "fit_quantum", 0.082, TOL_FIT),
         ]
 
     def test_published_values_are_the_goldens_in_order(self):
         published = load_builtin().published
-        goldens = run_reproduction().goldens
+        goldens = run_reproduction()["goldens"]
         assert [p.label for p in published] == [
             "classical prediction (Shafir and Tversky, 1992)",
             "classical prediction (Li and Taplin, 2002)",
@@ -402,7 +422,7 @@ class TestBuiltinDataset:
             "comparison prediction (Busemeyer et al., 2006a)",
             "comparison prediction (Hristova and Grinberg, 2008)",
         ]
-        assert [(g.label, g.expected, g.tolerance) for g in goldens] == [
+        assert [(g["label"], g["expected"], g["tolerance"]) for g in goldens] == [
             (p.label, p.value, p.tolerance) for p in published
         ]
         assert [(p.value, p.tolerance) for p in published[-2:]] == [
@@ -516,12 +536,14 @@ class TestScenarioFiles:
 
 class TestReproduction:
     def test_all_goldens_pass(self):
-        result = run_reproduction()
-        assert result.failures() == []
+        goldens = run_reproduction()["goldens"]
+        assert [g["label"] for g in goldens if not g["passed"]] == []
+        for g in goldens:
+            assert abs(g["actual"] - g["expected"]) <= g["tolerance"], g["label"]
 
     def test_golden_coverage(self):
-        goldens = run_reproduction().goldens
-        labels = [g.label for g in goldens]
+        goldens = run_reproduction()["goldens"]
+        labels = [g["label"] for g in goldens]
         assert len(goldens) == 9
         assert sum(lb.startswith("classical prediction") for lb in labels) == 5
         assert "quantum prediction (Average)" in labels
@@ -529,7 +551,7 @@ class TestReproduction:
         assert sum(lb.startswith("comparison prediction") for lb in labels) == 2
 
     def test_table_rows_and_basis(self):
-        table = run_reproduction().table3
+        table = run_reproduction()["published_models"]
         assert [row["basis"] for row in table] == [
             "published",
             "published",
@@ -548,7 +570,7 @@ class TestReproduction:
         )
 
     def test_table3_means_match_reported_average_fit_errors(self):
-        table = run_reproduction().table3
+        table = run_reproduction()["published_models"]
         means = {
             model: math.fsum(row["models"][model]["fit"] for row in table) / len(table)
             for model in ("qpdt", "dynamic_heuristic")
@@ -560,7 +582,7 @@ class TestReproduction:
             assert mean == pytest.approx(reported[model], abs=TOL_FIT), model
 
     def test_published_rows_copy_reported_values(self):
-        table = run_reproduction().table3
+        table = run_reproduction()["published_models"]
         first = table[0]
         assert first["basis"] == "published"
         assert first["prediction"] == 0.8623
@@ -568,25 +590,25 @@ class TestReproduction:
 
 
 @pytest.fixture(scope="module")
-def report() -> ComparisonReport:
+def report() -> dict:
     data = load_builtin()
     return run_comparison(data.scenarios, data.literature())
 
 
 class TestRendering:
-    def test_table_shows_five_decimal_values(self, report: ComparisonReport):
+    def test_table_shows_five_decimal_values(self, report: dict):
         text = render_report_table(report)
         assert "0.69250" in text  # Average quantum prediction
         assert "(mean fit error)" in text
         assert text.splitlines()[0].startswith("scenario")
 
-    def test_csv_round_trips_full_precision(self, report: ComparisonReport):
+    def test_csv_round_trips_full_precision(self, report: dict):
         rows = list(csv.reader(io.StringIO(render_report_csv(report))))
         header, *body = rows
         quantum_col = header.index("quantum")
         by_name = {row[0]: row for row in body}
         value = float(by_name["Average"][quantum_col])
-        assert value == report.records[-1].quantum_prediction
+        assert value == report["records"][-1]["quantum"]
 
     def test_model_cells_are_read_by_name(self):
         """A cell's keys may come in any order; each column reads its own key."""
@@ -595,10 +617,10 @@ class TestRendering:
         row = next(csv.DictReader(io.StringIO(render_report_csv(report))))
         assert (row["qpdt_prediction"], row["qpdt_fit"]) == ("0.62", "0.05")
 
-    def test_csv_cells_are_the_report_dict_values(self, report: ComparisonReport):
-        """Each cell is the repr of its report_to_dict value; a record without a
+    def test_csv_cells_are_the_report_dict_values(self, report: dict):
+        """Each cell is the repr of its document value; a record without a
         model's published columns leaves them empty."""
-        payload = report_to_dict(report)
+        payload = report
         reader = csv.DictReader(io.StringIO(render_report_csv(report)))
         models = ["qpdt", "dynamic_heuristic"]
         assert reader.fieldnames == [
@@ -627,12 +649,11 @@ class TestRendering:
             assert mean[f"{m}_fit"] == repr(payload["mean_fit_literature"][m])
             assert mean[f"{m}_prediction"] == ""
 
-    def test_report_dict_carries_raw_degree(self, report: ComparisonReport):
-        payload = report_to_dict(report)
-        average = payload["records"][-1]
+    def test_report_dict_carries_raw_degree(self, report: dict):
+        average = report["records"][-1]
         assert average["scenario"] == "Average"
-        assert average["degree_raw"] == report.records[-1].degree.raw
-        assert set(payload["mean_fit_literature"]) == {"qpdt", "dynamic_heuristic"}
+        assert average["degree_raw"] == predict_unknown(AVERAGE).degree.raw
+        assert set(report["mean_fit_literature"]) == {"qpdt", "dynamic_heuristic"}
 
     def test_table3_renderers(self):
         result = run_reproduction()
@@ -643,7 +664,7 @@ class TestRendering:
         assert len(rows) == 6  # header + five conditions
         assert rows[0][-1] == "basis"
 
-    def test_chart_series_renderers(self, report: ComparisonReport):
+    def test_chart_series_renderers(self, report: dict):
         rows = list(csv.reader(io.StringIO(render_observed_vs_predicted_csv(report))))
         assert rows[0] == ["scenario", "observed", "classical", "quantum"]
         assert len(rows) == 6

@@ -24,8 +24,8 @@ EXPORTS = {
                   "degree_for_query", "pair_degree", "weighable_magnitudes"],
     "quantum": ["AmplitudeNetwork", "QuantumInferenceResult", "amplitudes_from_network",
                 "completion_magnitudes", "interference_sum", "posterior", "quantum_infer"],
-    "scenarios": ["ComparisonReport", "PredictionRecord", "Scenario", "fit_error",
-                  "load_builtin", "predict_unknown", "run_comparison", "run_reproduction",
+    "scenarios": ["PredictionRecord", "Scenario", "fit_error", "load_builtin",
+                  "predict_unknown", "run_comparison", "run_reproduction",
                   "scenario_to_network"],
 }
 
