@@ -14,8 +14,8 @@ _EXPORTS = {
         "BeliefAssignment", "DiscreteDistribution", "deng_entropy", "shannon_entropy",
     ),
     "heuristic": (
-        "BeliefDegree", "OutcomeVectorPair", "belief_degree", "belief_distance",
-        "degree_for_query", "pair_degree", "weighable_magnitudes",
+        "BeliefDegree", "belief_degree", "belief_distance", "degree_for_query",
+        "pair_degree", "weighable_magnitudes",
     ),
     "quantum": (
         "AmplitudeNetwork", "QuantumInferenceResult", "amplitudes_from_network",

@@ -140,7 +140,7 @@ def cmd_infer(args: argparse.Namespace) -> None:
         doc = {"query": args.query, "distribution": distribution}
         rows = [{"outcome": o, "probability": p} for o, p in doc["distribution"].items()]
     else:
-        from .heuristic import belief_distance, outcome_pairs, pair_degree, weighable_magnitudes
+        from .heuristic import belief_distance, pair_degree, weighable_magnitudes
         from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 
         enumerate_ = weighable_magnitudes if fixed is None else completion_magnitudes
@@ -150,16 +150,16 @@ def cmd_infer(args: argparse.Namespace) -> None:
         if args.verbose:
             # Only the table shares stdout with the trace, so CSV and JSON stay parseable.
             trace = sys.stdout if args.format == "table" else sys.stderr
-            pairs = outcome_pairs(magnitudes)
-            if not pairs:
+            vectors = [(o, *mags) for o, mags in magnitudes.items() if len(mags) == 2]
+            if not vectors:
                 print("vectors: unavailable for this structure", file=trace)
-            for pair in pairs:
+            for outcome, alpha, beta in vectors:
                 try:
-                    distance = f"{belief_distance(pair.alpha, pair.beta):.5f}"
+                    distance = f"{belief_distance(alpha, beta):.5f}"
                 except SingularDenominatorError:
                     distance = "singular"  # a fixed degree does not depend on it
-                print(f"vector {pair.outcome}: alpha={pair.alpha:.5f} "
-                      f"beta={pair.beta:.5f} distance={distance}", file=trace)
+                print(f"vector {outcome}: alpha={alpha:.5f} "
+                      f"beta={beta:.5f} distance={distance}", file=trace)
             print(f"degree: raw={raw:.5f} value={degree:.5f} ({args.degree})", file=trace)
             for om in result.outcomes:
                 clamp = " (clamped to 0)" if om.clamped else ""

@@ -94,6 +94,8 @@ def parse_number(value: object) -> float:
         return float(value)
     except ValueError:
         raise ValidationError(f"cannot parse number {value!r}") from None
+    except OverflowError:  # an integer beyond the largest float
+        raise ValidationError(f"number {value!r} is too large for a float") from None
 
 
 def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
@@ -114,9 +116,13 @@ def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     try:
-        with shape_errors():
-            return parse(json.loads(text))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits, or too deep a nesting
+        raise ValidationError(f"{path}: {exc}") from None
+    try:
+        with shape_errors():
+            return parse(doc)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

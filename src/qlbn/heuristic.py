@@ -36,19 +36,6 @@ from .quantum import AmplitudeNetwork, completion_magnitudes
 SINGULAR_TOL = 1e-12
 
 
-class OutcomeVectorPair(NamedTuple):
-    """Amplitude products for one query outcome across the unobserved variable's states.
-
-    alpha belongs to the unobserved variable's first declared outcome and beta
-    to its second; belief_distance applies its own role swap, so this order
-    carries no modelling weight.
-    """
-
-    outcome: str
-    alpha: float
-    beta: float
-
-
 def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignment) -> dict:
     """completion_magnitudes, refused with UnsupportedStructureError before anything is
     enumerated when the query leaves more than one unobserved variable."""
@@ -63,23 +50,14 @@ def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignmen
     return completion_magnitudes(anet, query, evidence)
 
 
-def outcome_pairs(magnitudes: Mapping[str, Sequence[float]]) -> list[OutcomeVectorPair]:
-    """One (alpha, beta) pair per query outcome when each has two amplitude products,
-    which on a binary network means one unobserved variable; otherwise none."""
-    return [OutcomeVectorPair(outcome, *mags) for outcome, mags in magnitudes.items()
-            if len(mags) == 2]
-
-
 def extract_outcome_vectors(
     anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
-) -> list[OutcomeVectorPair]:
-    """One (alpha, beta) pair per query outcome, in the query's declared outcome order.
-
-    With no unobserved variable besides the query there are no pairs, and the
-    list is empty. More than one raises UnsupportedStructureError, because the
-    distance construction is defined on pairs only.
-    """
-    return outcome_pairs(weighable_magnitudes(anet, query, evidence or {}))
+) -> dict[str, list[float]]:
+    """Each query outcome's vector [alpha, beta], in declared order: its two amplitude
+    products, with the unobserved variable in its first and second state. {} with
+    nothing unobserved; more than one unobserved raises UnsupportedStructureError."""
+    magnitudes = weighable_magnitudes(anet, query, evidence or {})
+    return {outcome: mags for outcome, mags in magnitudes.items() if len(mags) == 2}
 
 
 def belief_distance(alpha: float, beta: float) -> float:

@@ -69,36 +69,42 @@ def _three_coins() -> AmplitudeNetwork:
 class TestExtractOutcomeVectors:
     def test_game_pairs(self, game_amps: AmplitudeNetwork):
         """alpha tracks the unobserved player's first declared outcome, Cooperate."""
-        pairs = extract_outcome_vectors(game_amps, "P2")
-        assert [p.outcome for p in pairs] == ["Defect", "Cooperate"]
-        defect, coop = pairs
-        assert defect.alpha == pytest.approx(0.6082762530298219, abs=1e-12)
-        assert defect.beta == pytest.approx(0.6595452979136459, abs=1e-12)
-        assert coop.alpha == pytest.approx(0.36055512754639896, abs=1e-12)
-        assert coop.beta == pytest.approx(0.25495097567963926, abs=1e-12)
+        vectors = extract_outcome_vectors(game_amps, "P2")
+        assert list(vectors) == ["Defect", "Cooperate"]
+        (d_alpha, d_beta), (c_alpha, c_beta) = vectors.values()
+        assert d_alpha == pytest.approx(0.6082762530298219, abs=1e-12)
+        assert d_beta == pytest.approx(0.6595452979136459, abs=1e-12)
+        assert c_alpha == pytest.approx(0.36055512754639896, abs=1e-12)
+        assert c_beta == pytest.approx(0.25495097567963926, abs=1e-12)
 
     def test_game_pairs_match_published_rounding(self, game_amps: AmplitudeNetwork):
-        pairs = {p.outcome: p for p in extract_outcome_vectors(game_amps, "P2")}
-        assert pairs["Defect"].alpha == pytest.approx(0.6083, abs=1e-4)
-        assert pairs["Defect"].beta == pytest.approx(0.6595, abs=1e-4)
-        assert pairs["Cooperate"].alpha == pytest.approx(0.3606, abs=1e-4)
-        assert pairs["Cooperate"].beta == pytest.approx(0.2550, abs=1e-4)
+        vectors = extract_outcome_vectors(game_amps, "P2")
+        assert vectors["Defect"] == pytest.approx([0.6083, 0.6595], abs=1e-4)
+        assert vectors["Cooperate"] == pytest.approx([0.3606, 0.2550], abs=1e-4)
+
+    def test_vectors_are_the_two_product_entries_of_the_products(
+        self, game_amps: AmplitudeNetwork
+    ):
+        """The same lists, in the same order, that pair_degree and posterior read."""
+        assert extract_outcome_vectors(game_amps, "P2") == completion_magnitudes(
+            game_amps, "P2", {}
+        )
 
     def test_uniform_chain_pairs(self):
-        pairs = extract_outcome_vectors(_uniform_chain(), "Y")
-        for p in pairs:
-            assert p.alpha == pytest.approx(0.5, abs=1e-15)
-            assert p.beta == pytest.approx(0.5, abs=1e-15)
+        vectors = extract_outcome_vectors(_uniform_chain(), "Y")
+        assert list(vectors) == ["T", "F"]
+        for pair in vectors.values():
+            assert pair == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_evidence_narrows_to_one_unobserved(self):
         anet = _three_coins()
         with pytest.raises(UnsupportedStructureError, match="2 unobserved"):
             extract_outcome_vectors(anet, "A")
-        pairs = extract_outcome_vectors(anet, "A", {"C": "T"})
-        assert [p.outcome for p in pairs] == ["T", "F"]
+        vectors = extract_outcome_vectors(anet, "A", {"C": "T"})
+        assert list(vectors) == ["T", "F"]
 
     def test_zero_unobserved_gives_no_pairs(self, game_amps: AmplitudeNetwork):
-        assert extract_outcome_vectors(game_amps, "P2", {"P1": "Defect"}) == []
+        assert extract_outcome_vectors(game_amps, "P2", {"P1": "Defect"}) == {}
 
 
 @pytest.mark.parametrize("entry", [extract_outcome_vectors, degree_for_query])

@@ -13,7 +13,7 @@ from qlbn import scenarios
 from qlbn.bayesnet import Network, Variable, infer, network_from_dict
 from qlbn.belief import BeliefAssignment, DiscreteDistribution
 from qlbn.errors import ValidationError
-from qlbn.heuristic import degree_for_query, extract_outcome_vectors
+from qlbn.heuristic import degree_for_query
 from qlbn.quantum import amplitudes_from_network, quantum_infer
 from qlbn.scenarios import Scenario, load_builtin, predict_unknown, scenario_to_network
 from qlbn.table import Table
@@ -32,7 +32,6 @@ def _records() -> dict[str, object]:
         "Network": net,
         "BeliefAssignment": BeliefAssignment(("a", "b"), {("a",): 0.5, ("a", "b"): 0.5}),
         "DiscreteDistribution": infer(net, "S2", {}),
-        "OutcomeVectorPair": extract_outcome_vectors(anet, "S2")[0],
         "BeliefDegree": degree_for_query(anet, "S2"),
         "AmplitudeNetwork": anet,
         "OutcomeMass": result.outcomes[0],

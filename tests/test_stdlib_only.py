@@ -20,8 +20,8 @@ PACKAGE = sorted((ROOT / "src" / "qlbn").glob("*.py"))
 EXPORTS = {
     "bayesnet": ["Network", "Variable", "infer", "load_network", "network_from_dict"],
     "belief": ["BeliefAssignment", "DiscreteDistribution", "deng_entropy", "shannon_entropy"],
-    "heuristic": ["BeliefDegree", "OutcomeVectorPair", "belief_degree", "belief_distance",
-                  "degree_for_query", "pair_degree", "weighable_magnitudes"],
+    "heuristic": ["BeliefDegree", "belief_degree", "belief_distance", "degree_for_query",
+                  "pair_degree", "weighable_magnitudes"],
     "quantum": ["AmplitudeNetwork", "QuantumInferenceResult", "amplitudes_from_network",
                 "completion_magnitudes", "interference_sum", "posterior", "quantum_infer"],
     "scenarios": ["PredictionRecord", "Scenario", "fit_error", "load_builtin",
