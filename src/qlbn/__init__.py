@@ -1,9 +1,10 @@
 """Quantum-like Bayesian network inference with an entropy-based interference degree.
 
 Importing the package loads none of its modules, so each command compiles only
-the ones it runs. The first lookup of a name the package does not hold yet
-binds every public name below as a plain attribute, so later reads cost what
-any module global costs, and an unknown name raises the usual AttributeError.
+the ones it runs. The first lookup of a public name below loads only the module
+that defines it and binds that module's names as plain attributes, so later
+reads cost what any module global costs. The first lookup of any other name
+binds them all, so it and later lookups raise the usual AttributeError.
 """
 
 _EXPORTS = {
@@ -35,10 +36,12 @@ def __getattr__(name: str):
     from importlib import import_module
 
     namespace = globals()
-    for module, names in _EXPORTS.items():
+    found = [module for module, names in _EXPORTS.items() if name in names]
+    for module in found or _EXPORTS:
         source = import_module(f"{__name__}.{module}")
-        namespace.update({attr: getattr(source, attr) for attr in names})
-    namespace.pop("__getattr__", None)
+        namespace.update({attr: getattr(source, attr) for attr in _EXPORTS[module]})
+    if not found:
+        namespace.pop("__getattr__", None)
     return getattr(import_module(__name__), name)
 
 

@@ -301,21 +301,15 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
         raise ValidationError(f"scenario name {repeated[0]!r} is repeated")
     for row in table3:  # run_reproduction reads each link, and _table3 each first-row model
         name, link = row["name"], row["scenario"]
-        if link and link not in names:
+        if link is not None and link not in names:
             raise ValidationError(f"comparison row {name!r} links {link!r}, which no scenario names")
         if missing := [m for m in table3[0]["models"] if m not in row["models"]]:
             raise ValidationError(f"comparison row {name!r} lacks the models {missing}")
-    comparison_rows = tuple(
-        {
-            "condition": row["name"],
-            "observed": row["observed"],
-            "models": {m: {"prediction": v[0], "fit": v[1]} for m, v in row["models"].items()},
-            "prediction": row["reported_prediction"],
-            "prediction_fit": row["reported_fit_error"],
-            "basis": "published",
-        }
-        for row in table3
-    )
+    # names key the records and the links, and the reports print them as text
+    for kind, named in (("scenario", rows), ("comparison row", table3)):
+        if odd := [row["name"] for row in named if not isinstance(row["name"], str)]:
+            raise ValidationError(f"{kind} name {odd[0]!r} is not a string")
+    comparison_rows = tuple(map(_comparison_row, table3))
     links = tuple(row["scenario"] for row in table3)
     return BuiltinDataset(
         scenarios=tuple(
@@ -323,7 +317,8 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
             for row in rows
         ),
         published=(
-            *(PublishedValue(f"{label} ({row['name']})", row["name"], field, row[key], tolerance)
+            *(PublishedValue(f"{label} ({row['name']})", row["name"], field,
+                             _number(f"scenario {row['name']!r}: {key}", row[key]), tolerance)
               for key, label, field, tolerance in _PUBLISHED_COLUMNS
               for row in rows
               if key in row),
@@ -334,8 +329,33 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
         ),
         comparison_rows=comparison_rows,
         links=links,
-        reported_average_fit_errors=dict(doc["reported_average_fit_errors"]),
+        reported_average_fit_errors={
+            model: _number(f"reported_average_fit_errors: {model}", value)
+            for model, value in doc["reported_average_fit_errors"].items()
+        },
     )
+
+
+def _comparison_row(row: dict) -> dict:
+    where = f"comparison row {row['name']!r}"
+    return {
+        "condition": row["name"],
+        "observed": _number(f"{where}: observed", row["observed"]),
+        "models": {m: {"prediction": _number(f"{where}: {m} prediction", v[0]),
+                       "fit": _number(f"{where}: {m} fit", v[1])}
+                   for m, v in row["models"].items()},
+        "prediction": _number(f"{where}: reported_prediction", row["reported_prediction"]),
+        "prediction_fit": _number(f"{where}: reported_fit_error", row["reported_fit_error"]),
+        "basis": "published",
+    }
+
+
+def _number(where: str, value: object) -> float:
+    """parse_number, its message prefixed with where the value sits in the file."""
+    try:
+        return parse_number(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 # --- reproduction -------------------------------------------------------------

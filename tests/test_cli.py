@@ -886,6 +886,37 @@ class TestReproduce:
             assert (code, out) == (1, "")
             assert err == f"error: {path}: scenario name 'Shafir and Tversky, 1992' is repeated\n"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc["comparison_rows"][0]["models"]["qpdt"].__setitem__(1, "x"),
+             "comparison row 'Li and Taplin, 2002 experiment 1': qpdt fit: "
+             "cannot parse number 'x'"),
+            (lambda doc: doc["scenarios"][4].update(reported_prediction=None),
+             "scenario 'Average': reported_prediction: expected a number, got None"),
+            (lambda doc: doc["scenarios"][0].update(name=["Shafir and Tversky, 1992"]),
+             "scenario name ['Shafir and Tversky, 1992'] is not a string"),
+            (lambda doc: doc["comparison_rows"][1].update(observed=None),
+             "comparison row 'Li and Taplin, 2002 experiment 2': observed: "
+             "expected a number, got None"),
+        ],
+        ids=["string fit", "null published prediction", "list name", "null observed"],
+    )
+    def test_a_malformed_published_value_names_the_packaged_file(
+        self, capsys, monkeypatch, tmp_path, change, message
+    ):
+        """Each once ended reproduce or compare in a TypeError traceback, or, for the
+        null observed rate, let reproduce exit 0."""
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        change(doc)
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        for argv in (["reproduce"], ["compare"], ["sweep"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}: {message}\n"
+
     def test_out_path_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"
         target.write_text("")

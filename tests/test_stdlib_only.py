@@ -146,6 +146,30 @@ def test_every_exported_name_is_its_modules_object():
     assert _probe(probe) == f"{sorted(name for names in EXPORTS.values() for name in names)}\n"
 
 
+def test_a_name_loads_only_the_module_that_defines_it():
+    """A library caller that reads no scenarios name never compiles scenarios, table or
+    csv; each name read is its module's object, and other modules' names stay unbound."""
+    probe = (
+        "import sys, qlbn\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('qlbn.') or m == 'csv')\n"
+        "assert qlbn.load_network is sys.modules['qlbn.bayesnet'].load_network\n"
+        "assert 'posterior' not in vars(qlbn) and 'Scenario' not in vars(qlbn)\n"
+        "print(loaded())\n"
+        "assert qlbn.posterior is sys.modules['qlbn.quantum'].posterior\n"
+        "assert 'Scenario' not in vars(qlbn)\n"
+        "print(loaded())\n"
+        "assert qlbn.Scenario is sys.modules['qlbn.scenarios'].Scenario\n"
+        "print(loaded())\n"
+    )
+    assert _probe(probe).splitlines() == [
+        "['qlbn.bayesnet', 'qlbn.belief', 'qlbn.errors']",
+        "['qlbn.bayesnet', 'qlbn.belief', 'qlbn.errors', 'qlbn.quantum']",
+        "['csv', 'qlbn.bayesnet', 'qlbn.belief', 'qlbn.errors', 'qlbn.heuristic', "
+        "'qlbn.quantum', 'qlbn.scenarios', 'qlbn.table']",
+    ]
+
+
 def test_an_unknown_name_raises_attribute_error_naming_it():
     """Both on the first lookup, which binds the exports, and on later ones."""
     probe = (

@@ -1,5 +1,6 @@
-"""Every user input file the commands read ends in a result or in one `error:` line:
-a mutated copy of each file under data/ never ends in a traceback."""
+"""Every input file the commands read ends in a result or in one `error:` line: a
+mutated copy of each file under data/, or of the packaged literature.json, never ends
+in a traceback."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -130,14 +132,38 @@ def test_mutated_user_files_end_in_a_result_or_one_error_line(docs):
             with open(path, "w") as f:
                 json.dump(docs[name], f)
             for run in runs:
-                argv = [path if arg == "{}" else arg for arg in run]
-                code, err = _run(argv)
-                assert code in (0, 1, 2), (argv, code, err)
-                if code:
-                    lines = err.splitlines()
-                    assert lines and lines[-1].startswith("error: "), (argv, err)
-                    assert sum(line.startswith("error:") for line in lines) == 1, (argv, err)
-                    assert "Traceback" not in err, (argv, err)
+                _assert_a_result_or_one_error_line([path if arg == "{}" else arg for arg in run])
+
+
+LITERATURE = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+# Each published table with a number written as 10**400, which once ended reproduce
+# and compare in an OverflowError traceback.
+LITERATURE_OVERFLOWING = copy.deepcopy(LITERATURE)
+LITERATURE_OVERFLOWING["comparison_rows"][0]["models"]["qpdt"][0] = 10**400
+LITERATURE_OVERFLOWING["reported_average_fit_errors"]["qpdt"] = 10**400
+
+
+@example(doc=LITERATURE_OVERFLOWING)
+@given(doc=_mutated(LITERATURE))
+def test_a_mutated_packaged_literature_file_ends_in_a_result_or_one_error_line(doc):
+    """reproduce also exits 3, with one error line, when a published value moved."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "literature.json"
+        path.write_text(json.dumps(doc))
+        with mock.patch("qlbn.scenarios._LITERATURE", path):
+            _assert_a_result_or_one_error_line(["reproduce"], codes=(0, 1, 2, 3))
+            _assert_a_result_or_one_error_line(["compare"])
+            _assert_a_result_or_one_error_line(["sweep", "--steps", "3"])
+
+
+def _assert_a_result_or_one_error_line(argv: list[str], codes=(0, 1, 2)) -> None:
+    code, err = _run(argv)
+    assert code in codes, (argv, code, err)
+    if code:
+        lines = err.splitlines()
+        assert lines and lines[-1].startswith("error: "), (argv, err)
+        assert sum(line.startswith("error:") for line in lines) == 1, (argv, err)
+        assert "Traceback" not in err, (argv, err)
 
 
 # Where each kind of file holds a number that parse_number reads, and its command.
