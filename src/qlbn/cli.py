@@ -218,7 +218,7 @@ def cmd_reproduce(args: argparse.Namespace) -> None:
     failures = [f"{g['label']}: expected {g['expected']} +- {g['tolerance']}, got {g['actual']!r}"
                 for g in result["goldens"] if not g["passed"]]
     if failures:
-        raise GoldenMismatchError(failures)
+        raise GoldenMismatchError("golden check failed: " + "; ".join(failures))
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:

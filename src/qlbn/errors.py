@@ -62,9 +62,6 @@ class GoldenMismatchError(QlbnError):
 
     exit_code = 3
 
-    def __init__(self, failures: list[str]):
-        super().__init__("golden check failed: " + "; ".join(failures))
-
 
 # --- input files --------------------------------------------------------------
 

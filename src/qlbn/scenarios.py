@@ -74,6 +74,8 @@ class Scenario(_ScenarioFields):
     # Takes the fields' own arguments, so their defaults are declared once.
     def __new__(cls, *args, **kwargs) -> Scenario:
         self = _ScenarioFields.__new__(cls, *args, **kwargs)
+        if not isinstance(self.name, str):  # the reports print it as text and key on it
+            raise ValidationError(f"scenario name {self.name!r} is not a string")
         numbers = [parse_number(getattr(self, label)) for label in _NUMBER_KEYS]
         for label, value in zip(_NUMBER_KEYS, numbers):
             if not 0.0 <= value <= 1.0:
@@ -291,8 +293,8 @@ def load_builtin() -> BuiltinDataset:
 
 
 def _builtin_from_json(doc: dict) -> BuiltinDataset:
-    # every scenario carries the file's payoff note
-    note = doc.get("payoff_note")
+    # a scenario row is a scenario-file row plus the published columns
+    note = doc.get("payoff_note")  # each scenario row's default
     rows, table3 = doc["scenarios"], doc["comparison_rows"]
     if not table3:
         raise ValidationError("comparison_rows is empty")
@@ -311,11 +313,12 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
             raise ValidationError(f"{kind} name {odd[0]!r} is not a string")
     comparison_rows = tuple(map(_comparison_row, table3))
     links = tuple(row["scenario"] for row in table3)
+    published = {key for key, *_ in _PUBLISHED_COLUMNS}
     return BuiltinDataset(
-        scenarios=tuple(
-            Scenario(**{key: row[key] for key in _REQUIRED_KEYS}, payoff_note=note)
+        scenarios=tuple(scenarios_from_json([
+            {"payoff_note": note, **{k: v for k, v in row.items() if k not in published}}
             for row in rows
-        ),
+        ])),
         published=(
             *(PublishedValue(f"{label} ({row['name']})", row["name"], field,
                              _number(f"scenario {row['name']!r}: {key}", row[key]), tolerance)

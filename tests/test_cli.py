@@ -917,6 +917,36 @@ class TestReproduce:
             assert (code, out) == (1, "")
             assert err == f"error: {path}: {message}\n"
 
+    def test_a_packaged_row_reads_as_a_scenario_file_row(self, capsys, monkeypatch, tmp_path):
+        """A row's own prior and note reach its record; both were once dropped, so the
+        first classical prediction stayed at the default prior's 0.905."""
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        doc["scenarios"][0].update(prior_defect=0.9, payoff_note="row note")
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        code, out, err = run_cli(capsys, "compare", "--format", "json")
+        assert (code, err) == (0, "")
+        first = json.loads(out)["records"][0]
+        assert first["classical"] == pytest.approx(0.9 * 0.97 + 0.1 * 0.84)
+        assert [s.payoff_note for s in load_builtin().scenarios] == [
+            "row note", *[doc["payoff_note"]] * 4
+        ]
+
+    def test_an_unknown_key_in_a_packaged_row_names_the_packaged_file(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A user scenario file refuses an unknown key; a packaged row once ignored it."""
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        doc["scenarios"][0]["bogus"] = 1
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        for argv in (["reproduce"], ["compare"], ["sweep"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}: scenario 0: missing keys [], unknown keys ['bogus']\n"
+
     def test_out_path_is_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"
         target.write_text("")

@@ -162,14 +162,20 @@ class TestScenarioToNetwork:
             AVERAGE._replace(**{field: value})
 
     @pytest.mark.parametrize(
-        "value, message",
-        [(True, "expected a number, got True"), ("abc", "cannot parse number 'abc'"),
-         (1.5, "'Average': p_defect_given_cooperate = 1.5 is outside")],
-        ids=["bool", "bad decimal", "out of range"],
+        "field, value, message",
+        [("p_defect_given_cooperate", True, "expected a number, got True"),
+         ("p_defect_given_cooperate", "abc", "cannot parse number 'abc'"),
+         ("p_defect_given_cooperate", 1.5, "'Average': p_defect_given_cooperate = 1.5 is outside"),
+         # a name that is not a string once printed as a number, or as "-" for None
+         ("name", 5, "^scenario name 5 is not a string$"),
+         ("name", None, "^scenario name None is not a string$")],
+        ids=["bool", "bad decimal", "out of range", "int name", "None name"],
     )
-    def test_refuses_a_bad_copy_made_by_replace(self, value: object, message: str):
+    def test_refuses_a_bad_copy_made_by_replace(self, field: str, value: object, message: str):
         with pytest.raises(ValidationError, match=message):
-            AVERAGE._replace(p_defect_given_cooperate=value)
+            AVERAGE._replace(**{field: value})
+        with pytest.raises(ValidationError, match=message):
+            Scenario(**{**AVERAGE._asdict(), field: value})
 
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan], ids=str)
     def test_checks_a_copy_made_by_replace(self, value: float):
@@ -491,6 +497,8 @@ class TestScenarioFiles:
         root = Path(__file__).resolve().parent.parent
         rows = load_scenarios(root / "data" / "scenarios" / "literature_games.json")
         assert [s.name for s in rows] == list(FROZEN_PIPELINE)
+        # the sample file and the packaged rows are one dataset, notes included
+        assert tuple(rows) == load_builtin().scenarios
 
     def test_rejects_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown keys \\['bias'\\]"):
