@@ -186,5 +186,6 @@ def deng_entropy(bba: BeliefAssignment) -> float:
     total = 0.0
     for subset, mass in bba.masses.items():
         if mass > 0.0:
-            total -= mass * math.log2(mass / (2 ** len(subset) - 1))
+            # log2 reads the integer 2^|A| - 1 whole; as a float it overflows from |A| = 1024
+            total -= mass * (math.log2(mass) - math.log2(2 ** len(subset) - 1))
     return total

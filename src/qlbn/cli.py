@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 # Each command imports the modules it runs, so no command compiles the others.
 from .errors import (
@@ -118,6 +119,14 @@ def _parse_degree(spec: str) -> float | None:
     )
 
 
+def _emit(doc: dict, fmt: str, text: Callable[[], str], csv: Callable[[], str]) -> None:
+    """Print doc whole as JSON, or the text table or CSV of its rows, run only if chosen."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    else:
+        print({"table": text, "csv": csv}[fmt](), end="")
+
+
 def cmd_entropy(args: argparse.Namespace) -> None:
     from .belief import bba_from_json, deng_entropy, shannon_entropy
 
@@ -169,50 +178,46 @@ def cmd_infer(args: argparse.Namespace) -> None:
             print(f"normalizer={result.normalizer:.5f}", file=trace)
         doc = result.to_dict()
         rows = doc["outcomes"]
-    # The table and the CSV project the rows of the document that JSON prints whole.
-    if args.format == "table":
+
+    def table() -> str:
         width = max(len(row["outcome"]) for row in rows)
-        for row in rows:
-            print(f"{row['outcome'].ljust(width)}  {row['probability']:.5f}")
-    elif args.format == "csv":
+        return "".join(f"{row['outcome'].ljust(width)}  {row['probability']:.5f}\n" for row in rows)
+
+    def csv() -> str:
         from .table import Table, render_csv
 
         columns = tuple((key, key) for key in rows[0])
-        print(render_csv(Table(columns, tuple(tuple(row.values()) for row in rows))), end="")
-    else:
-        print(json.dumps(doc, indent=2))
+        return render_csv(Table(columns, tuple(tuple(row.values()) for row in rows)))
 
-
-def _emit_report(report: dict, fmt: str) -> None:
-    from .scenarios import render_report_csv, render_report_table
-
-    if fmt == "table":
-        print(render_report_table(report))
-    elif fmt == "csv":
-        print(render_report_csv(report), end="")
-    else:
-        print(json.dumps(report, indent=2))
+    _emit(doc, args.format, table, csv)
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
-    from .scenarios import load_scenarios, run_comparison
+    from .scenarios import load_scenarios, render_report_csv, render_report_table, run_comparison
 
-    _emit_report(run_comparison(load_scenarios(args.scenario)), args.format)
+    report = run_comparison(load_scenarios(args.scenario))
+    _emit(report, args.format, lambda: render_report_table(report) + "\n",
+          lambda: render_report_csv(report))
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
-    from .scenarios import load_builtin, load_scenarios, run_comparison
+    from .scenarios import (load_builtin, load_scenarios, render_report_csv,
+                            render_report_table, run_comparison)
 
     data = load_builtin()
     scenarios = load_scenarios(args.scenario) if args.scenario else data.scenarios
-    _emit_report(run_comparison(scenarios, data.literature()), args.format)
+    report = run_comparison(scenarios, data.literature())
+    _emit(report, args.format, lambda: render_report_table(report) + "\n",
+          lambda: render_report_csv(report))
 
 
 def cmd_reproduce(args: argparse.Namespace) -> None:
-    from .scenarios import render_reproduction, run_reproduction, write_reproduction
+    from .scenarios import (render_report_csv, render_reproduction, render_table3_csv,
+                            run_reproduction, write_reproduction)
 
     result = run_reproduction()
-    print(render_reproduction(result, args.format), end="")
+    _emit(result, args.format, lambda: render_reproduction(result),
+          lambda: render_report_csv(result["comparison"]) + "\n" + render_table3_csv(result))
     if args.out:
         write_reproduction(result, args.out)
     failures = [f"{g['label']}: expected {g['expected']} +- {g['tolerance']}, got {g['actual']!r}"

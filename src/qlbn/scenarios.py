@@ -15,7 +15,6 @@ recomputed.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -85,6 +84,8 @@ class Scenario(_ScenarioFields):
                 f"{self.name!r}: observed_unknown = {numbers[2]!r} leaves the relative fit "
                 "errors undefined"
             )
+        if not isinstance(self.payoff_note, (str, type(None))):
+            raise ValidationError(f"{self.name!r}: payoff_note {self.payoff_note!r} is not a string")
         return _ScenarioFields.__new__(cls, self.name, *numbers, self.payoff_note)
 
 
@@ -458,29 +459,24 @@ def render_table3_csv(result: dict) -> str:
 def render_observed_vs_predicted_csv(report: dict) -> str:
     """Bar-chart-shaped series: one row per scenario, observed next to both models."""
     keys = ("scenario", "observed", "classical", "quantum")
-    return render_csv(_report_table(report).select({k: k for k in keys}))
+    rows = tuple(tuple(record[key] for key in keys) for record in report["records"])
+    return render_csv(Table(tuple((key, key) for key in keys), rows))
 
 
 def render_model_comparison_csv(result: dict) -> str:
     """Bar-chart-shaped series over the comparison rows, all models side by side."""
     rows = result["published_models"]
-    return render_csv(_table3(rows).select({
-        "condition": "condition",
-        "observed": "observed",
-        **{f"{m}_prediction": m for m in rows[0]["models"]},
-        "prediction": "belief_degree",
-    }))
+    models = list(rows[0]["models"])
+    keys = ("condition", "observed", *models, "belief_degree")
+    cells = tuple((row["condition"], row["observed"],
+                   *(row["models"][m]["prediction"] for m in models), row["prediction"])
+                  for row in rows)
+    return render_csv(Table(tuple((key, key) for key in keys), cells))
 
 
-def render_reproduction(result: dict, fmt: str) -> str:
-    """The run_reproduction document as `qlbn reproduce` prints it: table, csv or json.
-
-    The table form is also the text of report.txt.
-    """
-    if fmt == "json":
-        return json.dumps(result, indent=2) + "\n"
-    if fmt == "csv":
-        return render_report_csv(result["comparison"]) + "\n" + render_table3_csv(result)
+def render_reproduction(result: dict) -> str:
+    """The run_reproduction document as `qlbn reproduce` prints it in text, which is
+    also the text of report.txt."""
     golden_lines = "".join(
         f"{'PASS' if g['passed'] else 'FAIL'}  {g['label']}: expected {g['expected']} "
         f"+- {g['tolerance']}, got {g['actual']:.6f}\n"
@@ -501,7 +497,7 @@ def write_reproduction(result: dict, out: str | Path) -> None:
         "table3.csv": render_table3_csv(result),
         "observed_vs_predicted.csv": render_observed_vs_predicted_csv(result["comparison"]),
         "model_comparison.csv": render_model_comparison_csv(result),
-        "report.txt": render_reproduction(result, "table"),
+        "report.txt": render_reproduction(result),
     }
     out = Path(out)
     try:

@@ -22,15 +22,6 @@ class Table(NamedTuple):
     rows: tuple[tuple[Cell, ...], ...]
     mean: Mapping[str, Cell] | None = None
 
-    def select(self, keys: Mapping[str, str]) -> Table:
-        """The columns named by keys, renamed to keys' values, without the mean row."""
-        index = {key: i for i, (key, _) in enumerate(self.columns)}
-        picks = [index[key] for key in keys]
-        return Table(
-            tuple((name, name) for name in keys.values()),
-            tuple(tuple(row[i] for i in picks) for row in self.rows),
-        )
-
     def body(self, mean_label: str) -> list[list[Cell]]:
         """The rows, then the mean row led by mean_label if there is one."""
         rows = [list(row) for row in self.rows]

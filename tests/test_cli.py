@@ -69,6 +69,14 @@ class TestEntropy:
             assert code == 0
             assert out == "deng=1.58496\n"
 
+    def test_a_focal_set_past_the_float_range(self, capsys, tmp_path):
+        """2^1100 - 1 has no float; dividing the mass by it once ended in an OverflowError
+        traceback."""
+        labels = [f"x{i}" for i in range(1100)]
+        path = tmp_path / "bba.json"
+        path.write_text(json.dumps({"frame": labels, "masses": {",".join(labels): 1}}))
+        assert run_cli(capsys, "entropy", "--bba", str(path)) == (0, "deng=1100.00000\n", "")
+
     def test_bad_mass_total(self, capsys, tmp_path):
         path = tmp_path / "bba.json"
         path.write_text(json.dumps({"frame": ["a"], "masses": {"a": 0.4}}))
@@ -697,8 +705,11 @@ class TestPredictAndCompare:
             ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
              ' "observed_unknown": 0}]',
              "scenario 0: 'X': observed_unknown = 0.0 leaves the relative fit errors undefined"),
+            ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
+             ' "observed_unknown": 0.5, "payoff_note": 5}]',
+             "scenario 0: 'X': payoff_note 5 is not a string"),
         ],
-        ids=["nan observed", "row not an object", "bad decimal", "zero observed"],
+        ids=["nan observed", "row not an object", "bad decimal", "zero observed", "int note"],
     )
     def test_predict_rejected_files(self, capsys, tmp_path, content, message):
         path = tmp_path / "scenarios.json"
@@ -899,8 +910,13 @@ class TestReproduce:
             (lambda doc: doc["comparison_rows"][1].update(observed=None),
              "comparison row 'Li and Taplin, 2002 experiment 2': observed: "
              "expected a number, got None"),
+            (lambda doc: doc["scenarios"][1].update(payoff_note=5),
+             "scenario 1: 'Li and Taplin, 2002': payoff_note 5 is not a string"),
+            (lambda doc: doc.update(payoff_note=[]),
+             "scenario 0: 'Shafir and Tversky, 1992': payoff_note [] is not a string"),
         ],
-        ids=["string fit", "null published prediction", "list name", "null observed"],
+        ids=["string fit", "null published prediction", "list name", "null observed",
+             "int row note", "list file note"],
     )
     def test_a_malformed_published_value_names_the_packaged_file(
         self, capsys, monkeypatch, tmp_path, change, message
@@ -975,6 +991,28 @@ class TestJsonIsTheDocument:
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "")
         assert out == json.dumps(document(), indent=2) + "\n"
+
+
+def _refuse_constant(name: str) -> None:
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", "--network", SERVERS_NET, "--query", "S2"],
+        ["infer", "--network", GAME_NET, "--query", "P2", "--mode", "quantum", "--verbose"],
+        ["predict", "--scenario", SCENARIOS],
+        ["compare"],
+        ["reproduce"],
+    ],
+    ids=["infer classical", "infer quantum verbose", "predict", "compare", "reproduce"],
+)
+def test_json_output_is_strict_json(capsys, argv):
+    """RFC 8259 has no NaN or Infinity, which json.dumps prints for such floats."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert isinstance(json.loads(out, parse_constant=_refuse_constant), dict)
 
 
 class TestModuleInvocation:

@@ -168,8 +168,12 @@ class TestScenarioToNetwork:
          ("p_defect_given_cooperate", 1.5, "'Average': p_defect_given_cooperate = 1.5 is outside"),
          # a name that is not a string once printed as a number, or as "-" for None
          ("name", 5, "^scenario name 5 is not a string$"),
-         ("name", None, "^scenario name None is not a string$")],
-        ids=["bool", "bad decimal", "out of range", "int name", "None name"],
+         ("name", None, "^scenario name None is not a string$"),
+         # no command reads the note, so nothing else would refuse it
+         ("payoff_note", 5, r"^'Average': payoff_note 5 is not a string$"),
+         ("payoff_note", {}, r"^'Average': payoff_note \{\} is not a string$")],
+        ids=["bool", "bad decimal", "out of range", "int name", "None name", "int note",
+             "dict note"],
     )
     def test_refuses_a_bad_copy_made_by_replace(self, field: str, value: object, message: str):
         with pytest.raises(ValidationError, match=message):
@@ -513,6 +517,14 @@ class TestScenarioFiles:
                     }
                 ]
             )
+
+    def test_rejects_a_note_that_is_not_a_string(self, tmp_path: Path):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps([{**AVERAGE._asdict(), "payoff_note": ["T > R"]}]))
+        with pytest.raises(ValidationError, match=(
+            r"scenario 0: 'Average': payoff_note \['T > R'\] is not a string$"
+        )):
+            load_scenarios(path)
 
     def test_rejects_missing_key(self):
         with pytest.raises(ValidationError, match="missing keys"):
