@@ -51,12 +51,12 @@ def weighable_magnitudes(anet: AmplitudeNetwork, query: str, evidence: Assignmen
 
 
 def extract_outcome_vectors(
-    anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
+    anet: AmplitudeNetwork, query: str, evidence: Assignment
 ) -> dict[str, list[float]]:
     """Each query outcome's vector [alpha, beta], in declared order: its two amplitude
     products, with the unobserved variable in its first and second state. {} with
     nothing unobserved; more than one unobserved raises UnsupportedStructureError."""
-    magnitudes = weighable_magnitudes(anet, query, evidence or {})
+    magnitudes = weighable_magnitudes(anet, query, evidence)
     return {outcome: mags for outcome, mags in magnitudes.items() if len(mags) == 2}
 
 
@@ -137,8 +137,6 @@ def pair_degree(query: str, magnitudes: Mapping[str, Sequence[float]]) -> Belief
     return belief_degree([belief_distance(*mags) for mags in magnitudes.values()])
 
 
-def degree_for_query(
-    anet: AmplitudeNetwork, query: str, evidence: Assignment | None = None
-) -> BeliefDegree:
+def degree_for_query(anet: AmplitudeNetwork, query: str, evidence: Assignment) -> BeliefDegree:
     """The full chain: amplitude products -> distances -> degree, shared by all outcomes."""
-    return pair_degree(query, weighable_magnitudes(anet, query, evidence or {}))
+    return pair_degree(query, weighable_magnitudes(anet, query, evidence))

@@ -16,6 +16,7 @@ recomputed.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -79,7 +80,7 @@ class Scenario(_ScenarioFields):
         for label, value in zip(_NUMBER_KEYS, numbers):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{self.name!r}: {label} = {value!r} is outside [0, 1]")
-        if not numbers[2]:  # observed_unknown, which both fit errors divide by
+        if numbers[2] < sys.float_info.min:  # both fits divide by it; below this they overflow
             raise ValidationError(
                 f"{self.name!r}: observed_unknown = {numbers[2]!r} leaves the relative fit "
                 "errors undefined"
@@ -117,8 +118,9 @@ def scenario_to_network(scenario: Scenario) -> Network:
 
 
 def fit_error(predicted: float, observed: float) -> float:
-    """Relative error |predicted - observed| / observed; observed must be in (0, 1]."""
-    if not 0.0 < observed <= 1.0:
+    """Relative error |predicted - observed| / observed; observed must lie between the
+    smallest normal float and 1, so the error stays finite."""
+    if not sys.float_info.min <= observed <= 1.0:
         raise ValidationError(f"relative fit error undefined for observed {observed!r}")
     return abs(predicted - observed) / observed
 
@@ -126,7 +128,6 @@ def fit_error(predicted: float, observed: float) -> float:
 class PredictionRecord(NamedTuple):
     """Everything one scenario produced."""
 
-    scenario: Scenario
     classical_prediction: float
     quantum_prediction: float
     degree: BeliefDegree
@@ -142,7 +143,6 @@ def predict_unknown(scenario: Scenario) -> PredictionRecord:
     degree = pair_degree(PLAYER_TWO, magnitudes)
     quantum = posterior(PLAYER_TWO, magnitudes, degree.value).probability(DEFECT)
     return PredictionRecord(
-        scenario=scenario,
         classical_prediction=classical,
         quantum_prediction=quantum,
         degree=degree,
@@ -171,7 +171,10 @@ def sweep(scenario: Scenario, degrees: Sequence[float]) -> Table:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:  # finite values whose sum passes the largest float
+        return math.fsum([v / len(values) for v in values])
 
 
 def run_comparison(
@@ -271,13 +274,12 @@ class BuiltinDataset(NamedTuple):
     """The bundled published tables, parsed once by load_builtin: published lists
     what run_reproduction checks, in order; comparison_rows are table 3's printed
     rows, each model a {"prediction", "fit"} cell, and links[i] names the scenario
-    that recomputes row i, or is None; the mean fit errors are keyed by model."""
+    that recomputes row i, or is None."""
 
     scenarios: tuple[Scenario, ...]
     published: tuple[PublishedValue, ...]
     comparison_rows: tuple[dict, ...]
     links: tuple[str | None, ...]
-    reported_average_fit_errors: dict[str, float]
 
     def literature(self) -> dict[str, dict[str, dict[str, float]]]:
         """Scenario name -> published model cells, over the linked comparison rows."""
@@ -333,10 +335,6 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
         ),
         comparison_rows=comparison_rows,
         links=links,
-        reported_average_fit_errors={
-            model: _number(f"reported_average_fit_errors: {model}", value)
-            for model, value in doc["reported_average_fit_errors"].items()
-        },
     )
 
 

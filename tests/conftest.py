@@ -284,6 +284,12 @@ def uniform_chain_doc(names: list[str]) -> dict:
     return doc
 
 
+def refuse_json_constant(name: str) -> None:
+    """A json.loads parse_constant: RFC 8259 has no NaN or Infinity, which json.dumps
+    prints for such floats."""
+    raise AssertionError(f"{name} is not JSON")
+
+
 def src_env() -> dict[str, str]:
     """This process's environment with the checkout's src/ first on PYTHONPATH, so
     a subprocess imports the qlbn under test."""

@@ -86,7 +86,7 @@ def test_criterion_1_interference_chain_hits_published_values():
     net = scenario_to_network(AVERAGE)
     anet = amplitudes_from_network(net)
 
-    vectors = extract_outcome_vectors(anet, "P2")
+    vectors = extract_outcome_vectors(anet, "P2", {})
     for outcome, (alpha, beta) in {
         "Defect": (0.6083, 0.6595),
         "Cooperate": (0.3606, 0.2550),

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import runpy
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CLAMPING_DOC, chain_doc, src_env, uniform_chain_doc
+from conftest import CLAMPING_DOC, chain_doc, refuse_json_constant, src_env, uniform_chain_doc
 from qlbn import cli
 from qlbn.cli import main
 from qlbn.scenarios import load_builtin, load_scenarios, run_comparison, run_reproduction
@@ -276,16 +277,12 @@ class TestInferQuantum:
         Infinity: the normalizer is null and the probabilities still normalize."""
         path = tmp_path / "net.json"
         path.write_text(json.dumps(OVERFLOWING_DOC))
-
-        def refused(constant: str):
-            raise AssertionError(f"{constant} is not JSON")
-
         code, out, _ = run_cli(
             capsys, "infer", "--network", str(path), "--query", "A", "--evidence", "B=T",
             "--mode", "quantum", "--format", "json",
         )
         assert code == 0
-        payload = json.loads(out, parse_constant=refused)
+        payload = json.loads(out, parse_constant=refuse_json_constant)
         assert payload["normalizer"] is None
         assert [om["probability"] for om in payload["outcomes"]] == [0.5, 0.5]
 
@@ -706,10 +703,15 @@ class TestPredictAndCompare:
              ' "observed_unknown": 0}]',
              "scenario 0: 'X': observed_unknown = 0.0 leaves the relative fit errors undefined"),
             ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
+             ' "observed_unknown": 1e-320}]',
+             "scenario 0: 'X': observed_unknown = 1e-320 leaves the relative fit errors "
+             "undefined"),
+            ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
              ' "observed_unknown": 0.5, "payoff_note": 5}]',
              "scenario 0: 'X': payoff_note 5 is not a string"),
         ],
-        ids=["nan observed", "row not an object", "bad decimal", "zero observed", "int note"],
+        ids=["nan observed", "row not an object", "bad decimal", "zero observed",
+             "subnormal observed", "int note"],
     )
     def test_predict_rejected_files(self, capsys, tmp_path, content, message):
         path = tmp_path / "scenarios.json"
@@ -993,10 +995,6 @@ class TestJsonIsTheDocument:
         assert out == json.dumps(document(), indent=2) + "\n"
 
 
-def _refuse_constant(name: str) -> None:
-    raise ValueError(f"{name} is not JSON")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1012,7 +1010,25 @@ def test_json_output_is_strict_json(capsys, argv):
     """RFC 8259 has no NaN or Infinity, which json.dumps prints for such floats."""
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
-    assert isinstance(json.loads(out, parse_constant=_refuse_constant), dict)
+    assert isinstance(json.loads(out, parse_constant=refuse_json_constant), dict)
+
+
+@pytest.mark.parametrize("command", ["predict", "compare"])
+def test_fit_errors_whose_sum_passes_the_largest_float_have_a_finite_mean(
+    capsys, tmp_path, command
+):
+    """Each fit is about 4.3e307, finite, and five of them sum past the largest float,
+    which once ended both commands in an OverflowError traceback."""
+    row = {"p_defect_given_defect": 0.99, "p_defect_given_cooperate": 0.99,
+           "observed_unknown": 2.3e-308}
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps([{"name": f"row {i}", **row} for i in range(5)]))
+    code, out, err = run_cli(capsys, command, "--scenario", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=refuse_json_constant)
+    fits = [record["fit_quantum"] for record in report["records"]]
+    assert math.fsum(fit / 5 for fit in fits) == report["mean_fit_quantum"]
+    assert 4e307 < report["mean_fit_classical"] < sys.float_info.max
 
 
 class TestModuleInvocation:

@@ -69,7 +69,7 @@ def _three_coins() -> AmplitudeNetwork:
 class TestExtractOutcomeVectors:
     def test_game_pairs(self, game_amps: AmplitudeNetwork):
         """alpha tracks the unobserved player's first declared outcome, Cooperate."""
-        vectors = extract_outcome_vectors(game_amps, "P2")
+        vectors = extract_outcome_vectors(game_amps, "P2", {})
         assert list(vectors) == ["Defect", "Cooperate"]
         (d_alpha, d_beta), (c_alpha, c_beta) = vectors.values()
         assert d_alpha == pytest.approx(0.6082762530298219, abs=1e-12)
@@ -78,7 +78,7 @@ class TestExtractOutcomeVectors:
         assert c_beta == pytest.approx(0.25495097567963926, abs=1e-12)
 
     def test_game_pairs_match_published_rounding(self, game_amps: AmplitudeNetwork):
-        vectors = extract_outcome_vectors(game_amps, "P2")
+        vectors = extract_outcome_vectors(game_amps, "P2", {})
         assert vectors["Defect"] == pytest.approx([0.6083, 0.6595], abs=1e-4)
         assert vectors["Cooperate"] == pytest.approx([0.3606, 0.2550], abs=1e-4)
 
@@ -86,12 +86,12 @@ class TestExtractOutcomeVectors:
         self, game_amps: AmplitudeNetwork
     ):
         """The same lists, in the same order, that pair_degree and posterior read."""
-        assert extract_outcome_vectors(game_amps, "P2") == completion_magnitudes(
+        assert extract_outcome_vectors(game_amps, "P2", {}) == completion_magnitudes(
             game_amps, "P2", {}
         )
 
     def test_uniform_chain_pairs(self):
-        vectors = extract_outcome_vectors(_uniform_chain(), "Y")
+        vectors = extract_outcome_vectors(_uniform_chain(), "Y", {})
         assert list(vectors) == ["T", "F"]
         for pair in vectors.values():
             assert pair == pytest.approx([0.5, 0.5], abs=1e-15)
@@ -99,7 +99,7 @@ class TestExtractOutcomeVectors:
     def test_evidence_narrows_to_one_unobserved(self):
         anet = _three_coins()
         with pytest.raises(UnsupportedStructureError, match="2 unobserved"):
-            extract_outcome_vectors(anet, "A")
+            extract_outcome_vectors(anet, "A", {})
         vectors = extract_outcome_vectors(anet, "A", {"C": "T"})
         assert list(vectors) == ["T", "F"]
 
@@ -126,7 +126,7 @@ class TestChecksComeFirst:
         names = [f"X{i}" for i in range(40)]
         anet = amplitudes_from_network(network_from_dict(chain_doc(names)))
         with pytest.raises(UnsupportedStructureError, match="39 unobserved"):
-            entry(anet, "X0")
+            entry(anet, "X0", {})
         evidence = {name: "T" for name in names[2:-1]}
         two = r"2 unobserved variables \['X1', 'X39'\]"
         with pytest.raises(UnsupportedStructureError, match=two):
@@ -312,17 +312,17 @@ class TestPairDegree:
 
 class TestDegreeForQuery:
     def test_game_degree(self, game_amps: AmplitudeNetwork):
-        degree = degree_for_query(game_amps, "P2")
+        degree = degree_for_query(game_amps, "P2", {})
         assert degree.value == pytest.approx(-0.942098356106975, abs=1e-12)
         assert degree.value == pytest.approx(-0.9420, abs=5e-4)
         assert not degree.clamped
 
     def test_uniform_chain_degree(self):
-        assert degree_for_query(_uniform_chain(), "Y").value == -1.0
+        assert degree_for_query(_uniform_chain(), "Y", {}).value == -1.0
 
     def test_servers_with_evidenceless_chain(self):
         anet = amplitudes_from_network(network_from_dict(SERVERS_DOC))
-        degree = degree_for_query(anet, "S2")
+        degree = degree_for_query(anet, "S2", {})
         assert -1.0 <= degree.value <= 1.0
 
     def test_zero_unobserved_gives_degree_zero(self, game_amps: AmplitudeNetwork):
@@ -330,5 +330,5 @@ class TestDegreeForQuery:
 
     def test_checks_query_and_evidence_once(self, unobserved_checks):
         net = load_network(ROOT / "data" / "networks" / "prisoners_average.json")
-        degree_for_query(amplitudes_from_network(net), "P2")
+        degree_for_query(amplitudes_from_network(net), "P2", {})
         assert unobserved_checks == ["P2"]

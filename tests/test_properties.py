@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,8 +51,9 @@ def test_every_scenario_ends_in_predictions_or_a_named_cause(
     try:
         scenario = Scenario("square", defect, cooperate, observed, prior_defect=prior)
     except ValidationError as exc:
-        # The one part of the square that is no scenario: fit errors are relative to observed.
-        assert observed == 0.0, exc
+        # The one part of the square that is no scenario: fit errors are relative to
+        # observed, and below the smallest normal float they would overflow.
+        assert observed < sys.float_info.min, exc
         return
 
     def predictions() -> list[float]:

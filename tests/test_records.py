@@ -32,7 +32,7 @@ def _records() -> dict[str, object]:
         "Network": net,
         "BeliefAssignment": BeliefAssignment(("a", "b"), {("a",): 0.5, ("a", "b"): 0.5}),
         "DiscreteDistribution": infer(net, "S2", {}),
-        "BeliefDegree": degree_for_query(anet, "S2"),
+        "BeliefDegree": degree_for_query(anet, "S2", {}),
         "AmplitudeNetwork": anet,
         "OutcomeMass": result.outcomes[0],
         "QuantumInferenceResult": result,

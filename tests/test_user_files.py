@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import ROOT, src_env
+from conftest import ROOT, refuse_json_constant, src_env
 from qlbn.cli import main
 
 DATA = ROOT / "data"
@@ -34,7 +34,8 @@ _INFER = [
     for verbose in ([], ["--verbose"])
 ]
 _SCENARIO_RUNS = [["predict", "--scenario", "{}"], ["compare", "--scenario", "{}"],
-                  ["sweep", "--scenario", "{}", "--steps", "3"]]
+                  ["sweep", "--scenario", "{}", "--steps", "3"],
+                  ["predict", "--scenario", "{}", "--format", "json"]]
 USER_FILES = {
     "networks/prisoners_average.json":
         [["infer", "--network", "{}", "--query", "P2", *run] for run in _INFER],
@@ -46,10 +47,10 @@ USER_FILES = {
 }
 
 # Replacement values: every JSON type, strings that are and are not numbers, and the
-# numbers at the edges of the float range. NaN and infinity are written as the
-# NaN and Infinity tokens that Python's json module reads.
+# numbers at the edges of the float range, subnormals included. NaN and infinity are
+# written as the NaN and Infinity tokens that Python's json module reads.
 POOL = [None, True, False, "", "x", "0.5", [], {}, 0, -0.0, 1e308, math.nan, math.inf,
-        10**400]
+        10**400, 1e-320, 5e-324]
 
 
 def test_every_data_file_has_its_runs():
@@ -108,12 +109,12 @@ def _mutated(draw: st.DrawFn, doc):
     return doc
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    """cli.main's exit code and stderr; stdout is dropped."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 ORIGINALS = {name: json.loads((DATA / name).read_text()) for name in USER_FILES}
@@ -121,9 +122,14 @@ ORIGINALS = {name: json.loads((DATA / name).read_text()) for name in USER_FILES}
 # compare and sweep in an OverflowError traceback.
 OVERFLOWING = copy.deepcopy(ORIGINALS)
 OVERFLOWING["scenarios/literature_games.json"][0]["observed_unknown"] = 10**400
+# The data files with one observed rate written as the subnormal 1e-320, which once made
+# predict print relative fit errors of Infinity, which is not JSON.
+SUBNORMAL = copy.deepcopy(ORIGINALS)
+SUBNORMAL["scenarios/literature_games.json"][0]["observed_unknown"] = 1e-320
 
 
 @example(docs=OVERFLOWING)
+@example(docs=SUBNORMAL)
 @given(docs=st.fixed_dictionaries({name: _mutated(doc) for name, doc in ORIGINALS.items()}))
 def test_mutated_user_files_end_in_a_result_or_one_error_line(docs):
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,8 +163,12 @@ def test_a_mutated_packaged_literature_file_ends_in_a_result_or_one_error_line(d
 
 
 def _assert_a_result_or_one_error_line(argv: list[str], codes=(0, 1, 2)) -> None:
-    code, err = _run(argv)
+    """A run in --format json that exits 0 also prints strict JSON, with no NaN or
+    Infinity."""
+    code, out, err = _run(argv)
     assert code in codes, (argv, code, err)
+    if not code and "json" in argv:
+        json.loads(out, parse_constant=refuse_json_constant)
     if code:
         lines = err.splitlines()
         assert lines and lines[-1].startswith("error: "), (argv, err)
