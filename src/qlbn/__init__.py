@@ -3,8 +3,8 @@
 Importing the package loads none of its modules, so each command compiles only
 the ones it runs. The first lookup of a public name below loads only the module
 that defines it and binds that module's names as plain attributes, so later
-reads cost what any module global costs. The first lookup of any other name
-binds them all, so it and later lookups raise the usual AttributeError.
+reads cost what any module global costs. Any other name, a submodule's too,
+raises the usual AttributeError and loads nothing.
 """
 
 _EXPORTS = {
@@ -35,14 +35,13 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     from importlib import import_module
 
-    namespace = globals()
-    found = [module for module, names in _EXPORTS.items() if name in names]
-    for module in found or _EXPORTS:
-        source = import_module(f"{__name__}.{module}")
-        namespace.update({attr: getattr(source, attr) for attr in _EXPORTS[module]})
-    if not found:
-        namespace.pop("__getattr__", None)
-    return getattr(import_module(__name__), name)
+    for module, names in _EXPORTS.items():
+        if name in names:
+            source = import_module(f"{__name__}.{module}")
+            globals().update({attr: getattr(source, attr) for attr in names})
+            return globals()[name]
+    # An empty module of the same name words the error as Python does for any module.
+    return getattr(import_module("types").ModuleType(__name__), name)
 
 
 def __dir__() -> list[str]:

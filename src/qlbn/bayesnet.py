@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .belief import MASS_SUM_TOL, DiscreteDistribution
@@ -386,6 +386,6 @@ def _row_mismatch(name: str, parent_names: tuple, combos: set, rows) -> Validati
     )
 
 
-def load_network(path: str | Path) -> Network:
+def load_network(path: str | os.PathLike[str]) -> Network:
     """Read a network definition file; malformed content raises ValidationError."""
     return read_json(path, network_from_dict)

@@ -192,23 +192,27 @@ def cmd_infer(args: argparse.Namespace) -> None:
     _emit(doc, args.format, table, csv)
 
 
-def cmd_predict(args: argparse.Namespace) -> None:
-    from .scenarios import load_scenarios, render_report_csv, render_report_table, run_comparison
+def _print_report(report: dict, fmt: str) -> None:
+    """Print a run_comparison document, then fail naming each scenario it could not predict."""
+    from .scenarios import check_predicted, render_report_csv, render_report_table
 
-    report = run_comparison(load_scenarios(args.scenario))
-    _emit(report, args.format, lambda: render_report_table(report) + "\n",
+    _emit(report, fmt, lambda: render_report_table(report) + "\n",
           lambda: render_report_csv(report))
+    check_predicted(report)
+
+
+def cmd_predict(args: argparse.Namespace) -> None:
+    from .scenarios import load_scenarios, run_comparison
+
+    _print_report(run_comparison(load_scenarios(args.scenario)), args.format)
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
-    from .scenarios import (load_builtin, load_scenarios, render_report_csv,
-                            render_report_table, run_comparison)
+    from .scenarios import load_builtin, load_scenarios, run_comparison
 
     data = load_builtin()
     scenarios = load_scenarios(args.scenario) if args.scenario else data.scenarios
-    report = run_comparison(scenarios, data.literature())
-    _emit(report, args.format, lambda: render_report_table(report) + "\n",
-          lambda: render_report_csv(report))
+    _print_report(run_comparison(scenarios, data.literature()), args.format)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 from typing import Callable, TypeVar
 
 _T = TypeVar("_T")
@@ -95,7 +94,7 @@ def parse_number(value: object) -> float:
         raise ValidationError(f"number {value!r} is too large for a float") from None
 
 
-def read_json(path: str | Path, parse: Callable[[object], _T]) -> _T:
+def read_json(path: str | os.PathLike[str], parse: Callable[[object], _T]) -> _T:
     """Read the JSON file at path and build a value from it with parse.
 
     Every way the file can fail raises ValidationError with a message that names the

@@ -154,6 +154,20 @@ def quantum_infer(
     return posterior(query, completion_magnitudes(anet, query, evidence), degree)
 
 
+def _masses(mags: Sequence[float], degree: float) -> tuple[float, float, float, float]:
+    """One outcome's classical part, interference part, unnormalized mass and pair sum s2."""
+    classical = math.fsum([m * m for m in mags])
+    # At degree 1/2 this is s2 itself; 2ꞏdegreeꞏs2 + 0.0 is interference_sum(mags, degree).
+    s2 = interference_sum(mags, 0.5)
+    interference = 2.0 * degree * s2 + 0.0
+    unnormalized = classical + interference
+    if len(mags) == 2 and unnormalized < classical / 1024:
+        # the same mass as q + 2dꞏab, with no cancellation for d >= -1
+        a, b = mags
+        unnormalized = (a - b) * (a - b) + 2.0 * (1.0 + degree) * a * b
+    return classical, interference, unnormalized, s2
+
+
 def posterior(
     query: str, magnitudes: Mapping[str, Sequence[float]], degree: float
 ) -> QuantumInferenceResult:
@@ -165,36 +179,35 @@ def posterior(
     -q / (2ꞏs2) over the outcomes, with q the sum of squared products and s2 the sum
     of their pairwise products. When every classical part is zero,
     InconsistentEvidenceError is raised instead: the evidence has probability zero.
-    No outcomes, or an outcome with no products, raises ValidationError."""
+    No outcomes, or an outcome with no products, raises ValidationError. Products
+    whose squares would lose bits below the smallest normal float are scaled by one
+    power of two for the probabilities and the normalizer; the parts stay unscaled."""
     if not -1.0 <= degree <= 1.0:
         raise ValidationError(f"degree {degree!r} is outside [-1, 1]")
     if not magnitudes:
         raise ValidationError(f"query {query!r} has no outcomes")
-    parts = []
+    parts, largest = [], 0.0
     for outcome, mags in magnitudes.items():
         if not mags:
             raise ValidationError(
                 f"outcome {outcome!r} of query {query!r} has no amplitude products"
             )
-        classical = math.fsum([m * m for m in mags])
-        # At degree 1/2 this is s2 itself; 2ꞏdegreeꞏs2 + 0.0 is interference_sum(mags, degree).
-        s2 = interference_sum(mags, 0.5)
-        interference = 2.0 * degree * s2 + 0.0
-        unnormalized = classical + interference
-        if len(mags) == 2 and unnormalized < classical / 1024:
-            # the same mass as q + 2dꞏab, with no cancellation for d >= -1
-            a, b = mags
-            unnormalized = (a - b) * (a - b) + 2.0 * (1.0 + degree) * a * b
-        parts.append((outcome, classical, interference, unnormalized, s2))
-    total = math.fsum([0.0 if u < 0.0 else u for _, _, _, u, _ in parts])
+        parts.append((outcome, *_masses(mags, degree)))
+        largest = max(largest, *mags)
+    sums, shift = parts, 0
+    if 0.0 < largest < 2.0 ** -511:  # every square is below 2**-1022
+        shift = -math.frexp(largest)[1]  # the largest product then lies in [0.5, 1)
+        sums = [(o, *_masses([math.ldexp(m, shift) for m in mags], degree))
+                for o, mags in magnitudes.items()]
+    total = math.fsum([0.0 if u < 0.0 else u for _, _, _, u, _ in sums])
     if total <= 0.0:
-        if not any([c for _, c, _, _, _ in parts]):
+        if not any([c for _, c, _, _, _ in sums]):
             raise InconsistentEvidenceError(
                 f"the evidence has probability zero, so query {query!r} has no posterior"
             )
         # An outcome with classical mass lost it to negative interference, so it has
         # a pair sum s2 > 0.
-        bound = max([-c / (2.0 * s2) for _, c, _, _, s2 in parts if s2 > 0.0])
+        bound = max([-c / (2.0 * s2) for _, c, _, _, s2 in sums if s2 > 0.0])
         raise NegativeUnnormalizedMassError(
             f"interference cancelled all mass for query {query!r} "
             f"(unnormalized {[u for _, _, _, u, _ in parts]}); "
@@ -203,7 +216,12 @@ def posterior(
     normalizer = 1.0 / total
     # A total below 2**-1024 has no finite reciprocal, so its shares divide by it instead.
     finite = normalizer < math.inf
-    masses = tuple([OutcomeMass(o, c, i, u, u < 0.0,
-                                0.0 if u < 0.0 else u * normalizer if finite else u / total)
-                    for o, c, i, u, _ in parts])
+    masses = tuple([OutcomeMass(o, c, i, u, s < 0.0,
+                                0.0 if s < 0.0 else s * normalizer if finite else s / total)
+                    for (o, c, i, u, _), (_, _, _, s, _) in zip(parts, sums)])
+    if shift:
+        try:  # the true total is the scaled one times 2**(-2ꞏshift)
+            normalizer = math.ldexp(normalizer, 2 * shift)
+        except OverflowError:
+            normalizer = math.inf
     return QuantumInferenceResult(query, masses, normalizer)

@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .bayesnet import Network, infer, network_from_dict
-from .errors import NegativeUnnormalizedMassError, ValidationError, parse_number, read_json
+from .errors import (InferenceError, NegativeUnnormalizedMassError, ValidationError, parse_number,
+                     read_json)
 from .heuristic import BeliefDegree, pair_degree
 from .quantum import amplitudes_from_network, completion_magnitudes, posterior
 from .table import Table, render_csv, render_text
@@ -182,7 +183,11 @@ def run_comparison(
     literature: Mapping[str, Mapping[str, Mapping[str, float]]] | None = None,
 ) -> dict:
     """The document `predict` and `compare --format json` print: a record per
-    scenario, in input order, then the arithmetic-mean fit error of each column.
+    scenario, in input order, then the arithmetic-mean fit error of each column over
+    the records that have it. A scenario whose prediction raises InferenceError keeps
+    its record with every predicted cell None, and the document ends in a "failures"
+    list naming it and the cause; when no scenario predicts, the first one's error
+    propagates.
 
     Args:
         scenarios: conditions to evaluate.
@@ -192,9 +197,13 @@ def run_comparison(
     if not scenarios:
         raise ValidationError("need at least one scenario to compare")
     literature = literature or {}
-    records = []
+    records, failures = [], []
     for scenario in scenarios:
-        r = predict_unknown(scenario)
+        try:
+            r = predict_unknown(scenario)
+        except InferenceError as exc:
+            failures.append((scenario.name, exc))
+            r = PredictionRecord(None, None, BeliefDegree(None, None), None, None)  # all blank
         records.append({
             "scenario": scenario.name,
             "observed": scenario.observed_unknown,
@@ -206,16 +215,30 @@ def run_comparison(
             "fit_quantum": r.fit_error_quantum,
             "literature": dict(literature.get(scenario.name, {})),
         })
+    if len(failures) == len(records):
+        raise failures[0][1]
     model_errors: dict[str, list[float]] = {}
     for record in records:
         for model, cell in record["literature"].items():
             model_errors.setdefault(model, []).append(cell["fit"])
-    return {
+    predicted = [r for r in records if r["quantum"] is not None]
+    report = {
         "records": records,
-        "mean_fit_classical": _mean([r["fit_classical"] for r in records]),
-        "mean_fit_quantum": _mean([r["fit_quantum"] for r in records]),
+        "mean_fit_classical": _mean([r["fit_classical"] for r in predicted]),
+        "mean_fit_quantum": _mean([r["fit_quantum"] for r in predicted]),
         "mean_fit_literature": {m: _mean(errs) for m, errs in model_errors.items()},
     }
+    if failures:
+        report["failures"] = [{"scenario": name, "error": str(exc)} for name, exc in failures]
+    return report
+
+
+def check_predicted(report: dict) -> None:
+    """Raise InferenceError naming every failed scenario of a run_comparison document
+    and its cause; a document without failures passes."""
+    if failures := report.get("failures"):
+        raise InferenceError("no prediction for " + "; ".join(
+            f"scenario {f['scenario']!r}: {f['error']}" for f in failures))
 
 
 # --- scenario files -----------------------------------------------------------
@@ -369,6 +392,7 @@ def run_reproduction() -> dict:
     prediction; and a golden check of every published value."""
     data = load_builtin()
     comparison = run_comparison(data.scenarios, data.literature())
+    check_predicted(comparison)  # every golden reads a prediction
     by_name = {record["scenario"]: record for record in comparison["records"]}
     goldens = []
     for p in data.published:

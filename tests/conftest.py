@@ -217,6 +217,19 @@ def _coin_row(given: dict[str, str], p: float) -> dict:
     return {"given": given, "dist": {"T": p, "F": 1.0 - p}}
 
 
+def tiny_evidence_doc(children: str, given_t: float = 1e-200, given_f: float = 1e-200) -> dict:
+    """A fair coin A and children that each show T with probability given_t when A
+    shows T and given_f when it shows F: evidence that two children show T has a
+    probability near 1e-400, below the smallest float, and every amplitude product
+    of a query given it squares to below the smallest float too."""
+    rows = [_coin_row({"A": "T"}, given_t), _coin_row({"A": "F"}, given_f)]
+    return {
+        "variables": [{"name": name, "outcomes": ["T", "F"]} for name in "A" + children],
+        "edges": [["A", child] for child in children],
+        "cpts": {"A": [_coin_row({}, 0.5)], **{child: rows for child in children}},
+    }
+
+
 # Three coins B <- A -> C on which degree -0.5 floors the mass of B=F, and only
 # that mass, to zero.
 CLAMPING_DOC = {

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CLAMPING_DOC, binary_net_docs, decimal_from_products, decimal_posterior,
-    draw_query_and_evidence, ulps,
+    draw_query_and_evidence, tiny_evidence_doc, ulps,
 )
 from qlbn.bayesnet import infer, network_from_dict
 from qlbn.errors import NegativeUnnormalizedMassError
@@ -73,6 +73,25 @@ def test_a_mass_floored_at_zero_leaves_the_others_exact():
     exact, _ = decimal_posterior(CLAMPING_DOC, "B", {}, -0.5)
     assert exact == {"T": 1, "F": 0}
     within_kappa_ulps(CLAMPING_DOC, "B", {}, -0.5)
+
+
+# Queries given evidence below the smallest float, each product squaring to below it:
+# A given two children, whose answer is (0.5, 0.5); B, with A free to interfere; and A
+# given three children that lean on A.
+TINY_EVIDENCE = [
+    (tiny_evidence_doc("BC"), "A", {"B": "T", "C": "T"}),
+    (tiny_evidence_doc("BCD", given_f=4e-200), "B", {"C": "T", "D": "T"}),
+    (tiny_evidence_doc("BCD", given_f=4e-200), "A", {"B": "T", "C": "T", "D": "T"}),
+]
+
+
+@pytest.mark.parametrize("degree", [-1.0, -0.5, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("doc, query, evidence", TINY_EVIDENCE,
+                         ids=["two children", "interfering", "three children"])
+def test_evidence_below_the_smallest_float_keeps_its_bits(
+    doc: dict, query: str, evidence: dict[str, str], degree: float
+):
+    within_kappa_ulps(doc, query, evidence, degree)
 
 
 # Each outcome of a game row has two products, and they nearly match when the two

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CLAMPING_DOC, chain_doc, refuse_json_constant, src_env, uniform_chain_doc
+from conftest import (
+    CLAMPING_DOC, chain_doc, refuse_json_constant, src_env, tiny_evidence_doc, uniform_chain_doc,
+)
 from qlbn import cli
 from qlbn.cli import main
 from qlbn.scenarios import load_builtin, load_scenarios, run_comparison, run_reproduction
@@ -285,6 +287,23 @@ class TestInferQuantum:
         payload = json.loads(out, parse_constant=refuse_json_constant)
         assert payload["normalizer"] is None
         assert [om["probability"] for om in payload["outcomes"]] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("degree", ["auto", "fixed:0.3"])
+    def test_evidence_below_the_smallest_float_gets_a_quantum_answer(
+        self, capsys, tmp_path, degree
+    ):
+        """Evidence of probability 1e-400: quantum mode scales the products its sums
+        read, while classical mode, whose products underflow as they are multiplied,
+        still refuses it."""
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(tiny_evidence_doc("BC")))
+        query = ["infer", "--network", str(path), "--query", "A", "--evidence", "B=T",
+                 "--evidence", "C=T"]
+        code, out, err = run_cli(capsys, *query, "--mode", "quantum", "--degree", degree)
+        assert (code, out, err) == (0, "T  0.50000\nF  0.50000\n", "")
+        code, out, err = run_cli(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err == "error: evidence {'B': 'T', 'C': 'T'} has probability zero\n"
 
     def test_csv_round_trips_masses(self, capsys):
         code, out, _ = run_cli(
@@ -759,6 +778,63 @@ class TestPredictAndCompare:
         )
         assert code == 0
         assert "QPDT" in out
+
+
+# A well-posed row, then the fully ignorant one, whose interference cancels all mass.
+OK_ROW = {"name": "ok", "p_defect_given_defect": 0.9, "p_defect_given_cooperate": 0.8,
+          "observed_unknown": 0.5}
+IGNORANT_ROW = {"name": "ignorant", "p_defect_given_defect": 0.5,
+                "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5}
+IGNORANT_ERROR = ("interference cancelled all mass for query 'P2' (unnormalized [0.0, 0.0]); "
+                  "the degree's feasible bound is -1.0")
+
+
+class TestAFailedRow:
+    """One row that has no prediction leaves the others reported, then exits 2."""
+
+    def _run(self, capsys, tmp_path, rows: list[dict], *argv: str) -> tuple[int, str, str]:
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(rows))
+        return run_cli(capsys, *argv, "--scenario", str(path))
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_the_other_rows_print_as_a_run_without_it(self, capsys, tmp_path, command, fmt):
+        code, out, err = self._run(capsys, tmp_path, [OK_ROW, IGNORANT_ROW], command,
+                                   "--format", fmt)
+        assert code == 2
+        assert err == f"error: no prediction for scenario 'ignorant': {IGNORANT_ERROR}\n"
+        alone = self._run(capsys, tmp_path, [OK_ROW], command, "--format", fmt)
+        assert alone[0] == 0
+        if fmt == "json":
+            report = json.loads(out, parse_constant=refuse_json_constant)
+            assert report == {**json.loads(alone[1]), "records": report["records"],
+                              "failures": [{"scenario": "ignorant", "error": IGNORANT_ERROR}]}
+            assert report["records"][0] == json.loads(alone[1])["records"][0]
+            assert list(report)[-1] == "failures"
+        else:
+            # the failed row, every predicted cell blank, sits before the one row's mean
+            lines, failed = alone[1].splitlines(), out.splitlines()[-2]
+            assert out.splitlines() == lines[:-1] + [failed] + lines[-1:]
+            assert (failed.split() == ["ignorant", "0.50000"] + ["-"] * 5 if fmt == "table"
+                    else failed == "ignorant,0.5,,,,,")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_a_lone_failed_row_prints_its_own_error(self, capsys, tmp_path, fmt):
+        code, out, err = self._run(capsys, tmp_path, [IGNORANT_ROW], "predict", "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {IGNORANT_ERROR}\n")
+
+    def test_reproduce_stops_when_a_builtin_row_fails(self, capsys, monkeypatch, tmp_path):
+        """Its goldens need every prediction, so nothing prints."""
+        doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
+        doc["scenarios"][1].update(p_defect_given_defect=0.5, p_defect_given_cooperate=0.5)
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
+        code, out, err = run_cli(capsys, "reproduce")
+        assert (code, out) == (2, "")
+        assert err == (f"error: no prediction for scenario 'Li and Taplin, 2002': "
+                       f"{IGNORANT_ERROR}\n")
 
 
 class TestReproduce:

@@ -33,6 +33,7 @@ from conftest import (
     completions,
     draw_query_and_evidence,
     rebind,
+    tiny_evidence_doc,
     uniform_chain_doc,
 )
 
@@ -382,6 +383,43 @@ class TestQuantumInfer:
         anet = amplitudes_from_network(network_from_dict(doc))
         with pytest.raises(InconsistentEvidenceError, match="probability zero"):
             quantum_infer(anet, "C", {"A": "T"}, degree)
+
+    @pytest.mark.parametrize("degree", [0.0, 0.3, -1.0, 1.0])
+    def test_evidence_below_the_smallest_float_gets_its_posterior(self, degree: float):
+        """Each product is 7.07e-201, whose square underflows to 0.0: the parts keep
+        that arithmetic, the probabilities come from the products scaled by one power
+        of two, and the total's reciprocal, about 2e400, has no finite value."""
+        anet = amplitudes_from_network(network_from_dict(tiny_evidence_doc("BC")))
+        result = quantum_infer(anet, "A", {"B": "T", "C": "T"}, degree)
+        assert [om[1:] for om in result.outcomes] == [(0.0, 0.0, 0.0, False, 0.5)] * 2
+        assert result.normalizer == math.inf
+        assert result.to_dict()["normalizer"] is None
+
+    def test_a_scaled_total_keeps_its_finite_reciprocal(self):
+        """2**-512 is scaled, and the true total 2**-1023 has the reciprocal 2**1023."""
+        result = posterior("X", {"T": [2.0 ** -512], "F": [2.0 ** -512]}, 0.0)
+        assert [om.classical_part for om in result.outcomes] == [2.0 ** -1024] * 2
+        assert [om.probability for om in result.outcomes] == [0.5, 0.5]
+        assert result.normalizer == 2.0 ** 1023
+
+    def test_a_cancelled_total_without_a_finite_reciprocal_still_normalizes(self):
+        """Products at 2**-511 are not scaled; at degree -1 the T mass is (a - b)^2 =
+        2**-1040, whose reciprocal overflows, so the share divides by the total."""
+        a = 2.0 ** -511
+        result = posterior("X", {"T": [a, a - 2.0 ** -520], "F": [0.0, 0.0]}, -1.0)
+        assert result.outcomes[0].unnormalized == 2.0 ** -1040
+        assert result.normalizer == math.inf
+        assert [om.probability for om in result.outcomes] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("degree", [0.0, 0.3, -1.0])
+    def test_tiny_evidence_of_probability_zero_still_raises(self, degree: float):
+        """B=T is impossible and C=T has probability 1e-200: every product is exactly
+        zero, so no scaling finds mass."""
+        doc = tiny_evidence_doc("BC")
+        doc["cpts"]["B"] = tiny_evidence_doc("B", 0.0, 0.0)["cpts"]["B"]
+        anet = amplitudes_from_network(network_from_dict(doc))
+        with pytest.raises(InconsistentEvidenceError, match="probability zero"):
+            quantum_infer(anet, "A", {"B": "T", "C": "T"}, degree)
 
     @pytest.mark.parametrize("degree", [math.nan, 1.5, -1.5])
     def test_degree_outside_unit_interval_rejected(

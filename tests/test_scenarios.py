@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qlbn.bayesnet import Network, network_from_dict
 from qlbn.errors import (
@@ -19,7 +21,7 @@ from qlbn.errors import (
     SingularDenominatorError,
     ValidationError,
 )
-from qlbn.heuristic import degree_for_query
+from qlbn.heuristic import degree_for_query, pair_degree
 from qlbn.quantum import amplitudes_from_network, completion_magnitudes, posterior
 from qlbn.scenarios import (
     COOPERATE,
@@ -32,6 +34,7 @@ from qlbn.scenarios import (
     PLAYER_ONE,
     PLAYER_TWO,
     Scenario,
+    check_predicted,
     fit_error,
     load_builtin,
     load_scenarios,
@@ -338,6 +341,21 @@ class TestScenarioSpace:
         assert unclamped == 440
 
 
+# The draws of the relabelling property: k / 2**20, whose 1 - p is exact.
+DYADIC = st.integers(0, 2**20).map(lambda k: k / 2**20)
+
+
+def _heuristic_posterior(scenario: Scenario):
+    """The posterior predict_unknown reads, at the heuristic's degree, or the type of
+    the InferenceError it raises."""
+    magnitudes = completion_magnitudes(
+        amplitudes_from_network(scenario_to_network(scenario)), PLAYER_TWO, {})
+    try:
+        return posterior(PLAYER_TWO, magnitudes, pair_degree(PLAYER_TWO, magnitudes).value)
+    except InferenceError as exc:
+        return type(exc)
+
+
 class TestPaperClaim:
     """The paper's qualitative claim: when player one's move is unknown, the observed
     defection rate falls below both conditional rates, which the classical average of
@@ -354,16 +372,21 @@ class TestPaperClaim:
 
     def test_exchanging_player_ones_moves_keeps_the_prediction_at_prior_half(self):
         """At prior 0.5 the two moves of player one are interchangeable, so exchanging
-        the conditionals changes the prediction by rounding alone, or raises alike."""
+        the conditionals changes the prediction by rounding alone, or raises alike. The
+        same grid pins where the heuristic's degree falls below -1 and where it
+        raises."""
         grid = [i / 100 for i in range(1, 100)]
-        outcomes = {}
+        outcomes, below, raised_by = {}, [], {}
         for defect, cooperate in itertools.product(grid, grid):
             try:
                 record = predict_unknown(Scenario("grid", defect, cooperate, 0.5))
             except InferenceError as exc:
                 outcomes[defect, cooperate] = type(exc)
+                raised_by.setdefault(type(exc), []).append((defect, cooperate))
             else:
                 outcomes[defect, cooperate] = record.quantum_prediction
+                if record.degree.raw < -1.0:
+                    below.append((defect, cooperate))
         raised = 0
         for (defect, cooperate), outcome in outcomes.items():
             exchanged = outcomes[cooperate, defect]
@@ -373,6 +396,50 @@ class TestPaperClaim:
             else:
                 assert abs(outcome - exchanged) <= 4 * math.ulp(outcome), (defect, cooperate)
         assert raised == 9
+        assert below == [(0.38, 0.39), (0.39, 0.38), (0.61, 0.62), (0.62, 0.61)]
+        singular = [(0.02, 0.82), (0.18, 0.98), (0.28, 0.68), (0.32, 0.72)]
+        assert raised_by == {
+            SingularDenominatorError: sorted(singular + [(c, d) for d, c in singular]),
+            NegativeUnnormalizedMassError: [(0.5, 0.5)],
+        }
+
+    @example(defect=0.5, cooperate=0.5, prior=0.5)
+    @given(defect=DYADIC, cooperate=DYADIC, prior=st.one_of(st.just(0.5), DYADIC))
+    def test_relabelling_player_two_exchanges_the_outcomes_bit_for_bit(
+        self, defect: float, cooperate: float, prior: float
+    ):
+        """Swapping player two's labels maps (p_dd, p_dc) to (1 - p_dd, 1 - p_dc). For
+        k/2**20 that is exact, so the game table swaps the two outcomes' values, the
+        distances are the same multiset, and the degree and the total are fsums, which
+        do not depend on order: Defect's probability is the original Cooperate's, bit
+        for bit, or both raise the same cause."""
+        original = _heuristic_posterior(Scenario("p", defect, cooperate, 0.5, prior))
+        relabelled = _heuristic_posterior(
+            Scenario("r", 1.0 - defect, 1.0 - cooperate, 0.5, prior))
+        if isinstance(original, type) or isinstance(relabelled, type):
+            assert original == relabelled
+        else:
+            assert relabelled.probability(DEFECT) == original.probability(COOPERATE)
+
+    @example(low=0.0, high=0.6, low_defects=True)
+    @example(low=0.0, high=1.0, low_defects=False)
+    @example(low=0.4, high=0.6, low_defects=True)
+    @example(low=0.4, high=1.0, low_defects=False)
+    @example(low=0.0, high=1.0, low_defects=True)
+    @example(low=0.4, high=0.6, low_defects=False)
+    @given(low=st.floats(0.0, 0.4), high=st.floats(0.6, 1.0), low_defects=st.booleans())
+    def test_conditionals_on_opposite_sides_of_half_clamp_the_degree_at_one(
+        self, low: float, high: float, low_defects: bool
+    ):
+        """Total constructive interference for a player whose conditionals differ in
+        direction, each at least 0.1 from 0.5, unless the distance is singular."""
+        defect, cooperate = (low, high) if low_defects else (high, low)
+        try:
+            record = predict_unknown(Scenario("mixed", defect, cooperate, 0.5))
+        except SingularDenominatorError:
+            return
+        assert record.degree.raw > 1.0
+        assert record.degree.value == 1.0
 
 
 class TestRunComparison:
@@ -425,6 +492,40 @@ class TestRunComparison:
     def test_rejects_empty_list(self):
         with pytest.raises(ValidationError, match="at least one"):
             run_comparison([])
+
+    def test_a_failed_row_keeps_its_record_and_the_others_predict(self):
+        """The failed row's predicted cells are None, the means span the rows that
+        have them, and a last "failures" key names the row and the cause."""
+        ignorant = Scenario("ignorant", 0.5, 0.5, 0.5)
+        literature = {"ignorant": {"qpdt": {"prediction": 0.6, "fit": 0.1}}}
+        report = run_comparison([AVERAGE, ignorant, AVERAGE], literature)
+        with pytest.raises(NegativeUnnormalizedMassError) as raised:
+            predict_unknown(ignorant)
+        alone = run_comparison([AVERAGE, AVERAGE])
+        assert report["records"][1] == {
+            "scenario": "ignorant", "observed": 0.5,
+            **dict.fromkeys(["classical", "quantum", "degree", "degree_raw",
+                             "fit_classical", "fit_quantum"]),
+            "literature": literature["ignorant"],
+        }
+        assert report["records"][::2] == alone["records"]
+        assert report == {**alone, "records": report["records"],
+                          "mean_fit_literature": {"qpdt": 0.1},
+                          "failures": [{"scenario": "ignorant", "error": str(raised.value)}]}
+        assert list(report)[-1] == "failures"
+        with pytest.raises(InferenceError, match="^no prediction for scenario 'ignorant': "):
+            check_predicted(report)
+        check_predicted(alone)
+
+    def test_when_no_row_predicts_the_first_rows_error_propagates(self):
+        rows = [Scenario("ignorant", 0.5, 0.5, 0.5), Scenario("singular", 0.02, 0.82, 0.5)]
+        with pytest.raises(NegativeUnnormalizedMassError) as first:
+            predict_unknown(rows[0])
+        with pytest.raises(NegativeUnnormalizedMassError) as raised:
+            run_comparison(rows)
+        assert str(raised.value) == str(first.value)
+        with pytest.raises(SingularDenominatorError):
+            run_comparison(rows[::-1])
 
     def test_quantum_improves_on_classical_per_condition(self):
         """The interference posterior lands nearer the observed rate than the

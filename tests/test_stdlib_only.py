@@ -43,10 +43,12 @@ SHIPPED = [
 ]
 
 
-def _probe(code: str) -> str:
-    """What `code` prints in a fresh interpreter that imports the qlbn under test."""
+def _probe(code: str, *flags: str) -> str:
+    """What `code` prints in a fresh interpreter, started with flags, that imports the
+    qlbn under test."""
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=ROOT, env=src_env()
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, cwd=ROOT,
+        env=src_env(),
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
@@ -171,13 +173,42 @@ def test_a_name_loads_only_the_module_that_defines_it():
 
 
 def test_an_unknown_name_raises_attribute_error_naming_it():
-    """Both on the first lookup, which binds the exports, and on later ones."""
+    """Both on the first lookup and on later ones, and neither loads a module."""
     probe = (
-        "import qlbn\n"
+        "import sys, qlbn\n"
         "for _ in range(2):\n"
         "    try:\n"
         "        qlbn.nope\n"
         "    except AttributeError as exc:\n"
         "        print(exc)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qlbn.')))\n"
     )
-    assert _probe(probe) == "module 'qlbn' has no attribute 'nope'\n" * 2
+    assert _probe(probe) == "module 'qlbn' has no attribute 'nope'\n" * 2 + "[]\n"
+
+
+def test_a_probe_for_an_unknown_name_loads_nothing():
+    probe = (
+        "import sys, qlbn\n"
+        "print(hasattr(qlbn, 'nope'), sorted(m for m in sys.modules if m.startswith('qlbn.')))"
+    )
+    assert _probe(probe) == "False []\n"
+
+
+def test_importing_a_submodule_from_the_package_loads_only_what_it_imports():
+    """`from qlbn import bayesnet` first looks bayesnet up as a name of the package;
+    that lookup loads nothing, and the import then loads bayesnet as
+    `import qlbn.bayesnet` does."""
+    probe = (
+        "import sys\n"
+        "from qlbn import bayesnet\n"
+        "assert bayesnet is sys.modules['qlbn.bayesnet']\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qlbn.') or m == 'csv'))"
+    )
+    assert _probe(probe) == "['qlbn.bayesnet', 'qlbn.belief', 'qlbn.errors']\n"
+
+
+def test_cli_import_leaves_pathlib_unloaded():
+    """Without the site hook, which may load pathlib itself, no module the command line
+    imports at start-up loads it: paths are annotated as str or os.PathLike."""
+    probe = "import sys, qlbn.cli\nprint('pathlib' in sys.modules)"
+    assert _probe(probe, "-S") == "False\n"
