@@ -235,16 +235,13 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     from .table import render_csv
 
     scenarios = load_scenarios(args.scenario) if args.scenario else load_builtin().scenarios
-    matches = [i for i, s in enumerate(scenarios) if s.name == args.name]
-    if not matches:
-        names = sorted({s.name for s in scenarios})
-        raise ValidationError(f"no scenario named {args.name!r}; available: {names}")
-    if len(matches) > 1:
-        raise ValidationError(f"scenario name {args.name!r} is repeated, in rows {matches}")
+    by_name = {s.name: s for s in scenarios}  # the reader refuses a repeated name
+    if args.name not in by_name:
+        raise ValidationError(f"no scenario named {args.name!r}; available: {sorted(by_name)}")
     if args.steps < 2:
         raise ValidationError("--steps must be at least 2")
     degrees = [-1.0 + 2.0 * i / (args.steps - 1) for i in range(args.steps)]
-    text = render_csv(sweep(scenarios[matches[0]], degrees))
+    text = render_csv(sweep(by_name[args.name], degrees))
     if not args.out:
         print(text, end="")
         return

@@ -53,7 +53,7 @@ def amplitudes_from_network(net: Network) -> AmplitudeNetwork:
 
     Phases are deliberately not represented: amplitudes are the nonnegative
     roots, and interference enters only through the degree passed to
-    quantum_infer. Raises ValidationError unless every variable has
+    posterior. Raises ValidationError unless every variable has
     exactly two outcomes.
     """
     for v in net.variables:

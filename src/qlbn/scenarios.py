@@ -245,8 +245,9 @@ def check_predicted(report: dict) -> None:
 #
 # A scenario file is a JSON list of objects with keys name,
 # p_defect_given_defect, p_defect_given_cooperate, observed_unknown and the
-# optional prior_defect and payoff_note. Probabilities may be numbers or
-# decimal strings.
+# optional prior_defect and payoff_note. Names are strings, unique within the
+# file, since the reports key on them. Probabilities may be numbers or decimal
+# strings.
 
 _OPTIONAL_KEYS = set(_ScenarioFields._field_defaults)
 _REQUIRED_KEYS = set(_ScenarioFields._fields) - _OPTIONAL_KEYS
@@ -257,7 +258,7 @@ def scenarios_from_json(doc: object) -> list[Scenario]:
         raise ValidationError("a scenario file must contain a JSON list")
     if not doc:
         raise ValidationError("no scenarios to evaluate")
-    out: list[Scenario] = []
+    out: dict[str, Scenario] = {}
     for i, row in enumerate(doc):
         if not isinstance(row, dict):
             raise ValidationError(f"scenario {i}: expected an object, got {row!r}")
@@ -269,10 +270,13 @@ def scenarios_from_json(doc: object) -> list[Scenario]:
                 f"scenario {i}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}"
             )
         try:
-            out.append(Scenario(**{**row, "name": str(row["name"])}))
+            scenario = Scenario(**row)
         except ValidationError as exc:
             raise ValidationError(f"scenario {i}: {exc}") from None
-    return out
+        if scenario.name in out:
+            raise ValidationError(f"scenario name {scenario.name!r} is repeated")
+        out[scenario.name] = scenario
+    return list(out.values())
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
@@ -325,18 +329,15 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
     if not table3:
         raise ValidationError("comparison_rows is empty")
     names = [row["name"] for row in rows]
-    if repeated := [name for name in names if names.count(name) > 1]:
-        raise ValidationError(f"scenario name {repeated[0]!r} is repeated")
     for row in table3:  # run_reproduction reads each link, and _table3 each first-row model
         name, link = row["name"], row["scenario"]
         if link is not None and link not in names:
             raise ValidationError(f"comparison row {name!r} links {link!r}, which no scenario names")
         if missing := [m for m in table3[0]["models"] if m not in row["models"]]:
             raise ValidationError(f"comparison row {name!r} lacks the models {missing}")
-    # names key the records and the links, and the reports print them as text
-    for kind, named in (("scenario", rows), ("comparison row", table3)):
-        if odd := [row["name"] for row in named if not isinstance(row["name"], str)]:
-            raise ValidationError(f"{kind} name {odd[0]!r} is not a string")
+    # scenarios_from_json checks the scenario names; the reports print these as text
+    if odd := [row["name"] for row in table3 if not isinstance(row["name"], str)]:
+        raise ValidationError(f"comparison row name {odd[0]!r} is not a string")
     comparison_rows = tuple(map(_comparison_row, table3))
     links = tuple(row["scenario"] for row in table3)
     published = {key for key, *_ in _PUBLISHED_COLUMNS}

@@ -27,6 +27,7 @@ SERVERS_NET = str(ROOT / "data" / "networks" / "data_servers.json")
 SPLIT_BBA = str(ROOT / "data" / "bba" / "split_pair.json")
 CERTAIN_BBA = str(ROOT / "data" / "bba" / "single_certain.json")
 SCENARIOS = str(ROOT / "data" / "scenarios" / "literature_games.json")
+SAMPLE_ROWS = json.loads(Path(SCENARIOS).read_text())
 
 # Evidence B=T so unlikely that the quantum total mass has no finite reciprocal.
 OVERFLOWING_DOC = {
@@ -728,16 +729,30 @@ class TestPredictAndCompare:
             ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
              ' "observed_unknown": 0.5, "payoff_note": 5}]',
              "scenario 0: 'X': payoff_note 5 is not a string"),
+            *((f'[{{"name": {name}, "p_defect_given_defect": 0.5,'
+               ' "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5}]',
+               f"scenario 0: scenario name {shown} is not a string")
+              for name, shown in (("5", "5"), ("null", "None"), ("[1]", "[1]"))),
+            ('[{"name": "X", "p_defect_given_defect": 0.9, "p_defect_given_cooperate": 0.8,'
+             ' "observed_unknown": 0.5}, {"name": "X", "p_defect_given_defect": 0.5,'
+             ' "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5}]',
+             "scenario name 'X' is repeated"),
+            # once counted the row's published fits twice in compare's literature means
+            (json.dumps([*SAMPLE_ROWS, SAMPLE_ROWS[2]]),
+             "scenario name 'Busemeyer et al., 2006a' is repeated"),
         ],
         ids=["nan observed", "row not an object", "bad decimal", "zero observed",
-             "subnormal observed", "int note"],
+             "subnormal observed", "int note", "int name", "null name", "list name",
+             "repeated name", "repeated sample row"],
     )
     def test_predict_rejected_files(self, capsys, tmp_path, content, message):
+        """Both commands that read a scenario file refuse it with the reader's message."""
         path = tmp_path / "scenarios.json"
         path.write_text(content)
-        code, out, err = run_cli(capsys, "predict", "--scenario", str(path))
-        assert (code, out) == (1, "")
-        assert err == f"error: {path}: {message}\n"
+        for command in ("predict", "compare"):
+            code, out, err = run_cli(capsys, command, "--scenario", str(path))
+            assert (code, out) == (1, ""), command
+            assert err == f"error: {path}: {message}\n"
 
     def test_compare_defaults_to_builtin_dataset(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--format", "json")
@@ -984,7 +999,7 @@ class TestReproduce:
             (lambda doc: doc["scenarios"][4].update(reported_prediction=None),
              "scenario 'Average': reported_prediction: expected a number, got None"),
             (lambda doc: doc["scenarios"][0].update(name=["Shafir and Tversky, 1992"]),
-             "scenario name ['Shafir and Tversky, 1992'] is not a string"),
+             "scenario 0: scenario name ['Shafir and Tversky, 1992'] is not a string"),
             (lambda doc: doc["comparison_rows"][1].update(observed=None),
              "comparison row 'Li and Taplin, 2002 experiment 2': observed: "
              "expected a number, got None"),

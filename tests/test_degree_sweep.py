@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import subprocess
 import sys
@@ -151,8 +150,9 @@ def test_sweep_parses_no_network_document(capsys, no_network_parse):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SWEEP_81_DIGEST
 
 
-def test_a_repeated_name_is_refused_and_its_rows_named(tmp_path: Path, capsys):
-    """Two rows named X leave no one condition to sweep; predict still reports both."""
+def test_a_repeated_name_is_refused_by_the_reader(tmp_path: Path, capsys):
+    """Two rows named X leave no one condition to sweep and no one record to key, so
+    sweep and predict both refuse the file with the reader's message."""
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps([
         {"name": "X", "p_defect_given_defect": 0.9, "p_defect_given_cooperate": 0.8,
@@ -160,11 +160,6 @@ def test_a_repeated_name_is_refused_and_its_rows_named(tmp_path: Path, capsys):
         {"name": "X", "p_defect_given_defect": 0.6, "p_defect_given_cooperate": 0.7,
          "observed_unknown": 0.5},
     ]))
-    assert cli.main(["sweep", "--scenario", str(path), "--name", "X", "--steps", "3"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: scenario name 'X' is repeated, in rows [0, 1]\n"
-    assert cli.main(["predict", "--scenario", str(path), "--format", "csv"]) == 0
-    assert [row[0] for row in csv.reader(io.StringIO(capsys.readouterr().out))] == [
-        "scenario", "X", "X", "mean_fit_error"
-    ]
+    for argv in (["sweep", "--name", "X", "--steps", "3"], ["predict", "--format", "csv"]):
+        assert cli.main([*argv, "--scenario", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: scenario name 'X' is repeated\n")
