@@ -224,7 +224,7 @@ def network_from_dict(doc: Mapping) -> Network:
     table. Content of the wrong shape raises ValidationError, as bad values do.
     When every edge points forward in declared order the order itself shows the
     graph is acyclic, so only an edge that points backward or to its own variable
-    sends the graph through the cycle check.
+    sends the graph through graphlib's cycle check.
     """
     try:
         raw_vars = doc["variables"]
@@ -293,22 +293,14 @@ def network_from_dict(doc: Mapping) -> Network:
 
 
 def _check_acyclic(parents: Mapping[str, tuple[str, ...]]) -> None:
-    # Kahn's algorithm: what is never placed lies on a cycle or below one.
-    unplaced = {name: len(parent_names) for name, parent_names in parents.items()}
-    children: dict[str, list[str]] = {name: [] for name in parents}
-    for child, parent_names in parents.items():
-        for p in parent_names:
-            children[p].append(child)
-    ready = [name for name, count in unplaced.items() if count == 0]
-    while ready:
-        name = ready.pop()
-        del unplaced[name]
-        for child in children[name]:
-            unplaced[child] -= 1
-            if unplaced[child] == 0:
-                ready.append(child)
-    if unplaced:
-        raise ValidationError(f"the network contains a cycle through {sorted(unplaced)}")
+    import graphlib  # only a graph with a backward edge or a self-loop comes here
+
+    try:
+        graphlib.TopologicalSorter(parents).prepare()
+    except graphlib.CycleError as exc:  # args[1] walks the cycle, ending where it began
+        raise ValidationError(
+            f"the network contains a cycle through {sorted(set(exc.args[1]))}"
+        ) from None
 
 
 def _row_key(given: Mapping, parent_names: tuple[str, ...]) -> tuple[str, ...]:

@@ -301,7 +301,7 @@ class BuiltinDataset(NamedTuple):
     """The bundled published tables, parsed once by load_builtin: published lists
     what run_reproduction checks, in order; comparison_rows are table 3's printed
     rows, each model a {"prediction", "fit"} cell, and links[i] names the scenario
-    that recomputes row i, or is None."""
+    that recomputes row i and no other, or is None."""
 
     scenarios: tuple[Scenario, ...]
     published: tuple[PublishedValue, ...]
@@ -329,17 +329,21 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
     if not table3:
         raise ValidationError("comparison_rows is empty")
     names = [row["name"] for row in rows]
-    for row in table3:  # run_reproduction reads each link, and _table3 each first-row model
-        name, link = row["name"], row["scenario"]
+    links = tuple(row["scenario"] for row in table3)
+    for row, link in zip(table3, links):  # run_reproduction reads each link, _table3 row 0's models
+        name = row["name"]
         if link is not None and link not in names:
             raise ValidationError(f"comparison row {name!r} links {link!r}, which no scenario names")
+        if link is not None and (first := table3[links.index(link)]) is not row:
+            raise ValidationError(
+                f"comparison rows {first['name']!r} and {name!r} both link {link!r}"
+            )
         if missing := [m for m in table3[0]["models"] if m not in row["models"]]:
             raise ValidationError(f"comparison row {name!r} lacks the models {missing}")
     # scenarios_from_json checks the scenario names; the reports print these as text
     if odd := [row["name"] for row in table3 if not isinstance(row["name"], str)]:
         raise ValidationError(f"comparison row name {odd[0]!r} is not a string")
     comparison_rows = tuple(map(_comparison_row, table3))
-    links = tuple(row["scenario"] for row in table3)
     published = {key for key, *_ in _PUBLISHED_COLUMNS}
     return BuiltinDataset(
         scenarios=tuple(scenarios_from_json([

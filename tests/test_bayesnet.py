@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import math
@@ -228,7 +229,7 @@ class TestNetworkValidation:
         assert_single_fault("row on a non-parent", tmp_path)
 
     def test_cycle_detected(self):
-        """The message names the cycle and what lies below it, not the roots above."""
+        """The message names the variables on the cycle, not the root above it or C below."""
         half = {"T": 0.5, "F": 0.5}
         doc = {
             "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in ("R", "A", "B", "C")],
@@ -244,7 +245,43 @@ class TestNetworkValidation:
         }
         with pytest.raises(ValidationError) as caught:
             network_from_dict(doc)
-        assert str(caught.value) == "the network contains a cycle through ['A', 'B', 'C']"
+        assert str(caught.value) == "the network contains a cycle through ['A', 'B']"
+
+    @given(data=st.data())
+    def test_refuses_exactly_the_graphs_with_a_cycle(self, data: st.DataObject):
+        """On random digraphs over 2-6 binary variables, whose edges point either way in
+        declared order and may be self-loops: a graph is refused exactly when some
+        variable reaches itself, and every variable the refusal names does."""
+        names = [f"V{i}" for i in range(data.draw(st.integers(2, 6)))]
+        pairs = [(parent, child) for parent in names for child in names]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+        parents = {nm: tuple(p for p, c in edges if c == nm) for nm in names}
+        doc = {
+            "variables": [{"name": nm, "outcomes": ["T", "F"]} for nm in names],
+            "edges": [list(edge) for edge in edges],
+            "cpts": {
+                nm: [{"given": dict(zip(parents[nm], combo)), "dist": HALF}
+                     for combo in itertools.product("TF", repeat=len(parents[nm]))]
+                for nm in names
+            },
+        }
+        # Warshall's closure: reaches[v] is every variable a path of one or more edges
+        # leads to from v.
+        reaches = {nm: {c for p, c in edges if p == nm} for nm in names}
+        for via in names:
+            for nm in names:
+                if via in reaches[nm]:
+                    reaches[nm] |= reaches[via]
+        if not any(nm in reaches[nm] for nm in names):
+            assert network_from_dict(doc).parents == parents
+            return
+        with pytest.raises(ValidationError) as caught:
+            network_from_dict(doc)
+        prefix = "the network contains a cycle through "
+        assert str(caught.value).startswith(prefix)
+        named = ast.literal_eval(str(caught.value).removeprefix(prefix))
+        assert named and named == sorted(set(named))
+        assert all(nm in reaches[nm] for nm in named), (named, edges)
 
     def test_unknown_edge_endpoint(self, tmp_path: Path):
         assert_single_fault("undeclared edge parent", tmp_path)

@@ -960,8 +960,11 @@ class TestReproduce:
              "comparison row 'Li and Taplin, 2002 experiment 3' lacks the models ['qpdt']"),
             (lambda rows: rows[0]["models"].update(qpdt=[0.5]),
              "unexpected structure: list index out of range"),
+            (lambda rows: rows[4].update(scenario="Busemeyer et al., 2006a"),
+             "comparison rows 'Busemeyer et al., 2006a' and 'Hristova and Grinberg, 2008' "
+             "both link 'Busemeyer et al., 2006a'"),
         ],
-        ids=["unknown link", "missing model", "one-number cell"],
+        ids=["unknown link", "missing model", "one-number cell", "repeated link"],
     )
     def test_malformed_comparison_rows_name_the_packaged_file(
         self, capsys, monkeypatch, tmp_path, change, message

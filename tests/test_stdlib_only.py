@@ -109,6 +109,13 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert _loaded_after_commands(SHIPPED, {"dataclasses", "inspect"}) == "[]\n"
 
 
+def test_shipped_commands_leave_graphlib_unloaded():
+    """Every shipped network, and the game network each scenario binds, declares its
+    edges forward, which shows it acyclic: only a backward edge or a self-loop loads
+    graphlib for the cycle check."""
+    assert _loaded_after_commands(SHIPPED, {"graphlib"}) == "[]\n"
+
+
 def test_package_import_loads_no_module_of_the_package():
     probe = "import sys, qlbn; print(sorted(m for m in sys.modules if m.startswith('qlbn.')))"
     assert _probe(probe) == "[]\n"
