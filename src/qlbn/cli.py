@@ -246,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         print(text, end="")
         return
     try:
-        with open(args.out, "w", newline="") as f:
+        with open(args.out, "w", encoding="utf-8", newline="") as f:
             f.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {args.out}: {exc}") from None

@@ -54,16 +54,15 @@ _MODEL_TITLES = {
 
 
 class _ScenarioFields(NamedTuple):
-    # name comes first and payoff_note last; every field between is a probability.
+    # name comes first; every field after it is a probability.
     name: str
     p_defect_given_defect: float
     p_defect_given_cooperate: float
     observed_unknown: float
     prior_defect: float = 0.5
-    payoff_note: str | None = None
 
 
-_NUMBER_KEYS = _ScenarioFields._fields[1:-1]
+_NUMBER_KEYS = _ScenarioFields._fields[1:]
 
 
 class Scenario(_ScenarioFields):
@@ -86,9 +85,7 @@ class Scenario(_ScenarioFields):
                 f"{self.name!r}: observed_unknown = {numbers[2]!r} leaves the relative fit "
                 "errors undefined"
             )
-        if not isinstance(self.payoff_note, (str, type(None))):
-            raise ValidationError(f"{self.name!r}: payoff_note {self.payoff_note!r} is not a string")
-        return _ScenarioFields.__new__(cls, self.name, *numbers, self.payoff_note)
+        return _ScenarioFields.__new__(cls, self.name, *numbers)
 
 
 # The game's structure, checked and compiled once; each CPT row lists Defect, then Cooperate.
@@ -245,9 +242,8 @@ def check_predicted(report: dict) -> None:
 #
 # A scenario file is a JSON list of objects with keys name,
 # p_defect_given_defect, p_defect_given_cooperate, observed_unknown and the
-# optional prior_defect and payoff_note. Names are strings, unique within the
-# file, since the reports key on them. Probabilities may be numbers or decimal
-# strings.
+# optional prior_defect. Names are strings, unique within the file, since the
+# reports key on them. Probabilities may be numbers or decimal strings.
 
 _OPTIONAL_KEYS = set(_ScenarioFields._field_defaults)
 _REQUIRED_KEYS = set(_ScenarioFields._fields) - _OPTIONAL_KEYS
@@ -324,7 +320,6 @@ def load_builtin() -> BuiltinDataset:
 
 def _builtin_from_json(doc: dict) -> BuiltinDataset:
     # a scenario row is a scenario-file row plus the published columns
-    note = doc.get("payoff_note")  # each scenario row's default
     rows, table3 = doc["scenarios"], doc["comparison_rows"]
     if not table3:
         raise ValidationError("comparison_rows is empty")
@@ -346,10 +341,8 @@ def _builtin_from_json(doc: dict) -> BuiltinDataset:
     comparison_rows = tuple(map(_comparison_row, table3))
     published = {key for key, *_ in _PUBLISHED_COLUMNS}
     return BuiltinDataset(
-        scenarios=tuple(scenarios_from_json([
-            {"payoff_note": note, **{k: v for k, v in row.items() if k not in published}}
-            for row in rows
-        ])),
+        scenarios=tuple(scenarios_from_json([{k: v for k, v in row.items() if k not in published}
+                                             for row in rows])),
         published=(
             *(PublishedValue(f"{label} ({row['name']})", row["name"], field,
                              _number(f"scenario {row['name']!r}: {key}", row[key]), tolerance)
@@ -530,6 +523,6 @@ def write_reproduction(result: dict, out: str | Path) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out / name).write_text(text)
+            (out / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot write {out}: {exc}") from None

@@ -19,7 +19,8 @@ from conftest import (
 )
 from qlbn import cli
 from qlbn.cli import main
-from qlbn.scenarios import load_builtin, load_scenarios, run_comparison, run_reproduction
+from qlbn.scenarios import (Scenario, load_builtin, load_scenarios, run_comparison,
+                            run_reproduction)
 
 ROOT = Path(__file__).resolve().parent.parent
 GAME_NET = str(ROOT / "data" / "networks" / "prisoners_average.json")
@@ -726,9 +727,10 @@ class TestPredictAndCompare:
              ' "observed_unknown": 1e-320}]',
              "scenario 0: 'X': observed_unknown = 1e-320 leaves the relative fit errors "
              "undefined"),
+            # no prediction reads the payoff matrix a note quotes
             ('[{"name": "X", "p_defect_given_defect": 0.5, "p_defect_given_cooperate": 0.5,'
              ' "observed_unknown": 0.5, "payoff_note": 5}]',
-             "scenario 0: 'X': payoff_note 5 is not a string"),
+             "scenario 0: missing keys [], unknown keys ['payoff_note']"),
             *((f'[{{"name": {name}, "p_defect_given_defect": 0.5,'
                ' "p_defect_given_cooperate": 0.5, "observed_unknown": 0.5}]',
                f"scenario 0: scenario name {shown} is not a string")
@@ -746,13 +748,29 @@ class TestPredictAndCompare:
              "repeated name", "repeated sample row"],
     )
     def test_predict_rejected_files(self, capsys, tmp_path, content, message):
-        """Both commands that read a scenario file refuse it with the reader's message."""
+        """Every command that reads a scenario file refuses it with the reader's message."""
         path = tmp_path / "scenarios.json"
         path.write_text(content)
-        for command in ("predict", "compare"):
+        for command in ("predict", "compare", "sweep"):
             code, out, err = run_cli(capsys, command, "--scenario", str(path))
             assert (code, out) == (1, ""), command
             assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("key", Scenario._fields)
+    def test_every_scenario_key_reaches_the_prediction_document(self, capsys, tmp_path, key):
+        """A key that no output reads is a key the format should not carry."""
+        base = Scenario("Average", 0.87, 0.74, 0.64)._asdict()
+        value = base[key]
+        changed = {**base, key: value / 2 if isinstance(value, float) else f"{value}, changed"}
+        documents = []
+        for row in (base, changed):
+            path = tmp_path / "scenarios.json"
+            path.write_text(json.dumps([row]))
+            code, out, err = run_cli(capsys, "predict", "--scenario", str(path), "--format",
+                                     "json")
+            assert (code, err) == (0, "")
+            documents.append(json.loads(out))
+        assert documents[0] != documents[1]
 
     def test_compare_defaults_to_builtin_dataset(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--format", "json")
@@ -1007,12 +1025,10 @@ class TestReproduce:
              "comparison row 'Li and Taplin, 2002 experiment 2': observed: "
              "expected a number, got None"),
             (lambda doc: doc["scenarios"][1].update(payoff_note=5),
-             "scenario 1: 'Li and Taplin, 2002': payoff_note 5 is not a string"),
-            (lambda doc: doc.update(payoff_note=[]),
-             "scenario 0: 'Shafir and Tversky, 1992': payoff_note [] is not a string"),
+             "scenario 1: missing keys [], unknown keys ['payoff_note']"),
         ],
         ids=["string fit", "null published prediction", "list name", "null observed",
-             "int row note", "list file note"],
+             "int row note"],
     )
     def test_a_malformed_published_value_names_the_packaged_file(
         self, capsys, monkeypatch, tmp_path, change, message
@@ -1030,10 +1046,10 @@ class TestReproduce:
             assert err == f"error: {path}: {message}\n"
 
     def test_a_packaged_row_reads_as_a_scenario_file_row(self, capsys, monkeypatch, tmp_path):
-        """A row's own prior and note reach its record; both were once dropped, so the
-        first classical prediction stayed at the default prior's 0.905."""
+        """A row's own prior reaches its record; it was once dropped, so the first
+        classical prediction stayed at the default prior's 0.905."""
         doc = json.loads((ROOT / "src" / "qlbn" / "data" / "literature.json").read_text())
-        doc["scenarios"][0].update(prior_defect=0.9, payoff_note="row note")
+        doc["scenarios"][0].update(prior_defect=0.9)
         path = tmp_path / "literature.json"
         path.write_text(json.dumps(doc))
         monkeypatch.setattr("qlbn.scenarios._LITERATURE", path)
@@ -1041,9 +1057,6 @@ class TestReproduce:
         assert (code, err) == (0, "")
         first = json.loads(out)["records"][0]
         assert first["classical"] == pytest.approx(0.9 * 0.97 + 0.1 * 0.84)
-        assert [s.payoff_note for s in load_builtin().scenarios] == [
-            "row note", *[doc["payoff_note"]] * 4
-        ]
 
     def test_an_unknown_key_in_a_packaged_row_names_the_packaged_file(
         self, capsys, monkeypatch, tmp_path
@@ -1137,6 +1150,21 @@ class TestModuleInvocation:
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout  # nonempty
+
+    def test_written_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """Both writers name their encoding, as read_json does: under
+        warn_default_encoding, a write in the locale's encoding warns, and the error
+        filter turns that warning into exit 1."""
+        out_dir, out_csv = tmp_path / "reproduction", tmp_path / "sweep.csv"
+        for argv in (["reproduce", "--out", str(out_dir)], ["sweep", "--out", str(out_csv)]):
+            result = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "qlbn", *argv],
+                capture_output=True, text=True, cwd=ROOT, env=src_env(),
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv
+        assert {p.name: sha256(p.read_bytes()) for p in out_dir.iterdir()} == OUT_FILE_DIGESTS
+        assert out_csv.read_text(encoding="utf-8").startswith("degree,prediction,fit_error")
 
     def test_usage_error_exits_one(self):
         for args in (["infer"], ["sweep", "--steps", "abc"]):

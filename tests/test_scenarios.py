@@ -78,7 +78,6 @@ FROZEN_PIPELINE = {
 class TestScenario:
     def test_defaults(self):
         assert AVERAGE.prior_defect == 0.5
-        assert AVERAGE.payoff_note is None
 
     def test_rejects_out_of_range_probability(self):
         with pytest.raises(ValidationError, match="p_defect_given_defect"):
@@ -120,8 +119,8 @@ class TestScenario:
 
     def test_parses_decimal_strings_and_stores_floats(self):
         parsed = Scenario("x", "0.87", 0, "0.64", prior_defect=1)
-        assert parsed == ("x", 0.87, 0.0, 0.64, 1.0, None)
-        assert [type(value) for value in parsed[1:-1]] == [float] * 4
+        assert parsed == ("x", 0.87, 0.0, 0.64, 1.0)
+        assert [type(value) for value in parsed[1:]] == [float] * 4
 
     @pytest.mark.parametrize(
         "value, message",
@@ -195,12 +194,8 @@ class TestScenarioToNetwork:
          ("p_defect_given_cooperate", 1.5, "'Average': p_defect_given_cooperate = 1.5 is outside"),
          # a name that is not a string once printed as a number, or as "-" for None
          ("name", 5, "^scenario name 5 is not a string$"),
-         ("name", None, "^scenario name None is not a string$"),
-         # no command reads the note, so nothing else would refuse it
-         ("payoff_note", 5, r"^'Average': payoff_note 5 is not a string$"),
-         ("payoff_note", {}, r"^'Average': payoff_note \{\} is not a string$")],
-        ids=["bool", "bad decimal", "out of range", "int name", "None name", "int note",
-             "dict note"],
+         ("name", None, "^scenario name None is not a string$")],
+        ids=["bool", "bad decimal", "out of range", "int name", "None name"],
     )
     def test_refuses_a_bad_copy_made_by_replace(self, field: str, value: object, message: str):
         with pytest.raises(ValidationError, match=message):
@@ -560,11 +555,6 @@ class TestBuiltinDataset:
             load_builtin()
         assert str(raised.value).startswith(f"{path}: {cause}")
 
-    def test_payoff_note_attached_everywhere(self):
-        notes = {s.payoff_note for s in load_builtin().scenarios}
-        assert len(notes) == 1
-        assert "payoff" in notes.pop().lower()
-
     def test_reported_classical_column(self):
         classical = [
             p for p in load_builtin().published if p.field == "classical"
@@ -655,20 +645,19 @@ class TestScenarioFiles:
                         "p_defect_given_cooperate": 0.6,
                         "observed_unknown": 0.7,
                         "prior_defect": "0.25",
-                        "payoff_note": "T > R > P > S",
                     },
                 ]
             )
         )
         loaded = load_scenarios(path)
-        skewed = Scenario("Skewed", 0.9, 0.6, 0.7, prior_defect=0.25, payoff_note="T > R > P > S")
+        skewed = Scenario("Skewed", 0.9, 0.6, 0.7, prior_defect=0.25)
         assert loaded == [AVERAGE, skewed]
 
     def test_shipped_sample_has_five_rows(self):
         root = Path(__file__).resolve().parent.parent
         rows = load_scenarios(root / "data" / "scenarios" / "literature_games.json")
         assert [s.name for s in rows] == list(FROZEN_PIPELINE)
-        # the sample file and the packaged rows are one dataset, notes included
+        # the sample file and the packaged rows are one dataset
         assert tuple(rows) == load_builtin().scenarios
 
     def test_rejects_unknown_key(self):
@@ -684,14 +673,6 @@ class TestScenarioFiles:
                     }
                 ]
             )
-
-    def test_rejects_a_note_that_is_not_a_string(self, tmp_path: Path):
-        path = tmp_path / "rows.json"
-        path.write_text(json.dumps([{**AVERAGE._asdict(), "payoff_note": ["T > R"]}]))
-        with pytest.raises(ValidationError, match=(
-            r"scenario 0: 'Average': payoff_note \['T > R'\] is not a string$"
-        )):
-            load_scenarios(path)
 
     def test_rejects_missing_key(self):
         with pytest.raises(ValidationError, match="missing keys"):

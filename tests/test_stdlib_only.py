@@ -193,6 +193,16 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
     assert _probe(probe) == "module 'qlbn' has no attribute 'nope'\n" * 2 + "[]\n"
 
 
+def test_dir_lists_every_export_and_loads_nothing():
+    """dir(qlbn) answers from __all__, so listing the names compiles no module."""
+    probe = (
+        "import sys, qlbn\n"
+        "print(sorted(set(qlbn.__all__) - set(dir(qlbn))))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qlbn.')))"
+    )
+    assert _probe(probe) == "[]\n[]\n"
+
+
 def test_a_probe_for_an_unknown_name_loads_nothing():
     probe = (
         "import sys, qlbn\n"
